@@ -7,10 +7,11 @@ the survivors column-wise yields v1+1 columns of v1/2 cells each.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from . import gf2
-from .layout import Cell, CodeArray, CgrParams
+from .code import _sweep
+from .layout import Cell, CodeArray, CgrParams, cell_mask
 
 
 class ContractShapeError(Exception):
@@ -43,7 +44,7 @@ def puncture(array: CodeArray) -> CodeArray:
         tuple(cell if _is_retained(cell, v2) else Cell.empty() for cell in row)
         for row in array.rows
     )
-    return CodeArray(array.params, rows, array.offsets, array.row_kinds)
+    return CodeArray(array.params, rows, array.offsets)
 
 
 def contract(array: CodeArray, column_order=None) -> ContractedArray:
@@ -88,19 +89,6 @@ def verify_contracted_mds(contracted: ContractedArray) -> bool:
     ncols = len(contracted.columns)
     if ncols < 2:
         raise ValueError("contracted array needs at least 2 columns to verify")
-    ids = contracted.retained_ids()
-    pos = {v: i for i, v in enumerate(ids)}
-    col_masks = []
-    for col in contracted.columns:
-        masks = []
-        for cell in col:
-            mask = 0
-            for v in cell.vertices:
-                mask |= 1 << pos[v]
-            masks.append(mask)
-        col_masks.append(masks)
-    for a in range(ncols):
-        for b in range(a + 1, ncols):
-            if gf2.rank(col_masks[a] + col_masks[b]) < len(ids):
-                return False
-    return True
+    pos = {v: i for i, v in enumerate(contracted.retained_ids())}
+    columns = [[cell_mask(cell, pos) for cell in col] for col in contracted.columns]
+    return _sweep(columns, len(pos), itertools.combinations(range(ncols), 2)).is_mds

@@ -416,16 +416,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UnrecoverableError as exc:
+    except (UnrecoverableError, ContractShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ContractShapeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (BudgetExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

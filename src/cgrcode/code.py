@@ -54,7 +54,6 @@ class Codeword:
     """A code array together with concrete bit values for every cell."""
 
     array: CodeArray
-    info_bits: dict[int, int]
     cell_values: tuple[tuple[int, ...], ...]
 
 
@@ -85,13 +84,9 @@ class MdsResult:
         return self.is_mds
 
 
-def _var_positions(array: CodeArray) -> dict[int, int]:
-    return {v: i for i, v in enumerate(array.info_ids())}
-
-
 def encode(array: CodeArray, info_bits: dict[int, int]) -> Codeword:
     """Fill every cell: info cells copy their bit, parity cells XOR theirs."""
-    required = set(array.info_ids())
+    required = array.positions.keys()
     given = set(info_bits)
     if given != required:
         missing = sorted(required - given)[:5]
@@ -108,7 +103,7 @@ def encode(array: CodeArray, info_bits: dict[int, int]) -> Codeword:
         )
         for row in array.rows
     )
-    return Codeword(array, dict(info_bits), values)
+    return Codeword(array, values)
 
 
 def _xor_all(bits) -> int:
@@ -139,8 +134,7 @@ def decode(
     Raises UnrecoverableError when the surviving system is rank-deficient.
     """
     pattern.validate_for(array.params)
-    pos = _var_positions(array)
-    nvars = len(pos)
+    nvars = len(array.positions)
     surviving = pattern.survivors(array.params.v2)
 
     known: dict[int, int] = {}
@@ -177,23 +171,19 @@ def decode(
     peeling_sufficed = not force_elimination and len(known) == nvars
     elimination_ops = 0
     if len(known) < nvars or force_elimination:
-        equations = []
-        for r, row in enumerate(array.rows):
-            for c in surviving:
-                cell = row[c]
-                if cell.is_empty:
-                    continue
-                mask = 0
-                for v in cell.vertices:
-                    mask |= 1 << pos[v]
-                equations.append((mask, values[r][c]))
+        equations = [
+            (mask, values[r][c])
+            for r, row in enumerate(array.masks)
+            for c in surviving
+            if (mask := row[c])
+        ]
         solved = gf2.solve_unique(equations, nvars)
         if solved is None:
             deficit = gf2.rank([m for m, _ in equations])
             raise UnrecoverableError(pattern, deficit, nvars)
         assignment, elimination_ops = solved
-        inverse = {i: v for v, i in pos.items()}
-        known = {inverse[p]: bit for p, bit in assignment.items()}
+        ids = list(array.positions)
+        known = {ids[p]: bit for p, bit in assignment.items()}
 
     # Rebuilding each erased cell from recovered bits costs arity-1 XORs.
     for c in sorted(pattern.erased_columns):
@@ -205,34 +195,23 @@ def decode(
     return DecodeReport(known, peeling_sufficed, xor_count, elimination_ops)
 
 
-def _column_masks(array: CodeArray) -> list[list[int]]:
-    pos = _var_positions(array)
-    masks: list[list[int]] = [[] for _ in range(array.params.v2)]
-    for row in array.rows:
-        for c, cell in enumerate(row):
-            mask = 0
-            for v in cell.vertices:
-                mask |= 1 << pos[v]
-            masks[c].append(mask)
-    return masks
-
-
-def _sweep(array: CodeArray, erased_patterns) -> MdsResult:
-    """Full-rank check for each erasure pattern, stopping at the first hole."""
-    v2 = array.params.v2
-    nvars = len(array.info_ids())
-    col_masks = _column_masks(array)
+def _sweep(columns, nvars: int, survivor_sets) -> MdsResult:
+    """Full-rank check of the cell masks in each set of surviving columns,
+    stopping at the first hole; the witness is that set's erased complement."""
     checked = 0
-    for erased in erased_patterns:
+    for survivors in survivor_sets:
         checked += 1
         rows: list[int] = []
-        erased_set = set(erased)
-        for c in range(v2):
-            if c not in erased_set:
-                rows.extend(col_masks[c])
+        for c in survivors:
+            rows.extend(columns[c])
         if gf2.rank(rows) < nvars:
+            erased = set(range(len(columns))).difference(survivors)
             return MdsResult(False, ErasurePattern.of(erased), checked)
     return MdsResult(True, None, checked)
+
+
+def _sweep_array(array: CodeArray, survivor_sets) -> MdsResult:
+    return _sweep(tuple(zip(*array.masks)), len(array.positions), survivor_sets)
 
 
 def verify_mds(array: CodeArray) -> MdsResult:
@@ -243,12 +222,7 @@ def verify_mds(array: CodeArray) -> MdsResult:
     """
     if array.is_dual():
         raise ValueError("verify_mds expects a primal array; use verify_dual_mds")
-    v2 = array.params.v2
-    patterns = (
-        tuple(c for c in range(v2) if c not in pair)
-        for pair in itertools.combinations(range(v2), 2)
-    )
-    return _sweep(array, patterns)
+    return _sweep_array(array, itertools.combinations(range(array.params.v2), 2))
 
 
 def verify_dual_mds(array: CodeArray) -> MdsResult:
@@ -258,7 +232,9 @@ def verify_dual_mds(array: CodeArray) -> MdsResult:
     Accepts a primal array (dualized internally) or an already-dual array.
     """
     dual = array if array.is_dual() else dualize(array)
-    return _sweep(dual, itertools.combinations(range(array.params.v2), 2))
+    v2 = array.params.v2
+    pairs = itertools.combinations(range(v2), 2)
+    return _sweep_array(dual, (tuple(c for c in range(v2) if c not in pair) for pair in pairs))
 
 
 def dualize(array: CodeArray) -> CodeArray:
@@ -298,7 +274,7 @@ def dualize(array: CodeArray) -> CodeArray:
 
     mapper = dual_to_primal if array.is_dual() else primal_to_dual
     rows = tuple(tuple(mapper(cell) for cell in row) for row in array.rows)
-    return CodeArray(array.params, rows, array.offsets, array.row_kinds)
+    return CodeArray(array.params, rows, array.offsets)
 
 
 def update_complexity(params: CgrParams) -> Fraction:

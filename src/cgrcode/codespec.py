@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 
+from .code import dualize
 from .graph import CgrParams
-from .layout import EMPTY, INFO, PARITY, Cell, CodeArray, OffsetVector, standard_row_kinds
+from .layout import CodeArray, OffsetVector, build_code_array
 
 FORMAT_VERSION = "1"
 
@@ -34,6 +35,8 @@ def to_json(array: CodeArray) -> str:
 
 
 def from_obj(obj: dict) -> CodeArray:
+    """Parse a code object; its rows must be the array that v1 and
+    offset_vector build, or that array's dual."""
     if not isinstance(obj, dict):
         raise ValueError("code file must be a JSON object")
     version = obj.get("version")
@@ -41,31 +44,19 @@ def from_obj(obj: dict) -> CodeArray:
         raise ValueError(f"unsupported format version {version!r} (expected {FORMAT_VERSION!r})")
     try:
         params = CgrParams(int(obj["v1"]), int(obj["v2"]))
+        offsets = OffsetVector(tuple(int(a) for a in obj.get("offset_vector", ())))
     except KeyError as missing:
         raise ValueError(f"missing field {missing}") from None
-    offsets = OffsetVector(tuple(int(a) for a in obj.get("offset_vector", ())))
-    offsets.validate_for(params)
-    raw_rows = obj.get("rows")
-    if not isinstance(raw_rows, list) or len(raw_rows) != params.num_rows:
-        raise ValueError(f"rows must be a list of {params.num_rows} rows")
-    rows = []
-    for r, raw_row in enumerate(raw_rows):
-        if not isinstance(raw_row, list) or len(raw_row) != params.v2:
-            raise ValueError(f"row {r} must have {params.v2} cells")
-        row = []
-        for raw_cell in raw_row:
-            kind = raw_cell.get("kind")
-            vertices = tuple(int(v) for v in raw_cell.get("vertices", ()))
-            if kind == INFO and len(vertices) == 1:
-                row.append(Cell(INFO, vertices))
-            elif kind == PARITY and len(vertices) >= 2:
-                row.append(Cell(PARITY, vertices))
-            elif kind == EMPTY and not vertices:
-                row.append(Cell.empty())
-            else:
-                raise ValueError(f"bad cell {raw_cell!r} in row {r}")
-        rows.append(tuple(row))
-    return CodeArray(params, tuple(rows), offsets, standard_row_kinds(params))
+    except TypeError as exc:
+        raise ValueError(f"bad header field: {exc}") from None
+    offsets.validate_for(params)  # before building, so a huge v1 fails fast
+    array = build_code_array(params, offsets)
+    rows = obj.get("rows")
+    if to_obj(array)["rows"] != rows:
+        array = dualize(array)
+        if to_obj(array)["rows"] != rows:
+            raise ValueError(f"rows match neither the v1={params.v1} offset_vector array nor its dual")
+    return array
 
 
 def from_json(text: str) -> CodeArray:

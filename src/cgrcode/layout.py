@@ -9,6 +9,7 @@ ids); a dual array reuses the same grid with edge-variable ids instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graph import POS_INF, CgrGraph, CgrParams, Factorization, build_cgr
 
@@ -104,6 +105,14 @@ def standard_row_kinds(params: CgrParams) -> tuple[RowKind, ...]:
     return tuple(kinds)
 
 
+def cell_mask(cell: Cell, positions: dict[int, int]) -> int:
+    """The cell as a GF(2) row: one bit per member variable, 0 when empty."""
+    mask = 0
+    for v in cell.vertices:
+        mask |= 1 << positions[v]
+    return mask
+
+
 @dataclass(frozen=True)
 class CodeArray:
     """The code definition: a grid of cells plus the offsets that shaped it."""
@@ -111,7 +120,6 @@ class CodeArray:
     params: CgrParams
     rows: tuple[tuple[Cell, ...], ...]
     offsets: OffsetVector
-    row_kinds: tuple[RowKind, ...]
 
     @property
     def num_rows(self) -> int:
@@ -124,13 +132,28 @@ class CodeArray:
     def column(self, c: int) -> list[Cell]:
         return [row[c] for row in self.rows]
 
+    @cached_property
+    def positions(self) -> dict[int, int]:
+        """Variable id -> bit position, in ascending id order (shared: do not mutate)."""
+        ids = sorted({cell.vertices[0] for row in self.rows for cell in row if cell.is_info})
+        return {v: i for i, v in enumerate(ids)}
+
+    @cached_property
+    def masks(self) -> tuple[tuple[int, ...], ...]:
+        """The grid as GF(2) bitmasks over positions, 0 for an empty cell."""
+        pos = self.positions
+        return tuple(tuple(cell_mask(cell, pos) for cell in row) for row in self.rows)
+
     def info_ids(self) -> list[int]:
         """All variable ids carried by info cells, ascending."""
-        ids = {cell.vertices[0] for row in self.rows for cell in row if cell.is_info}
-        return sorted(ids)
+        return list(self.positions)
 
     def is_dual(self) -> bool:
         """True when parity cells are wider than 2 (vertex/edge roles swapped)."""
+        return self._dual
+
+    @cached_property
+    def _dual(self) -> bool:
         return any(len(cell.vertices) > 2 for row in self.rows for cell in row if cell.is_parity)
 
 
@@ -144,9 +167,7 @@ def map_unshifted(graph: CgrGraph) -> CodeArray:
         rows.append(tuple(Cell.parity(e) for e in ring))
     for pair in sorted(graph.inter_ring_edges):
         rows.append(tuple(Cell.parity(e) for e in graph.inter_ring_edges[pair]))
-    return CodeArray(
-        graph.params, tuple(rows), OffsetVector.zeros(graph.params), standard_row_kinds(graph.params)
-    )
+    return CodeArray(graph.params, tuple(rows), OffsetVector.zeros(graph.params))
 
 
 def apply_offsets(array: CodeArray, offsets) -> CodeArray:
@@ -156,7 +177,7 @@ def apply_offsets(array: CodeArray, offsets) -> CodeArray:
     v2 = array.params.v2
     rows = tuple(row[k:] + row[:k] for row, k in zip(array.rows, off))
     combined = OffsetVector(tuple((a + b) % v2 for a, b in zip(array.offsets, off)))
-    return CodeArray(array.params, rows, combined, array.row_kinds)
+    return CodeArray(array.params, rows, combined)
 
 
 def build_code_array(params: CgrParams, offsets) -> CodeArray:

@@ -136,6 +136,18 @@ def test_roundtrip_bad_data_spec(k2_file):
     assert main(["roundtrip", k2_file, "--data", "decimal:5"]) == 2
 
 
+def test_roundtrip_rejects_corrupt_parity_cell(k2_file, tmp_path, capsys):
+    with open(k2_file, encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj["rows"][2][0]["vertices"] = [0, 0]
+    corrupt = tmp_path / "corrupt.json"
+    corrupt.write_text(json.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["roundtrip", str(corrupt)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_metrics_table(capsys):
     assert main(["metrics"]) == 0
     assert capsys.readouterr().out == (

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,11 @@ from cgrcode import (
     build_code_array,
     decode,
     decode_complexity,
+    derive_offsets,
     dualize,
     encode,
     erase,
+    pif_factorize,
     update_complexity,
     verify_dual_mds,
     verify_mds,
@@ -100,6 +103,30 @@ def test_forced_elimination_agrees_with_peeling(k2_array):
     assert peeled.recovered == eliminated.recovered == bits
     assert not eliminated.peeling_sufficed
     assert eliminated.elimination_xor_count > 0
+
+
+@pytest.mark.parametrize(
+    "force,peeled,xor_total,elimination_total",
+    [(False, 119, 5586, 0), (True, 0, 3990, 7350)],
+)
+def test_decode_accounting_over_all_patterns(force, peeled, xor_total, elimination_total):
+    # Elimination row operations depend on the row-major order in which
+    # surviving cells enter the GF(2) system; these totals pin that order.
+    params = CgrParams.from_v1(4)
+    array = build_code_array(params, derive_offsets(pif_factorize(4)))
+    bits = {v: (v * 13 + 1) % 2 for v in array.info_ids()}
+    codeword = encode(array, bits)
+    reports = []
+    for k in range(1, params.v1 + 2):
+        for columns in itertools.combinations(range(params.v2), k):
+            pattern = ErasurePattern.of(columns)
+            report = decode(array, erase(codeword, pattern), pattern, force_elimination=force)
+            assert report.recovered == bits
+            reports.append(report)
+    assert len(reports) == 119
+    assert sum(r.peeling_sufficed for r in reports) == peeled
+    assert sum(r.xor_count for r in reports) == xor_total
+    assert sum(r.elimination_xor_count for r in reports) == elimination_total
 
 
 def test_unrecoverable_erasure_raises(k2_array):

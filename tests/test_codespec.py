@@ -69,6 +69,12 @@ def _mutated(k2_array, mutate):
         lambda o: o["rows"][0][0].update(kind="weird"),
         lambda o: o["rows"][0][0].update(vertices=[1, 2]),
         lambda o: o["rows"][2][0].update(vertices=[3]),
+        lambda o: o["rows"][0].__setitem__(0, [0]),
+        lambda o: o["rows"][0][0].update(vertices=[999]),
+        lambda o: o["rows"][2][0].update(vertices=[0, 0]),
+        lambda o: o["rows"][0][0].update(vertices=None),
+        lambda o: o.update(v1=None),
+        lambda o: o.update(offset_vector=None),
     ],
 )
 def test_validation_rejects_malformed_objects(k2_array, mutate):
