@@ -96,6 +96,8 @@ def _info_bits(array: CodeArray, data_spec: str) -> dict[int, int]:
     mode, value = _parse_data_spec(data_spec)
     ids = array.info_ids()
     if mode == "hex":
+        if not 0 <= value < 1 << len(ids):
+            raise ValueError(f"--data hex value does not fit the code's {len(ids)} info bits")
         return {v: (value >> i) & 1 for i, v in enumerate(ids)}
     rng = Lcg(value)
     return {v: rng.bit() for v in ids}
@@ -248,6 +250,8 @@ def cmd_metrics(args) -> int:
     start, stop = int(lo), int(hi or lo)
     if start % 2 or start < 2:
         raise ValueError(f"--v1-range must start at an even v1 >= 2, got {start}")
+    if stop < start:
+        raise ValueError(f"--v1-range {args.v1_range} is empty: {stop} < {start}")
     rows = []
     for v1 in range(start, stop + 1, 2):
         params = CgrParams.from_v1(v1)

@@ -1,9 +1,12 @@
 """Encoding, erasure decoding, MDS verification, duals, and complexity.
 
-Cell values live over GF(2). Decoding seeds known bits from surviving info
-cells, peels 2-ary parity cells with one unknown, and falls back to Gaussian
-elimination; verification checks that every legal set of surviving columns
-spans the full variable space.
+Encoding, decoding and verification read only the array's compiled GF(2)
+mask grid (CodeArray.masks over CodeArray.positions). Cell values are XORs
+of info values, which may be ints of any width: each bit plane is coded
+independently. Decoding seeds known values from single-bit cells, peels
+two-bit cells with one unknown, and falls back to Gaussian elimination over
+the same equations; verification checks that every legal set of surviving
+columns spans the full variable space.
 """
 
 from __future__ import annotations
@@ -59,11 +62,12 @@ class Codeword:
 
 @dataclass
 class DecodeReport:
-    """Decode outcome: recovered bits plus operation accounting.
+    """Decode outcome: recovered values plus operation accounting.
 
-    xor_count covers chain decoding (peeling steps and reconstruction of
-    erased cells, arity-1 XORs each); elimination_xor_count separately
-    reports row operations spent inside the GF(2) fallback, if it ran.
+    xor_count covers chain decoding: one XOR per value peeled from a two-bit
+    cell, plus popcount-1 XORs to rebuild each erased multi-bit cell.
+    elimination_xor_count separately reports row operations spent inside
+    the GF(2) fallback, if it ran.
     """
 
     recovered: dict[int, int]
@@ -85,31 +89,25 @@ class MdsResult:
 
 
 def encode(array: CodeArray, info_bits: dict[int, int]) -> Codeword:
-    """Fill every cell: info cells copy their bit, parity cells XOR theirs."""
+    """Fill every cell with the XOR of the info values its mask selects."""
     required = array.positions.keys()
     given = set(info_bits)
     if given != required:
         missing = sorted(required - given)[:5]
         extra = sorted(given - required)[:5]
         raise ValueError(f"info_bits mismatch: missing {missing}, extra {extra}")
-    values = tuple(
-        tuple(
-            0
-            if cell.is_empty
-            else info_bits[cell.vertices[0]]
-            if cell.is_info
-            else _xor_all(info_bits[v] for v in cell.vertices)
-            for cell in row
-        )
-        for row in array.rows
-    )
-    return Codeword(array, values)
+    values = [info_bits[v] for v in required]
+    return Codeword(array, tuple(tuple(_xor_of(values, m) for m in row) for row in array.masks))
 
 
-def _xor_all(bits) -> int:
+def _xor_of(values: list[int], mask: int) -> int:
+    """XOR of the values at the mask's set bits; 0 for an empty mask."""
     acc = 0
-    for b in bits:
-        acc ^= b
+    while mask:
+        rest = mask & (mask - 1)
+        value = values[(mask ^ rest).bit_length() - 1]
+        acc = acc ^ value if acc else value  # 0 ^ value would copy a wide value
+        mask = rest
     return acc
 
 
@@ -136,63 +134,56 @@ def decode(
     pattern.validate_for(array.params)
     nvars = len(array.positions)
     surviving = pattern.survivors(array.params.v2)
+    equations = [
+        (mask, values[r][c])
+        for r, row in enumerate(array.masks)
+        for c in surviving
+        if (mask := row[c])
+    ]
 
+    # known maps bit position -> value. Single-bit equations seed it; two-bit
+    # equations are peeled until none has exactly one unknown left.
     known: dict[int, int] = {}
-    parity_cells: list[tuple[tuple[int, ...], int]] = []
-    for r, row in enumerate(array.rows):
-        for c in surviving:
-            cell = row[c]
-            if cell.is_info:
-                known[cell.vertices[0]] = values[r][c]
-            elif cell.is_parity:
-                parity_cells.append((cell.vertices, values[r][c]))
+    pending: list[tuple[int, int, int]] = []
+    for mask, value in equations:
+        rest = mask & (mask - 1)
+        if not rest:
+            known[mask.bit_length() - 1] = value
+        elif not rest & (rest - 1):
+            pending.append(((mask ^ rest).bit_length() - 1, rest.bit_length() - 1, value))
 
-    xor_count = 0
-    if not force_elimination:
-        pending = [pc for pc in parity_cells if len(pc[0]) == 2]
-        progress = True
-        while progress:
-            progress = False
-            remaining = []
-            for members, value in pending:
-                unknown = [v for v in members if v not in known]
-                if len(unknown) == 1:
-                    acc = value
-                    for v in members:
-                        if v in known:
-                            acc ^= known[v]
-                    known[unknown[0]] = acc
-                    xor_count += len(members) - 1
-                    progress = True
-                elif len(unknown) > 1:
-                    remaining.append((members, value))
-            pending = remaining
+    seeded = len(known)
+    while pending and not force_elimination:
+        remaining = []
+        for p, q, value in pending:
+            if p in known:
+                if q not in known:
+                    known[q] = value ^ known[p]
+            elif q in known:
+                known[p] = value ^ known[q]
+            else:
+                remaining.append((p, q, value))
+        if len(remaining) == len(pending):
+            break
+        pending = remaining
+    xor_count = len(known) - seeded  # one XOR per peeled value
 
     peeling_sufficed = not force_elimination and len(known) == nvars
     elimination_ops = 0
-    if len(known) < nvars or force_elimination:
-        equations = [
-            (mask, values[r][c])
-            for r, row in enumerate(array.masks)
-            for c in surviving
-            if (mask := row[c])
-        ]
+    if not peeling_sufficed:
         solved = gf2.solve_unique(equations, nvars)
         if solved is None:
             deficit = gf2.rank([m for m, _ in equations])
             raise UnrecoverableError(pattern, deficit, nvars)
-        assignment, elimination_ops = solved
-        ids = list(array.positions)
-        known = {ids[p]: bit for p, bit in assignment.items()}
+        known, elimination_ops = solved
 
-    # Rebuilding each erased cell from recovered bits costs arity-1 XORs.
-    for c in sorted(pattern.erased_columns):
-        for row in array.rows:
-            cell = row[c]
-            if cell.is_parity:
-                xor_count += len(cell.vertices) - 1
+    # Rebuilding each erased cell from recovered values costs popcount-1 XORs.
+    xor_count += sum(
+        m.bit_count() - 1 for row in array.masks for c in pattern.erased_columns if (m := row[c])
+    )
 
-    return DecodeReport(known, peeling_sufficed, xor_count, elimination_ops)
+    recovered = {v: known[p] for v, p in array.positions.items()}
+    return DecodeReport(recovered, peeling_sufficed, xor_count, elimination_ops)
 
 
 def _sweep(columns, nvars: int, survivor_sets) -> MdsResult:

@@ -145,18 +145,35 @@ def _is_perfect(factors: tuple[tuple[Pair, ...], ...], order: int) -> bool:
     )
 
 
+# Hamiltonicity checks the backtracking search may spend before giving up:
+# v1 = 8 needs 67, while v1 = 14 finds nothing in hundreds of thousands.
+SEARCH_CHECK_LIMIT = 100_000
+
+
 @lru_cache(maxsize=None)
 def _searched_factorization(v1: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """First perfect one-factorization of K_{v1+2} found by backtracking.
 
     Works on center vertex c = v1+1 and position vertices 0..v1; factor p is
     forced to contain edge (c, p). Deterministic: matchings are enumerated in
-    lexicographic order and the first complete solution wins.
+    lexicographic order and the first complete solution wins. Raises
+    ValueError after SEARCH_CHECK_LIMIT Hamiltonicity checks.
     """
     n = v1 + 1
     center = n
     used: set[tuple[int, int]] = set()
     factors: list[tuple[tuple[int, int], ...]] = []
+    checks = 0
+
+    def is_hamiltonian_with(factor, other) -> bool:
+        nonlocal checks
+        if checks == SEARCH_CHECK_LIMIT:
+            raise ValueError(
+                f"no perfect one-factorization of order {v1 + 2} found within "
+                f"{SEARCH_CHECK_LIMIT} Hamiltonicity checks"
+            )
+        checks += 1
+        return _union_is_hamiltonian(factor, other, n + 1)
 
     def matchings(pool: list[int]):
         if not pool:
@@ -176,7 +193,7 @@ def _searched_factorization(v1: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         pool = [q for q in range(n) if q != p]
         for m in matchings(pool):
             factor = ((center, p), *m)
-            if all(_union_is_hamiltonian(factor, f, n + 1) for f in factors):
+            if all(is_hamiltonian_with(factor, f) for f in factors):
                 used.update(m)
                 factors.append(factor)
                 if extend(p + 1):
@@ -200,7 +217,8 @@ def pif_factorize(v1: int, placement: tuple[Label, ...] | None = None) -> Factor
     The wheel construction pairs positions equidistant from p into diagonals;
     it is used whenever it yields a perfect factorization. For orders where
     no rotational scheme is perfect (v1 = 8 is the smallest), a deterministic
-    backtracking search supplies the factorization instead.
+    backtracking search supplies the factorization instead; it raises
+    ValueError when SEARCH_CHECK_LIMIT checks find none (v1 = 14, 20).
     """
     if v1 < 2 or v1 % 2 != 0:
         raise ValueError(f"v1 must be even and >= 2, got {v1}")

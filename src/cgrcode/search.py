@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 from .code import MdsResult, verify_mds
 from .fixtures import BUILTIN_VECTORS
-from .graph import CgrParams
-from .layout import OffsetVector, build_code_array
+from .graph import CgrParams, build_cgr
+from .layout import OffsetVector, apply_offsets, build_code_array, map_unshifted
 from .rng import Lcg
 
 DEFAULT_BUDGET = 10**7
@@ -63,13 +63,19 @@ def _canonical_prefix(params: CgrParams) -> tuple[int, ...]:
 
 def search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> tuple[list[OffsetVector], SearchStats]:
     """Run the search; every returned vector passes verify_mds."""
+    if spec.max_trials < 0:
+        raise ValueError(f"max_trials must be >= 0, got {spec.max_trials}")
+    if spec.stop_after is not None and spec.stop_after < 0:
+        raise ValueError(f"stop_after must be >= 0, got {spec.stop_after}")
     params = spec.params
     v2 = params.v2
     prefix = _canonical_prefix(params) if spec.fix_prefix else ()
     nfree = params.num_rows - len(prefix)
 
+    unshifted = map_unshifted(build_cgr(params))
+
     def is_valid(vec: tuple[int, ...]) -> bool:
-        return bool(verify_mds(build_code_array(params, vec)))
+        return bool(verify_mds(apply_offsets(unshifted, vec)))
 
     found: list[OffsetVector] = []
     if spec.strategy == "exhaustive":

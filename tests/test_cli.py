@@ -148,6 +148,30 @@ def test_roundtrip_rejects_corrupt_parity_cell(k2_file, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_roundtrip_rejects_hex_data_wider_than_the_code(k2_file, capsys):
+    assert main(["roundtrip", k2_file, "--data", "hex:3ff"]) == 0  # all 10 info bits
+    capsys.readouterr()
+    assert main(["roundtrip", k2_file, "--data", "hex:fffffffffffff"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["metrics", "--v1-range", "4:2"],
+        ["search", "--v1", "2", "--strategy", "random", "--max-trials", "-5"],
+        ["search", "--v1", "2", "--stop-after", "-1"],
+        ["generate", "--v1", "14"],
+    ],
+)
+def test_edge_cases_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_metrics_table(capsys):
     assert main(["metrics"]) == 0
     assert capsys.readouterr().out == (

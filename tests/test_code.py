@@ -24,6 +24,7 @@ from cgrcode import (
     verify_dual_mds,
     verify_mds,
 )
+from cgrcode.rng import Lcg
 from conftest import builtin_array, random_bits
 
 
@@ -127,6 +128,32 @@ def test_decode_accounting_over_all_patterns(force, peeled, xor_total, eliminati
     assert sum(r.peeling_sufficed for r in reports) == peeled
     assert sum(r.xor_count for r in reports) == xor_total
     assert sum(r.elimination_xor_count for r in reports) == elimination_total
+
+
+@pytest.mark.parametrize("width", [1, 8, 64, 4096 * 8])
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("name", ["k2_c5", "k4_c7_a"])
+def test_wide_symbols_round_trip_every_guaranteed_pattern(name, dual, width):
+    # Each info value is a width-bit int; XOR codes all bit planes at once.
+    primal = builtin_array(name)
+    array = dualize(primal) if dual else primal
+    rng = Lcg(width)
+    words = -(-width // 64)
+    bits = {
+        v: sum(rng.next_u64() << (64 * i) for i in range(words)) % (1 << width)
+        for v in array.info_ids()
+    }
+    codeword = encode(array, bits)
+    v2 = array.params.v2
+    tolerated = 2 if dual else array.params.v1 + 1
+    for k in range(tolerated + 1):
+        for columns in itertools.combinations(range(v2), k):
+            pattern = ErasurePattern.of(columns)
+            grid = erase(codeword, pattern)
+            for force in (False, True):
+                report = decode(array, grid, pattern, force_elimination=force)
+                assert report.recovered == bits
+                assert encode(array, report.recovered) == codeword
 
 
 def test_unrecoverable_erasure_raises(k2_array):

@@ -136,3 +136,10 @@ def test_searched_fallback_keeps_center_convention():
     # the factor-to-center convention must be preserved.
     factorization = pif_factorize(8)
     assert [factorization.center_of(i) for i in range(9)] == list(range(8)) + [POS_INF]
+
+
+def test_searched_fallback_fails_fast_without_a_result():
+    # K_16 has no perfect rotational scheme and the lexicographic search finds
+    # none within its check limit; it must raise rather than run unbounded.
+    with pytest.raises(ValueError, match="order 16"):
+        pif_factorize(14)

@@ -81,6 +81,12 @@ def test_random_search_stop_after():
     assert stats.trials < 50
 
 
+@pytest.mark.parametrize("limits", [{"strategy": "random", "max_trials": -5}, {"stop_after": -1}])
+def test_negative_limits_are_rejected(limits):
+    with pytest.raises(ValueError):
+        search(SearchSpec(params=CgrParams.from_v1(2), **limits))
+
+
 def test_budget_guard():
     spec = SearchSpec(params=CgrParams.from_v1(4), fix_prefix=False)
     with pytest.raises(BudgetExceededError):
