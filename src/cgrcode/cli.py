@@ -252,27 +252,29 @@ def cmd_metrics(args) -> int:
         raise ValueError(f"--v1-range must start at an even v1 >= 2, got {start}")
     if stop < start:
         raise ValueError(f"--v1-range {args.v1_range} is empty: {stop} < {start}")
+    # Text rows are printed as they are built, so a size that fails (exit 2)
+    # still leaves the finished rows on stdout; --json emits one object.
     rows = []
     for v1 in range(start, stop + 1, 2):
         params = CgrParams.from_v1(v1)
-        rows.append(
-            {
-                "v1": v1,
-                "v2": params.v2,
-                "code": [params.v2, 2],
-                "update_complexity": str(update_complexity(params)),
-                "decode_complexity": str(_measured_decode_complexity(params)),
-            }
-        )
-    if args.json:
-        _emit_json({"metrics": rows}, None)
-    else:
-        for row in rows:
+        row = {
+            "v1": v1,
+            "v2": params.v2,
+            "code": [params.v2, 2],
+            "update_complexity": str(update_complexity(params)),
+            "decode_complexity": str(_measured_decode_complexity(params)),
+        }
+        if args.json:
+            rows.append(row)
+        else:
             print(
                 f"v1={row['v1']} v2={row['v2']} code=({row['code'][0]},{row['code'][1]}) "
                 f"update_complexity={row['update_complexity']} "
-                f"decode_complexity={row['decode_complexity']}"
+                f"decode_complexity={row['decode_complexity']}",
+                flush=True,
             )
+    if args.json:
+        _emit_json({"metrics": rows}, None)
     return 0
 
 

@@ -6,7 +6,9 @@ of info values, which may be ints of any width: each bit plane is coded
 independently. Decoding seeds known values from single-bit cells, peels
 two-bit cells with one unknown, and falls back to Gaussian elimination over
 the same equations; verification checks that every legal set of surviving
-columns spans the full variable space.
+columns spans the full variable space. It counts the survivors' single-bit
+cells as known variables and ranks only the wider cells with those bits
+cleared, which gives the same rank as ranking every cell.
 """
 
 from __future__ import annotations
@@ -188,21 +190,45 @@ def decode(
 
 def _sweep(columns, nvars: int, survivor_sets) -> MdsResult:
     """Full-rank check of the cell masks in each set of surviving columns,
-    stopping at the first hole; the witness is that set's erased complement."""
+    stopping at the first hole; the witness is that set's erased complement.
+
+    Each column is split once into the OR of its single-bit masks (unit) and
+    its wider masks. In a survivor set the unit bits are known variables:
+    every unit row is in the span, so the span is the units' span plus that
+    of the wider rows with the known bits cleared, and the rank is the
+    number of known bits plus the rank of those residual rows.
+    """
+    units: list[int] = []
+    wides: list[list[int]] = []
+    for column in columns:
+        unit = 0
+        wide = []
+        for m in column:
+            if m & (m - 1):
+                wide.append(m)
+            else:
+                unit |= m
+        units.append(unit)
+        wides.append(wide)
+    everything = (1 << nvars) - 1  # a positive complement keeps & on the fast path
     checked = 0
     for survivors in survivor_sets:
         checked += 1
-        rows: list[int] = []
+        known = 0
         for c in survivors:
-            rows.extend(columns[c])
-        if gf2.rank(rows) < nvars:
-            erased = set(range(len(columns))).difference(survivors)
+            known |= units[c]
+        unknown = everything ^ known
+        residual = [m & unknown for c in survivors for m in wides[c]]
+        if known.bit_count() + gf2.rank(residual) < nvars:
+            erased = set(range(len(units))).difference(survivors)
             return MdsResult(False, ErasurePattern.of(erased), checked)
     return MdsResult(True, None, checked)
 
 
-def _sweep_array(array: CodeArray, survivor_sets) -> MdsResult:
-    return _sweep(tuple(zip(*array.masks)), len(array.positions), survivor_sets)
+def sweep_pairs(masks, nvars: int) -> MdsResult:
+    """verify_mds on a bare mask grid (rows of per-column masks over nvars
+    bit positions): every survivor pair, in lexicographic order."""
+    return _sweep(zip(*masks), nvars, itertools.combinations(range(len(masks[0])), 2))
 
 
 def verify_mds(array: CodeArray) -> MdsResult:
@@ -213,7 +239,7 @@ def verify_mds(array: CodeArray) -> MdsResult:
     """
     if array.is_dual():
         raise ValueError("verify_mds expects a primal array; use verify_dual_mds")
-    return _sweep_array(array, itertools.combinations(range(array.params.v2), 2))
+    return sweep_pairs(array.masks, len(array.positions))
 
 
 def verify_dual_mds(array: CodeArray) -> MdsResult:
@@ -225,7 +251,8 @@ def verify_dual_mds(array: CodeArray) -> MdsResult:
     dual = array if array.is_dual() else dualize(array)
     v2 = array.params.v2
     pairs = itertools.combinations(range(v2), 2)
-    return _sweep_array(dual, (tuple(c for c in range(v2) if c not in pair) for pair in pairs))
+    survivor_sets = (tuple(c for c in range(v2) if c not in pair) for pair in pairs)
+    return _sweep(zip(*dual.masks), len(dual.positions), survivor_sets)
 
 
 def dualize(array: CodeArray) -> CodeArray:

@@ -170,12 +170,17 @@ def map_unshifted(graph: CgrGraph) -> CodeArray:
     return CodeArray(graph.params, tuple(rows), OffsetVector.zeros(graph.params))
 
 
+def rotate_rows(rows, offsets) -> tuple:
+    """Rotate row r left by offsets[r], whatever the rows hold (cells or masks)."""
+    return tuple(row[k:] + row[:k] for row, k in zip(rows, offsets))
+
+
 def apply_offsets(array: CodeArray, offsets) -> CodeArray:
     """Rotate row r left by offsets[r]; composes additively mod v2."""
     off = as_offsets(offsets)
     off.validate_for(array.params)
     v2 = array.params.v2
-    rows = tuple(row[k:] + row[:k] for row, k in zip(array.rows, off))
+    rows = rotate_rows(array.rows, off)
     combined = OffsetVector(tuple((a + b) % v2 for a, b in zip(array.offsets, off)))
     return CodeArray(array.params, rows, combined)
 

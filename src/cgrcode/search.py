@@ -6,10 +6,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .code import MdsResult, verify_mds
+from .code import MdsResult, sweep_pairs, verify_mds
 from .fixtures import BUILTIN_VECTORS
 from .graph import CgrParams, build_cgr
-from .layout import OffsetVector, apply_offsets, build_code_array, map_unshifted
+from .layout import OffsetVector, build_code_array, map_unshifted, rotate_rows
 from .rng import Lcg
 
 DEFAULT_BUDGET = 10**7
@@ -72,10 +72,14 @@ def search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> tuple[list[OffsetV
     prefix = _canonical_prefix(params) if spec.fix_prefix else ()
     nfree = params.num_rows - len(prefix)
 
+    # Rotating a row moves its cells but not the variables they hold, so a
+    # candidate's mask grid is the unshifted one with each row rotated, over
+    # the same positions.
     unshifted = map_unshifted(build_cgr(params))
+    nvars = len(unshifted.positions)
 
     def is_valid(vec: tuple[int, ...]) -> bool:
-        return bool(verify_mds(apply_offsets(unshifted, vec)))
+        return sweep_pairs(rotate_rows(unshifted.masks, vec), nvars).is_mds
 
     found: list[OffsetVector] = []
     if spec.strategy == "exhaustive":

@@ -183,6 +183,15 @@ def test_metrics_table(capsys):
     )
 
 
+def test_metrics_prints_finished_rows_before_a_failing_size(low_search_limit, capsys):
+    assert main(["metrics", "--v1-range", "2:14"]) == 2  # no factorization for v1 = 14
+    captured = capsys.readouterr()
+    assert [line.split()[0] for line in captured.out.splitlines()] == [
+        f"v1={v1}" for v1 in range(2, 13, 2)
+    ]
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_metrics_range_and_json(capsys):
     assert main(["metrics", "--v1-range", "2:4", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

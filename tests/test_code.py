@@ -9,10 +9,12 @@ import pytest
 
 from cgrcode import (
     CgrParams,
+    ContractShapeError,
     ErasurePattern,
     OffsetVector,
     UnrecoverableError,
     build_code_array,
+    contract,
     decode,
     decode_complexity,
     derive_offsets,
@@ -21,9 +23,12 @@ from cgrcode import (
     erase,
     pif_factorize,
     update_complexity,
+    verify_contracted_mds,
     verify_dual_mds,
     verify_mds,
 )
+from cgrcode import gf2
+from cgrcode.layout import cell_mask
 from cgrcode.rng import Lcg
 from conftest import builtin_array, random_bits
 
@@ -215,6 +220,58 @@ def test_verify_dual_mds(k2_array):
     assert result.is_mds
     assert result.patterns_checked == 10
     assert verify_dual_mds(dualize(k2_array)).is_mds
+
+
+def _reference_sweep(columns, nvars, survivor_sets):
+    """(is_mds, erased witness, patterns checked) from the rank of every cell
+    mask of each survivor set, stopping at the first rank-deficient set."""
+    checked = 0
+    for survivors in survivor_sets:
+        checked += 1
+        if gf2.rank([m for c in survivors for m in columns[c]]) < nvars:
+            return False, set(range(len(columns))) - set(survivors), checked
+    return True, None, checked
+
+
+@pytest.mark.parametrize("v1", [2, 4, 6])
+def test_sweeps_match_a_full_rank_reference(v1):
+    # The canonical array plus 70 copies with one or two entries redrawn at
+    # random: most are not MDS, so the stop at the first hole and its witness
+    # are compared too, and more of them contract than fully random vectors.
+    params = CgrParams.from_v1(v1)
+    v2 = params.v2
+    rng = Lcg(v1)
+    canonical = tuple(derive_offsets(pif_factorize(v1)))
+    vectors = [canonical]
+    for _ in range(70):
+        vector = list(canonical)
+        for _ in range(1 + rng.randint(2)):
+            vector[rng.randint(params.num_rows)] = rng.randint(v2)
+        vectors.append(tuple(vector))
+    pairs = list(itertools.combinations(range(v2), 2))
+    complements = [[c for c in range(v2) if c not in pair] for pair in pairs]
+    verdicts = []
+    for vector in vectors:
+        array = build_code_array(params, vector)
+        dual = dualize(array)
+        for result, grid, nvars, survivor_sets in (
+            (verify_mds(array), array.masks, len(array.positions), pairs),
+            (verify_dual_mds(array), dual.masks, len(dual.positions), complements),
+        ):
+            witness = result.witness and set(result.witness.erased_columns)
+            expected = _reference_sweep(list(zip(*grid)), nvars, survivor_sets)
+            assert (result.is_mds, witness, result.patterns_checked) == expected
+            verdicts.append(result.is_mds)
+        try:
+            contracted = contract(array)
+        except ContractShapeError:
+            continue
+        pos = {v: i for i, v in enumerate(contracted.retained_ids())}
+        columns = [[cell_mask(cell, pos) for cell in col] for col in contracted.columns]
+        pairs_of_contracted = itertools.combinations(range(len(columns)), 2)
+        expected = _reference_sweep(columns, len(pos), pairs_of_contracted)
+        assert verify_contracted_mds(contracted) == expected[0]
+    assert True in verdicts and False in verdicts
 
 
 def test_update_complexity_formula():

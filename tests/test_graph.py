@@ -143,3 +143,4 @@ def test_searched_fallback_fails_fast_without_a_result():
     # none within its check limit; it must raise rather than run unbounded.
     with pytest.raises(ValueError, match="order 16"):
         pif_factorize(14)
+

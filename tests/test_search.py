@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from cgrcode import (
@@ -9,9 +11,13 @@ from cgrcode import (
     BudgetExceededError,
     CgrParams,
     SearchSpec,
+    SearchStats,
+    build_code_array,
     search,
     validate_fixture_set,
+    verify_mds,
 )
+from cgrcode.rng import Lcg
 from cgrcode.search import params_for_offset_length
 
 
@@ -79,6 +85,42 @@ def test_random_search_stop_after():
     vectors, stats = search(spec)
     assert len(vectors) == 1
     assert stats.trials < 50
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SearchSpec(params=CgrParams.from_v1(2), fix_prefix=False),
+        SearchSpec(
+            params=CgrParams.from_v1(2),
+            fix_prefix=False,
+            strategy="random",
+            seed=3,
+            max_trials=2000,
+        ),
+        SearchSpec(params=CgrParams.from_v1(4), strategy="random", seed=50, max_trials=1000),
+    ],
+)
+def test_search_matches_a_reference_scan(spec):
+    # The reference builds and verifies a full code array per candidate; seed
+    # 50 gives the v1 = 4 run one hit in its 1,000 draws.
+    params = spec.params
+    v2 = params.v2
+    prefix = tuple(range(params.v1)) + (params.v1,) * params.v1 if spec.fix_prefix else ()
+    nfree = params.num_rows - len(prefix)
+    if spec.strategy == "exhaustive":
+        candidates = [prefix + combo for combo in itertools.product(range(v2), repeat=nfree)]
+        space = len(candidates)
+    else:
+        rng = Lcg(spec.seed)
+        candidates = [
+            prefix + tuple(rng.randint(v2) for _ in range(nfree)) for _ in range(spec.max_trials)
+        ]
+        space = None
+    valid = [vec for vec in candidates if verify_mds(build_code_array(params, vec))]
+    vectors, stats = search(spec)
+    assert [tuple(v) for v in vectors] == valid
+    assert stats == SearchStats(len(candidates), len(valid), space)
 
 
 @pytest.mark.parametrize("limits", [{"strategy": "random", "max_trials": -5}, {"stop_after": -1}])
