@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .code import _sweep
+from .code import sweep_pairs
 from .layout import Cell, CodeArray, CgrParams, cell_mask
 
 
@@ -91,4 +91,6 @@ def verify_contracted_mds(contracted: ContractedArray) -> bool:
         raise ValueError("contracted array needs at least 2 columns to verify")
     pos = {v: i for i, v in enumerate(contracted.retained_ids())}
     columns = [[cell_mask(cell, pos) for cell in col] for col in contracted.columns]
-    return _sweep(columns, len(pos), itertools.combinations(range(ncols), 2)).is_mds
+    # A short column reads as empty (0) cells below its last one.
+    masks = list(itertools.zip_longest(*columns, fillvalue=0))
+    return sweep_pairs(masks, len(pos)).is_mds

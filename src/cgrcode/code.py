@@ -5,10 +5,12 @@ mask grid (CodeArray.masks over CodeArray.positions). Cell values are XORs
 of info values, which may be ints of any width: each bit plane is coded
 independently. Decoding seeds known values from single-bit cells, peels
 two-bit cells with one unknown, and falls back to Gaussian elimination over
-the same equations; verification checks that every legal set of surviving
-columns spans the full variable space. It counts the survivors' single-bit
-cells as known variables and ranks only the wider cells with those bits
-cleared, which gives the same rank as ranking every cell.
+the same equations; verification checks that every pair of surviving columns
+spans the full variable space. It counts the survivors' single-bit cells as
+known variables and ranks only the wider cells with those bits cleared,
+which gives the same rank as ranking every cell. The dual's verdict is read
+off the same primal sweep, since the dual is the primal's orthogonal
+complement.
 """
 
 from __future__ import annotations
@@ -188,19 +190,21 @@ def decode(
     return DecodeReport(recovered, peeling_sufficed, xor_count, elimination_ops)
 
 
-def _sweep(columns, nvars: int, survivor_sets) -> MdsResult:
-    """Full-rank check of the cell masks in each set of surviving columns,
-    stopping at the first hole; the witness is that set's erased complement.
+def sweep_pairs(masks, nvars: int) -> MdsResult:
+    """Full-rank check of the cell masks in every pair of surviving columns
+    of a bare mask grid (rows of per-column masks over nvars bit positions),
+    in lexicographic pair order, stopping at the first hole; the witness is
+    that pair's erased complement.
 
     Each column is split once into the OR of its single-bit masks (unit) and
-    its wider masks. In a survivor set the unit bits are known variables:
+    its wider masks. In a survivor pair the unit bits are known variables:
     every unit row is in the span, so the span is the units' span plus that
     of the wider rows with the known bits cleared, and the rank is the
     number of known bits plus the rank of those residual rows.
     """
     units: list[int] = []
     wides: list[list[int]] = []
-    for column in columns:
+    for column in zip(*masks):
         unit = 0
         wide = []
         for m in column:
@@ -212,23 +216,15 @@ def _sweep(columns, nvars: int, survivor_sets) -> MdsResult:
         wides.append(wide)
     everything = (1 << nvars) - 1  # a positive complement keeps & on the fast path
     checked = 0
-    for survivors in survivor_sets:
+    for a, b in itertools.combinations(range(len(units)), 2):
         checked += 1
-        known = 0
-        for c in survivors:
-            known |= units[c]
+        known = units[a] | units[b]
         unknown = everything ^ known
-        residual = [m & unknown for c in survivors for m in wides[c]]
+        residual = [m & unknown for c in (a, b) for m in wides[c]]
         if known.bit_count() + gf2.rank(residual) < nvars:
-            erased = set(range(len(units))).difference(survivors)
+            erased = set(range(len(units))).difference((a, b))
             return MdsResult(False, ErasurePattern.of(erased), checked)
     return MdsResult(True, None, checked)
-
-
-def sweep_pairs(masks, nvars: int) -> MdsResult:
-    """verify_mds on a bare mask grid (rows of per-column masks over nvars
-    bit positions): every survivor pair, in lexicographic order."""
-    return _sweep(zip(*masks), nvars, itertools.combinations(range(len(masks[0])), 2))
 
 
 def verify_mds(array: CodeArray) -> MdsResult:
@@ -243,16 +239,23 @@ def verify_mds(array: CodeArray) -> MdsResult:
 
 
 def verify_dual_mds(array: CodeArray) -> MdsResult:
-    """True iff the dual code survives every loss of 2 columns, swept in
-    lexicographic erased-pair order.
+    """True iff the dual code survives every loss of 2 columns, in
+    lexicographic erased-pair order, read off the primal sweep.
 
-    Accepts a primal array (dualized internally) or an already-dual array.
+    The dual is the primal's orthogonal complement over the cells (each
+    vertex generator meets each edge generator in 0 or 2 cells, and the
+    vertices plus the edges number the cells), and every column pair holds
+    v1*v2 cells, the primal dimension. So the dual fails on the erased pair
+    E exactly when the primal fails on the survivor pair E: the verdict and
+    patterns_checked are verify_mds's, and the witness is the primal's
+    failing survivor pair. A dual input is dualized back first.
     """
-    dual = array if array.is_dual() else dualize(array)
-    v2 = array.params.v2
-    pairs = itertools.combinations(range(v2), 2)
-    survivor_sets = (tuple(c for c in range(v2) if c not in pair) for pair in pairs)
-    return _sweep(zip(*dual.masks), len(dual.positions), survivor_sets)
+    primal = dualize(array) if array.is_dual() else array
+    result = verify_mds(primal)
+    if result.is_mds:
+        return result
+    survivors = result.witness.survivors(array.params.v2)
+    return MdsResult(False, ErasurePattern.of(survivors), result.patterns_checked)
 
 
 def dualize(array: CodeArray) -> CodeArray:

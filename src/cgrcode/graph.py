@@ -4,14 +4,14 @@ A CGR graph CGR(K_v1, C_v2) replaces each vertex of the complete graph K_v1
 with a ring of v2 vertices and each base edge with v2 parallel edges joining
 corresponding ring positions. Offset derivation additionally needs a perfect
 one-factorization of K_{v1+2} whose labels are the v1 ring indices plus two
-sentinels.
+sentinels. It is the wheel when v1 + 1 is prime and a frozen table entry
+otherwise (v1 = 8, 14, 20, 24); nothing is searched at run time.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -145,66 +145,40 @@ def _is_perfect(factors: tuple[tuple[Pair, ...], ...], order: int) -> bool:
     )
 
 
-# Hamiltonicity checks the backtracking search may spend before giving up:
-# v1 = 8 needs 67, while v1 = 14 finds nothing in hundreds of thousands.
-SEARCH_CHECK_LIMIT = 100_000
+def _translates(starter: tuple[tuple[int, int], ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The cyclic one-factorization a starter of Z_n generates: factor i is
+    the starter shifted by i, plus the center edge (n, i)."""
+    n = 2 * len(starter) + 1
+    return tuple(((n, i),) + tuple(((a + i) % n, (b + i) % n) for a, b in starter) for i in range(n))
 
 
-@lru_cache(maxsize=None)
-def _searched_factorization(v1: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """First perfect one-factorization of K_{v1+2} found by backtracking.
-
-    Works on center vertex c = v1+1 and position vertices 0..v1; factor p is
-    forced to contain edge (c, p). Deterministic: matchings are enumerated in
-    lexicographic order and the first complete solution wins. Raises
-    ValueError after SEARCH_CHECK_LIMIT Hamiltonicity checks.
-    """
-    n = v1 + 1
-    center = n
-    used: set[tuple[int, int]] = set()
-    factors: list[tuple[tuple[int, int], ...]] = []
-    checks = 0
-
-    def is_hamiltonian_with(factor, other) -> bool:
-        nonlocal checks
-        if checks == SEARCH_CHECK_LIMIT:
-            raise ValueError(
-                f"no perfect one-factorization of order {v1 + 2} found within "
-                f"{SEARCH_CHECK_LIMIT} Hamiltonicity checks"
-            )
-        checks += 1
-        return _union_is_hamiltonian(factor, other, n + 1)
-
-    def matchings(pool: list[int]):
-        if not pool:
-            yield []
-            return
-        x = pool[0]
-        for k, y in enumerate(pool[1:], start=1):
-            if (x, y) in used:
-                continue
-            rest = pool[1:k] + pool[k + 1 :]
-            for m in matchings(rest):
-                yield [(x, y)] + m
-
-    def extend(p: int) -> bool:
-        if p == n:
-            return True
-        pool = [q for q in range(n) if q != p]
-        for m in matchings(pool):
-            factor = ((center, p), *m)
-            if all(is_hamiltonian_with(factor, f) for f in factors):
-                used.update(m)
-                factors.append(factor)
-                if extend(p + 1):
-                    return True
-                factors.pop()
-                used.difference_update(m)
-        return False
-
-    if not extend(0):
-        raise ValueError(f"no perfect one-factorization found for order {v1 + 2}")
-    return tuple(factors)
+# Perfect one-factorizations of K_{v1+2} for the v1 whose wheel is not
+# perfect, on center vertex v1 + 1 and positions 0..v1: factor p holds the
+# center edge (v1 + 1, p). v1 = 8 has no perfect starter in Z_9, so its
+# factors are listed in full; the others are the first perfect starters of
+# Z_{v1+1} in lexicographic order (Anderson, JCT B 1973; Dinitz & Stinson,
+# "Perfect one-factorizations", Handbook of Combinatorial Designs).
+_FROZEN_FACTORS = {
+    8: (
+        ((9, 0), (1, 2), (3, 4), (5, 6), (7, 8)),
+        ((9, 1), (0, 3), (2, 5), (4, 7), (6, 8)),
+        ((9, 2), (0, 4), (1, 6), (3, 8), (5, 7)),
+        ((9, 3), (0, 2), (1, 7), (4, 6), (5, 8)),
+        ((9, 4), (0, 1), (2, 8), (3, 5), (6, 7)),
+        ((9, 5), (0, 7), (1, 3), (2, 6), (4, 8)),
+        ((9, 6), (0, 8), (1, 5), (2, 4), (3, 7)),
+        ((9, 7), (0, 6), (1, 8), (2, 3), (4, 5)),
+        ((9, 8), (0, 5), (1, 4), (2, 7), (3, 6)),
+    ),
+    14: _translates(((1, 3), (2, 11), (4, 5), (6, 13), (7, 10), (8, 12), (9, 14))),
+    20: _translates(
+        ((1, 2), (3, 15), (4, 20), (5, 16), (6, 8), (7, 13), (9, 12), (10, 17), (11, 19), (14, 18))
+    ),
+    24: _translates(
+        ((1, 2), (3, 5), (4, 8), (6, 17), (7, 23), (9, 14), (10, 18), (11, 24), (12, 22),
+         (13, 20), (15, 21), (16, 19))
+    ),
+}
 
 
 def pif_factorize(v1: int, placement: tuple[Label, ...] | None = None) -> Factorization:
@@ -215,10 +189,10 @@ def pif_factorize(v1: int, placement: tuple[Label, ...] | None = None) -> Factor
     the center edge (NEG_INF, placement[p]).
 
     The wheel construction pairs positions equidistant from p into diagonals;
-    it is used whenever it yields a perfect factorization. For orders where
-    no rotational scheme is perfect (v1 = 8 is the smallest), a deterministic
-    backtracking search supplies the factorization instead; it raises
-    ValueError when SEARCH_CHECK_LIMIT checks find none (v1 = 14, 20).
+    it is used whenever it yields a perfect factorization, which is exactly
+    when v1 + 1 is prime. Otherwise the factors come from _FROZEN_FACTORS
+    (v1 = 8, 14, 20, 24), relabelled through the placement; any other v1
+    raises ValueError at once.
     """
     if v1 < 2 or v1 % 2 != 0:
         raise ValueError(f"v1 must be even and >= 2, got {v1}")
@@ -237,7 +211,12 @@ def pif_factorize(v1: int, placement: tuple[Label, ...] | None = None) -> Factor
         for p in range(n)
     )
     if not _is_perfect(factors, v1 + 2):
-        positional = _searched_factorization(v1)
+        positional = _FROZEN_FACTORS.get(v1)
+        if positional is None:
+            raise ValueError(
+                f"no perfect one-factorization of order {v1 + 2}: the wheel needs v1 + 1 "
+                f"prime, and the frozen table covers only v1 in {sorted(_FROZEN_FACTORS)}"
+            )
         relabel: dict[int, Label] = {q: placement[q] for q in range(n)}
         relabel[n] = NEG_INF
         factors = tuple(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from cgrcode import BUILTIN_VECTORS, CgrParams, CodeArray, build_code_array, graph
+from cgrcode import BUILTIN_VECTORS, CgrParams, CodeArray, build_code_array
 from cgrcode.rng import Lcg
 from cgrcode.search import params_for_offset_length
 
@@ -32,11 +32,3 @@ def k4a_array() -> CodeArray:
 @pytest.fixture(scope="session")
 def k2_params() -> CgrParams:
     return CgrParams.from_v1(2)
-
-
-@pytest.fixture
-def low_search_limit(monkeypatch):
-    """A factorization check limit of 100: v1 = 8 needs 67, v1 = 14 fails in
-    well under a second."""
-    monkeypatch.setattr(graph, "SEARCH_CHECK_LIMIT", 100)
-    return 100

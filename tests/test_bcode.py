@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from cgrcode import (
+    Cell,
     CgrParams,
+    ContractedArray,
     ContractShapeError,
     OffsetVector,
     build_code_array,
@@ -82,3 +84,12 @@ def test_verify_contracted_needs_two_columns(k2_array):
     lone = type(contracted)(contracted.params, contracted.columns[:1], contracted.source_column_index[:1])
     with pytest.raises(ValueError):
         verify_contracted_mds(lone)
+
+
+def test_verify_contracted_reads_a_short_column_as_empty_cells(k2_params):
+    # Every column pair spans both bits only if the longer columns' second
+    # cells count; cutting every column to the shortest one loses (0, 2).
+    first, second = Cell.info(0), Cell.info(5)
+    both = Cell.parity((0, 5))
+    columns = ((first,), (second, both), (first, both))
+    assert verify_contracted_mds(ContractedArray(k2_params, columns, (0, 1, 2)))

@@ -162,7 +162,7 @@ def test_roundtrip_rejects_hex_data_wider_than_the_code(k2_file, capsys):
         ["metrics", "--v1-range", "4:2"],
         ["search", "--v1", "2", "--strategy", "random", "--max-trials", "-5"],
         ["search", "--v1", "2", "--stop-after", "-1"],
-        ["generate", "--v1", "14"],
+        ["generate", "--v1", "26"],
     ],
 )
 def test_edge_cases_are_usage_errors(argv, capsys):
@@ -183,11 +183,11 @@ def test_metrics_table(capsys):
     )
 
 
-def test_metrics_prints_finished_rows_before_a_failing_size(low_search_limit, capsys):
-    assert main(["metrics", "--v1-range", "2:14"]) == 2  # no factorization for v1 = 14
+def test_metrics_prints_finished_rows_before_a_failing_size(capsys):
+    assert main(["metrics", "--v1-range", "2:26"]) == 2  # no factorization for v1 = 26
     captured = capsys.readouterr()
     assert [line.split()[0] for line in captured.out.splitlines()] == [
-        f"v1={v1}" for v1 in range(2, 13, 2)
+        f"v1={v1}" for v1 in range(2, 25, 2)
     ]
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 

@@ -274,6 +274,48 @@ def test_sweeps_match_a_full_rank_reference(v1):
     assert True in verdicts and False in verdicts
 
 
+
+@pytest.mark.parametrize("v1", [2, 4, 6])
+def test_dual_is_the_orthogonal_complement_of_the_primal(v1):
+    # What verify_dual_mds rests on, checked on the mask grids of random
+    # offset vectors: every vertex generator meets every edge generator in an
+    # even number of cells, the primal and dual ranks add up to the number of
+    # cells, and every column pair holds v1*v2 nonempty cells.
+    params = CgrParams.from_v1(v1)
+    rng = Lcg(100 + v1)
+    for _ in range(7):
+        array = build_code_array(
+            params, tuple(rng.randint(params.v2) for _ in range(params.num_rows))
+        )
+        dual = dualize(array)
+        cells = [
+            (p, d)
+            for primal_row, dual_row in zip(array.masks, dual.masks)
+            for p, d in zip(primal_row, dual_row)
+            if p or d
+        ]
+        # meets[u] bit e: parity of the cells holding both vertex u and edge e.
+        meets = [0] * len(array.positions)
+        for p, d in cells:
+            for u in range(len(meets)):
+                if p >> u & 1:
+                    meets[u] ^= d
+        assert not any(meets)
+        assert gf2.rank([p for p, _ in cells]) + gf2.rank([d for _, d in cells]) == len(cells)
+        for a, b in itertools.combinations(range(params.v2), 2):
+            filled = sum(1 for row in array.masks for c in (a, b) if row[c])
+            assert filled == params.num_vertices
+
+
+@pytest.mark.parametrize("v1", [14, 20, 22, 24])
+def test_identity_codes_beyond_the_builtins_are_mds(v1):
+    # Perfectness alone does not make a code MDS (the doubling pi fails at
+    # v1 = 14), so each size the frozen table or the wheel adds is checked.
+    array = build_code_array(CgrParams.from_v1(v1), derive_offsets(pif_factorize(v1)))
+    assert verify_mds(array).is_mds
+    assert verify_dual_mds(array).is_mds
+    assert verify_contracted_mds(contract(array))
+
 def test_update_complexity_formula():
     assert update_complexity(CgrParams.from_v1(2)) == Fraction(3, 10)
     assert update_complexity(CgrParams.from_v1(4)) == Fraction(5, 28)

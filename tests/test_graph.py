@@ -106,7 +106,7 @@ def _check_perfect(v1: int) -> None:
         assert steps == len(labels)
 
 
-@pytest.mark.parametrize("v1", [2, 4, 6, 8])
+@pytest.mark.parametrize("v1", [2, 4, 6, 8, 14, 20, 24])
 def test_factorization_is_perfect(v1):
     _check_perfect(v1)
 
@@ -132,15 +132,15 @@ def test_placement_validation():
 
 
 def test_searched_fallback_keeps_center_convention():
-    # The order-10 wheel is not perfect, so this exercises the search path;
+    # The order-10 wheel is not perfect, so this exercises the frozen table;
     # the factor-to-center convention must be preserved.
     factorization = pif_factorize(8)
     assert [factorization.center_of(i) for i in range(9)] == list(range(8)) + [POS_INF]
 
 
 def test_searched_fallback_fails_fast_without_a_result():
-    # K_16 has no perfect rotational scheme and the lexicographic search finds
-    # none within its check limit; it must raise rather than run unbounded.
-    with pytest.raises(ValueError, match="order 16"):
-        pif_factorize(14)
+    # The order-28 wheel is not perfect (27 is not prime) and the frozen
+    # table has no entry for v1 = 26; it must raise rather than search.
+    with pytest.raises(ValueError, match="order 28"):
+        pif_factorize(26)
 
