@@ -46,7 +46,6 @@ from .layout import (
     build_code_array,
     derive_offsets,
     map_unshifted,
-    standard_row_kinds,
 )
 from .rng import Lcg
 from .search import (
@@ -96,7 +95,6 @@ __all__ = [
     "pif_factorize",
     "puncture",
     "search",
-    "standard_row_kinds",
     "update_complexity",
     "validate_fixture_set",
     "verify_contracted_mds",

@@ -2,15 +2,13 @@
 contract, and search over the JSON interchange format.
 
 Exit codes: 0 success (all requested verifications passed), 1 verification
-or recovery failure, 2 usage error. The environment variable CGR_BUDGET
-overrides the default exhaustive-search budget.
+or recovery failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -21,11 +19,11 @@ from .code import (
     UnrecoverableError,
     decode,
     decode_complexity,
+    dual_verdict,
     dualize,
     encode,
     erase,
     update_complexity,
-    verify_dual_mds,
     verify_mds,
 )
 from .fixtures import BUILTIN_VECTORS
@@ -154,7 +152,7 @@ def cmd_generate(args) -> int:
 
 def _verify_one(name: str, array: CodeArray) -> dict:
     primal = verify_mds(array)
-    dual = verify_dual_mds(array)
+    dual = dual_verdict(primal, array.params.v2)
     return {
         "name": name,
         "v1": array.params.v1,
@@ -325,13 +323,7 @@ def cmd_search(args) -> int:
         max_trials=args.max_trials,
         stop_after=args.stop_after,
     )
-    if args.budget is not None:
-        budget = args.budget
-    elif os.environ.get("CGR_BUDGET"):
-        budget = int(os.environ["CGR_BUDGET"])
-    else:
-        budget = DEFAULT_BUDGET
-    vectors, stats = search(spec, budget)
+    vectors, stats = search(spec, args.budget)
     if args.json:
         _emit_json(
             {
@@ -410,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-trials", type=int, default=1000)
     p.add_argument("--stop-after", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None, help="max exhaustive verifications (or set CGR_BUDGET)")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max exhaustive verifications")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
 

@@ -251,11 +251,14 @@ def verify_dual_mds(array: CodeArray) -> MdsResult:
     failing survivor pair. A dual input is dualized back first.
     """
     primal = dualize(array) if array.is_dual() else array
-    result = verify_mds(primal)
-    if result.is_mds:
-        return result
-    survivors = result.witness.survivors(array.params.v2)
-    return MdsResult(False, ErasurePattern.of(survivors), result.patterns_checked)
+    return dual_verdict(verify_mds(primal), array.params.v2)
+
+
+def dual_verdict(primal: MdsResult, v2: int) -> MdsResult:
+    """The dual's MdsResult read off a primal sweep (see verify_dual_mds)."""
+    if primal.is_mds:
+        return primal
+    return MdsResult(False, ErasurePattern.of(primal.witness.survivors(v2)), primal.patterns_checked)
 
 
 def dualize(array: CodeArray) -> CodeArray:

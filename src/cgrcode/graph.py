@@ -4,13 +4,14 @@ A CGR graph CGR(K_v1, C_v2) replaces each vertex of the complete graph K_v1
 with a ring of v2 vertices and each base edge with v2 parallel edges joining
 corresponding ring positions. Offset derivation additionally needs a perfect
 one-factorization of K_{v1+2} whose labels are the v1 ring indices plus two
-sentinels. It is the wheel when v1 + 1 is prime and a frozen table entry
-otherwise (v1 = 8, 14, 20, 24); nothing is searched at run time.
+sentinels. When v1 + 1 is prime it is the wheel, the cyclic factorization of
+the patterned starter {x, -x}, which is perfect exactly then; otherwise it is
+a frozen table entry (v1 = 8, 14, 20, 24). Nothing is searched or checked at
+run time: the tests check perfectness.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 NEG_INF = float("-inf")
@@ -122,29 +123,6 @@ def _normalize(a: Label, b: Label) -> Pair:
     return (a, b) if a < b else (b, a)
 
 
-def _union_is_hamiltonian(f1: tuple[Pair, ...], f2: tuple[Pair, ...], order: int) -> bool:
-    adj: dict[Label, list[Label]] = {}
-    for a, b in itertools.chain(f1, f2):
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    start = f1[0][0]
-    prev: Label | None = None
-    cur = start
-    steps = 0
-    while True:
-        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-        prev, cur = cur, nxt
-        steps += 1
-        if cur == start:
-            return steps == order
-
-
-def _is_perfect(factors: tuple[tuple[Pair, ...], ...], order: int) -> bool:
-    return all(
-        _union_is_hamiltonian(f1, f2, order) for f1, f2 in itertools.combinations(factors, 2)
-    )
-
-
 def _translates(starter: tuple[tuple[int, int], ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The cyclic one-factorization a starter of Z_n generates: factor i is
     the starter shifted by i, plus the center edge (n, i)."""
@@ -153,11 +131,11 @@ def _translates(starter: tuple[tuple[int, int], ...]) -> tuple[tuple[tuple[int, 
 
 
 # Perfect one-factorizations of K_{v1+2} for the v1 whose wheel is not
-# perfect, on center vertex v1 + 1 and positions 0..v1: factor p holds the
-# center edge (v1 + 1, p). v1 = 8 has no perfect starter in Z_9, so its
-# factors are listed in full; the others are the first perfect starters of
-# Z_{v1+1} in lexicographic order (Anderson, JCT B 1973; Dinitz & Stinson,
-# "Perfect one-factorizations", Handbook of Combinatorial Designs).
+# perfect (v1 + 1 composite), on center vertex v1 + 1 and positions 0..v1:
+# factor p holds the center edge (v1 + 1, p). v1 = 8 has no perfect starter
+# in Z_9, so its factors are listed in full; the others are the first perfect
+# starters of Z_{v1+1} in lexicographic order (Anderson, JCT B 1973; Dinitz &
+# Stinson, "Perfect one-factorizations", Handbook of Combinatorial Designs).
 _FROZEN_FACTORS = {
     8: (
         ((9, 0), (1, 2), (3, 4), (5, 6), (7, 8)),
@@ -188,11 +166,13 @@ def pif_factorize(v1: int, placement: tuple[Label, ...] | None = None) -> Factor
     positions (default: identity order with POS_INF last). Factor p contains
     the center edge (NEG_INF, placement[p]).
 
-    The wheel construction pairs positions equidistant from p into diagonals;
-    it is used whenever it yields a perfect factorization, which is exactly
-    when v1 + 1 is prime. Otherwise the factors come from _FROZEN_FACTORS
-    (v1 = 8, 14, 20, 24), relabelled through the placement; any other v1
-    raises ValueError at once.
+    When v1 + 1 is prime the positional factors are the wheel: the translates
+    of the patterned starter {x, -x}, so factor p pairs the positions p - k
+    and p + k. That factorization is perfect exactly when v1 + 1 is prime
+    (Anderson, JCT B 1973). Otherwise they come from _FROZEN_FACTORS
+    (v1 = 8, 14, 20, 24), and any other v1 raises ValueError at once. Either
+    way they are relabelled through the placement; perfectness is checked by
+    the tests, not at run time.
     """
     if v1 < 2 or v1 % 2 != 0:
         raise ValueError(f"v1 must be even and >= 2, got {v1}")
@@ -203,25 +183,18 @@ def pif_factorize(v1: int, placement: tuple[Label, ...] | None = None) -> Factor
     if len(placement) != n or set(placement) != set(range(v1)) | {POS_INF}:
         raise ValueError("placement must be a bijection of {0..v1-1, POS_INF} onto cycle positions")
 
+    if all(n % d for d in range(2, int(n**0.5) + 1)):  # n is prime
+        positional = _translates(tuple((n - k, k) for k in range(1, v1 // 2 + 1)))
+    elif v1 in _FROZEN_FACTORS:
+        positional = _FROZEN_FACTORS[v1]
+    else:
+        raise ValueError(
+            f"no perfect one-factorization of order {v1 + 2}: the wheel needs v1 + 1 "
+            f"prime, and the frozen table covers only v1 in {sorted(_FROZEN_FACTORS)}"
+        )
     factors = tuple(
         ((NEG_INF, placement[p]),)
-        + tuple(
-            _normalize(placement[(p - k) % n], placement[(p + k) % n]) for k in range(1, v1 // 2 + 1)
-        )
-        for p in range(n)
+        + tuple(_normalize(placement[a], placement[b]) for a, b in factor[1:])
+        for p, factor in enumerate(positional)
     )
-    if not _is_perfect(factors, v1 + 2):
-        positional = _FROZEN_FACTORS.get(v1)
-        if positional is None:
-            raise ValueError(
-                f"no perfect one-factorization of order {v1 + 2}: the wheel needs v1 + 1 "
-                f"prime, and the frozen table covers only v1 in {sorted(_FROZEN_FACTORS)}"
-            )
-        relabel: dict[int, Label] = {q: placement[q] for q in range(n)}
-        relabel[n] = NEG_INF
-        factors = tuple(
-            ((NEG_INF, placement[p]),)
-            + tuple(_normalize(relabel[a], relabel[b]) for a, b in factor[1:])
-            for p, factor in enumerate(positional)
-        )
     return Factorization(v1 + 2, factors)

@@ -13,7 +13,6 @@ from functools import cached_property
 
 from .graph import POS_INF, CgrGraph, CgrParams, Factorization, build_cgr
 
-RowKind = tuple
 INFO = "info"
 PARITY = "parity"
 EMPTY = "empty"
@@ -94,15 +93,6 @@ def as_offsets(offsets) -> OffsetVector:
     if isinstance(offsets, OffsetVector):
         return offsets
     return OffsetVector(tuple(offsets))
-
-
-def standard_row_kinds(params: CgrParams) -> tuple[RowKind, ...]:
-    """Row tags in canonical order: vertex rows, ring-edge rows, then
-    inter-ring rows in lexicographic ring-pair order."""
-    kinds: list[RowKind] = [("vertex", j) for j in range(params.v1)]
-    kinds += [("ring", j) for j in range(params.v1)]
-    kinds += [("inter", i, j) for i in range(params.v1) for j in range(i + 1, params.v1)]
-    return tuple(kinds)
 
 
 def cell_mask(cell: Cell, positions: dict[int, int]) -> int:

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from cgrcode import codespec
+from cgrcode import codespec, verify_dual_mds
 from cgrcode.cli import main
 
 K2_TEXT = (
@@ -98,6 +98,26 @@ def test_verify_reports_failure(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "mds=false" in out
     assert "witness=2,3,4" in out
+
+
+@pytest.mark.parametrize(
+    "generate_args",
+    [["--v1", "2", "--offsets", "0,0,0,0,0"], ["--v1", "4", "--pi", "0,1,3,2"]],
+)
+def test_verify_dual_fields_match_verify_dual_mds(generate_args, tmp_path, capsys):
+    # verify reads the dual verdict off its one primal sweep; on a failing
+    # array the dual witness is the failing survivor pair, as verify_dual_mds
+    # reports it.
+    path = tmp_path / "code.json"
+    assert main(["generate", *generate_args, "--output", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(path), "--json"]) == 1
+    (entry,) = json.loads(capsys.readouterr().out)["results"]
+    dual = verify_dual_mds(codespec.from_json(path.read_text()))
+    assert entry["dual_mds"] is False and dual.is_mds is False
+    assert entry["dual_witness"] == sorted(dual.witness.erased_columns)
+    assert entry["dual_witness"] != entry["witness"]
+    assert entry["dual_patterns_checked"] == dual.patterns_checked
 
 
 def test_verify_usage_errors(k2_file, tmp_path):
@@ -263,12 +283,10 @@ def test_search_budget_exceeded(capsys):
     assert "exceeds budget" in capsys.readouterr().err
 
 
-def test_search_budget_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("CGR_BUDGET", "10")
-    assert main(["search", "--v1", "2", "--free-prefix"]) == 2
+def test_search_budget_option(capsys):
+    assert main(["search", "--v1", "2", "--free-prefix", "--budget", "10"]) == 2
     assert "exceeds budget 10" in capsys.readouterr().err
-    monkeypatch.setenv("CGR_BUDGET", "5000")
-    assert main(["search", "--v1", "2", "--free-prefix"]) == 0
+    assert main(["search", "--v1", "2", "--free-prefix", "--budget", "5000"]) == 0
 
 
 def test_module_entry_point():

@@ -307,7 +307,7 @@ def test_dual_is_the_orthogonal_complement_of_the_primal(v1):
             assert filled == params.num_vertices
 
 
-@pytest.mark.parametrize("v1", [14, 20, 22, 24])
+@pytest.mark.parametrize("v1", [10, 12, 14, 16, 18, 20, 22, 24])
 def test_identity_codes_beyond_the_builtins_are_mds(v1):
     # Perfectness alone does not make a code MDS (the doubling pi fails at
     # v1 = 14), so each size the frozen table or the wheel adds is checked.
@@ -315,6 +315,7 @@ def test_identity_codes_beyond_the_builtins_are_mds(v1):
     assert verify_mds(array).is_mds
     assert verify_dual_mds(array).is_mds
     assert verify_contracted_mds(contract(array))
+
 
 def test_update_complexity_formula():
     assert update_complexity(CgrParams.from_v1(2)) == Fraction(3, 10)

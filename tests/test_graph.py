@@ -78,6 +78,24 @@ def test_factor_of_edge_lookup():
     assert lookup[frozenset((NEG_INF, POS_INF))] == 4
 
 
+def _unions_to_one_cycle(f1, f2, order: int) -> bool:
+    """True iff the union of two perfect matchings is a single cycle through
+    all order vertices."""
+    adjacency: dict = {}
+    for a, b in itertools.chain(f1, f2):
+        adjacency.setdefault(a, []).append(b)
+        adjacency.setdefault(b, []).append(a)
+    assert all(len(nbrs) == 2 for nbrs in adjacency.values())
+    start = next(iter(adjacency))
+    prev, cur, steps = None, start, 0
+    while True:
+        a, b = adjacency[cur]
+        prev, cur = cur, b if a == prev else a
+        steps += 1
+        if cur == start:
+            return steps == order
+
+
 def _check_perfect(v1: int) -> None:
     factorization = pif_factorize(v1)
     labels = set(range(v1)) | {NEG_INF, POS_INF}
@@ -90,25 +108,30 @@ def _check_perfect(v1: int) -> None:
         assert len(seen) == len(labels)
     # Every factor pair unions to one Hamiltonian cycle.
     for f1, f2 in itertools.combinations(factorization.factors, 2):
-        adjacency: dict = {}
-        for a, b in itertools.chain(f1, f2):
-            adjacency.setdefault(a, []).append(b)
-            adjacency.setdefault(b, []).append(a)
-        assert all(len(nbrs) == 2 for nbrs in adjacency.values())
-        start = next(iter(adjacency))
-        prev, cur, steps = None, start, 0
-        while True:
-            a, b = adjacency[cur]
-            prev, cur = cur, b if a == prev else a
-            steps += 1
-            if cur == start:
-                break
-        assert steps == len(labels)
+        assert _unions_to_one_cycle(f1, f2, len(labels))
 
 
-@pytest.mark.parametrize("v1", [2, 4, 6, 8, 14, 20, 24])
+@pytest.mark.parametrize("v1", [2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24])
 def test_factorization_is_perfect(v1):
     _check_perfect(v1)
+
+
+def test_wheel_is_perfect_exactly_when_v1_plus_one_is_prime():
+    # pif_factorize uses the wheel whenever v1 + 1 is prime and never checks
+    # it at run time, so the theorem it relies on is checked here, on a wheel
+    # built independently: factor p of Z_n plus a point at infinity holds
+    # (inf, p) and the pairs {p - k, p + k}.
+    for v1 in range(2, 41, 2):
+        n = v1 + 1
+        wheel = [
+            [("inf", p)] + [((p - k) % n, (p + k) % n) for k in range(1, v1 // 2 + 1)]
+            for p in range(n)
+        ]
+        perfect = all(
+            _unions_to_one_cycle(f1, f2, v1 + 2) for f1, f2 in itertools.combinations(wheel, 2)
+        )
+        prime = all(n % d for d in range(2, n))
+        assert perfect == prime, v1
 
 
 def test_factorization_respects_placement():

@@ -14,7 +14,6 @@ from cgrcode import (
     derive_offsets,
     map_unshifted,
     pif_factorize,
-    standard_row_kinds,
 )
 
 
@@ -27,20 +26,6 @@ def test_cell_constructors():
     assert empty.is_empty and empty.vertices == ()
     with pytest.raises(ValueError):
         Cell.parity((3,))
-
-
-def test_standard_row_kinds_order():
-    kinds = standard_row_kinds(CgrParams.from_v1(2))
-    assert kinds == (("vertex", 0), ("vertex", 1), ("ring", 0), ("ring", 1), ("inter", 0, 1))
-    kinds4 = standard_row_kinds(CgrParams.from_v1(4))
-    assert kinds4[8:] == (
-        ("inter", 0, 1),
-        ("inter", 0, 2),
-        ("inter", 0, 3),
-        ("inter", 1, 2),
-        ("inter", 1, 3),
-        ("inter", 2, 3),
-    )
 
 
 def test_unshifted_two_ring_layout():
