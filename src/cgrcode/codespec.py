@@ -31,7 +31,37 @@ def to_obj(array: CodeArray) -> dict:
 
 
 def to_json(array: CodeArray) -> str:
-    return json.dumps(to_obj(array), indent=2) + "\n"
+    """The text of json.dumps(to_obj(array), indent=2) + "\\n", joined by
+    hand: the document holds only ints and the fixed kind strings, and the
+    pure-Python indent encoder spent most of the time."""
+    rows = [
+        _array(
+            [
+                '{\n        "kind": "' + cell.kind + '",\n        "vertices": '
+                + _array([str(v) for v in cell.vertices], 4) + "\n      }"
+                for cell in row
+            ],
+            2,
+        )
+        for row in array.rows
+    ]
+    return (
+        '{\n  "version": "' + FORMAT_VERSION + '",\n'
+        f'  "v1": {array.params.v1},\n'
+        f'  "v2": {array.params.v2},\n'
+        f'  "offset_vector": {_array([str(a) for a in array.offsets], 1)},\n'
+        f'  "rows": {_array(rows, 1)}\n'
+        "}\n"
+    )
+
+
+def _array(items: list[str], depth: int) -> str:
+    """A JSON array of encoded items, laid out as indent=2 lays it out at
+    nesting depth."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
 
 
 def from_obj(obj: dict) -> CodeArray:

@@ -1,8 +1,10 @@
 """GF(2) linear algebra on integer bitmasks.
 
 An equation system is a list of (mask, rhs) pairs: mask is an int whose set
-bits select variables, rhs is 0 or 1, and the equation asserts that the XOR
-of the selected variables equals rhs.
+bits select variables, rhs is any non-negative int, and the equation asserts
+that the XOR of the selected variables equals rhs. Each bit plane of rhs is
+an independent GF(2) system with the same masks, so one elimination solves
+all of them at once: a cell value of any width is one rhs.
 """
 
 from __future__ import annotations
@@ -24,31 +26,43 @@ def rank(masks: list[int]) -> int:
 def solve_unique(equations: list[tuple[int, int]], nvars: int) -> tuple[dict[int, int], int] | None:
     """Solve a GF(2) system for a unique assignment of all nvars variables.
 
-    Returns (assignment, xor_ops) where assignment maps variable index to bit
-    and xor_ops counts row-XOR operations performed, or None when the system
-    is rank-deficient. Raises ValueError on an inconsistent system.
+    Returns (assignment, xor_ops) where assignment maps each variable index
+    to its value (an int as wide as the rhs values, every bit plane solved
+    at once) and xor_ops counts row-XOR operations performed, or None when
+    the system is rank-deficient. Raises ValueError on an inconsistent
+    system.
+
+    Gauss-Jordan: every basis row holds exactly one pivot bit, its own, so
+    an incoming equation is reduced by XORing the basis rows of exactly the
+    pivot bits it holds on arrival, and xor_ops does not depend on the order
+    in which rows or pivots are scanned.
     """
-    # Gauss-Jordan: keep every basis row fully reduced against all pivots so
-    # that at full rank each row pins down exactly one variable.
     basis: dict[int, tuple[int, int]] = {}
+    pivots = 0  # OR of the pivot bits in basis
+    support = 0  # OR of every inserted row: a superset of every bit in basis
     ops = 0
     for m, r in equations:
-        for q in list(basis):
-            if (m >> q) & 1:
-                bm, br = basis[q]
-                m ^= bm
-                r ^= br
-                ops += 1
+        hit = m & pivots  # read once: a basis row toggles no other pivot
+        while hit:
+            rest = hit & (hit - 1)
+            bm, br = basis[(hit ^ rest).bit_length() - 1]
+            m ^= bm
+            r ^= br
+            ops += 1
+            hit = rest
         if not m:
             if r:
                 raise ValueError("inconsistent GF(2) system")
             continue
         p = m.bit_length() - 1
-        for q, (bm, br) in basis.items():
-            if (bm >> p) & 1:
-                basis[q] = (bm ^ m, br ^ r)
-                ops += 1
+        if (support >> p) & 1:
+            for q, (bm, br) in basis.items():
+                if (bm >> p) & 1:
+                    basis[q] = (bm ^ m, br ^ r)
+                    ops += 1
         basis[p] = (m, r)
+        pivots |= 1 << p
+        support |= m
     if len(basis) < nvars:
         return None
     return {p: r for p, (_, r) in basis.items()}, ops

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgrcode import (
     CgrParams,
@@ -159,6 +162,28 @@ def test_wide_symbols_round_trip_every_guaranteed_pattern(name, dual, width):
                 report = decode(array, grid, pattern, force_elimination=force)
                 assert report.recovered == bits
                 assert encode(array, report.recovered) == codeword
+
+
+@pytest.mark.parametrize("v1", [2, 4, 6])
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_guaranteed_erasure_round_trips_at_any_width(v1, data):
+    params = CgrParams.from_v1(v1)
+    array = build_code_array(params, derive_offsets(pif_factorize(v1)))
+    width = data.draw(st.integers(1, 256), label="width")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    erased = data.draw(
+        st.sets(st.integers(0, params.v2 - 1), min_size=1, max_size=v1 + 1), label="erased"
+    )
+    rng = random.Random(seed)
+    payload = {v: rng.getrandbits(width) for v in array.info_ids()}
+    codeword = encode(array, payload)
+    pattern = ErasurePattern.of(erased)
+    grid = erase(codeword, pattern)
+    for force in (False, True):
+        report = decode(array, grid, pattern, force_elimination=force)
+        assert report.recovered == payload
+        assert encode(array, report.recovered) == codeword
 
 
 def test_unrecoverable_erasure_raises(k2_array):

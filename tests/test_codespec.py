@@ -6,7 +6,15 @@ import json
 
 import pytest
 
-from cgrcode import dualize
+from cgrcode import (
+    BUILTIN_VECTORS,
+    CgrParams,
+    build_code_array,
+    derive_offsets,
+    dualize,
+    pif_factorize,
+    puncture,
+)
 from cgrcode.codespec import FORMAT_VERSION, dump, from_json, from_obj, load, to_json, to_obj
 from conftest import builtin_array
 
@@ -80,3 +88,14 @@ def _mutated(k2_array, mutate):
 def test_validation_rejects_malformed_objects(k2_array, mutate):
     with pytest.raises(ValueError):
         from_obj(_mutated(k2_array, mutate))
+
+
+def test_to_json_writes_the_indent_encoder_bytes():
+    arrays = [builtin_array(name) for name in BUILTIN_VECTORS] + [
+        build_code_array(CgrParams.from_v1(v1), derive_offsets(pif_factorize(v1)))
+        for v1 in range(2, 25, 2)
+    ]
+    for array in arrays:
+        # puncture blanks cells to kind "empty" with no vertices.
+        for form in (array, dualize(array), puncture(array)):
+            assert to_json(form) == json.dumps(to_obj(form), indent=2) + "\n", form.params

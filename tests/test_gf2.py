@@ -2,9 +2,22 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from cgrcode import gf2
+from cgrcode import (
+    CgrParams,
+    ErasurePattern,
+    UnrecoverableError,
+    build_code_array,
+    decode,
+    derive_offsets,
+    encode,
+    erase,
+    gf2,
+    pif_factorize,
+)
 
 
 def test_rank_of_independent_rows():
@@ -48,3 +61,101 @@ def test_solve_unique_matches_known_assignment():
         equations.append((mask, rhs))
     solution, _ = gf2.solve_unique(equations, 4)
     assert solution == assignment
+
+
+def _reference_solve_unique(equations, nvars):
+    # The Gauss-Jordan loop as first written: each incoming equation scans
+    # every pivot, and each new pivot scans every basis row.
+    basis = {}
+    ops = 0
+    for m, r in equations:
+        for q in list(basis):
+            if (m >> q) & 1:
+                bm, br = basis[q]
+                m ^= bm
+                r ^= br
+                ops += 1
+        if not m:
+            if r:
+                raise ValueError("inconsistent GF(2) system")
+            continue
+        p = m.bit_length() - 1
+        for q, (bm, br) in basis.items():
+            if (bm >> p) & 1:
+                basis[q] = (bm ^ m, br ^ r)
+                ops += 1
+        basis[p] = (m, r)
+    if len(basis) < nvars:
+        return None
+    return {p: r for p, (_, r) in basis.items()}, ops
+
+
+def _outcome(solve, equations, nvars):
+    try:
+        return solve(equations, nvars)
+    except ValueError:
+        return ValueError
+
+
+def _random_system(rng, nvars, neqs, dense, width, corrupt):
+    values = [rng.getrandbits(width) for _ in range(nvars)]
+    equations = []
+    for _ in range(neqs):
+        if dense:
+            mask = rng.getrandbits(nvars)
+        else:
+            mask = sum(1 << v for v in rng.sample(range(nvars), rng.randint(1, min(3, nvars))))
+        rhs = 0
+        for v in range(nvars):
+            if mask >> v & 1:
+                rhs ^= values[v]
+        equations.append((mask, rhs))
+    if corrupt:
+        i = rng.randrange(neqs)
+        mask, rhs = equations[i]
+        equations[i] = (mask, rhs ^ 1)
+    return equations
+
+
+def test_solve_unique_matches_the_reference_on_random_systems():
+    rng = random.Random(8)
+    seen = set()
+    for trial in range(800):
+        dense, width, corrupt = trial % 2 == 0, (1, 64)[trial // 2 % 2], trial % 3 == 0
+        nvars = rng.randint(1, 40)
+        # Fewer equations than variables is always rank-deficient; twice as
+        # many is usually full rank, and a flipped rhs then often contradicts.
+        neqs = rng.choice([max(1, nvars // 2), nvars, 2 * nvars])
+        equations = _random_system(rng, nvars, neqs, dense, width, corrupt)
+        expected = _outcome(_reference_solve_unique, equations, nvars)
+        assert _outcome(gf2.solve_unique, equations, nvars) == expected
+        kind = "inconsistent" if expected is ValueError else "deficient" if expected is None else "unique"
+        seen.add((dense, width, kind))
+    assert len(seen) == 2 * 2 * 3
+
+
+@pytest.mark.parametrize("v1", [4, 12])
+def test_solve_unique_matches_the_reference_on_decode_systems(v1, monkeypatch):
+    params = CgrParams.from_v1(v1)
+    array = build_code_array(params, derive_offsets(pif_factorize(v1)))
+    rng = random.Random(v1)
+    codeword = encode(array, {v: rng.getrandbits(64) for v in array.info_ids()})
+    systems = []
+    solve = gf2.solve_unique
+
+    def recording_solve(equations, nvars):
+        systems.append((equations, nvars))
+        return solve(equations, nvars)
+
+    monkeypatch.setattr(gf2, "solve_unique", recording_solve)
+    for _ in range(24):
+        # v1 + 2 erased columns leave one survivor: a rank-deficient system.
+        pattern = ErasurePattern.of(rng.sample(range(params.v2), rng.randint(1, v1 + 2)))
+        try:
+            decode(array, erase(codeword, pattern), pattern, force_elimination=True)
+        except UnrecoverableError:
+            pass
+    assert len(systems) == 24
+    outcomes = [_reference_solve_unique(eqs, n) for eqs, n in systems]
+    assert None in outcomes and any(outcomes)
+    assert [solve(eqs, n) for eqs, n in systems] == outcomes
