@@ -3,14 +3,19 @@
 Encoding, decoding and verification read only the array's compiled GF(2)
 mask grid (CodeArray.masks over CodeArray.positions). Cell values are XORs
 of info values, which may be ints of any width: each bit plane is coded
-independently. Decoding seeds known values from single-bit cells, peels
-two-bit cells with one unknown, and falls back to Gaussian elimination over
-the same equations; verification checks that every pair of surviving columns
-spans the full variable space. It counts the survivors' single-bit cells as
-known variables and ranks only the wider cells with those bits cleared,
-which gives the same rank as ranking every cell. The dual's verdict is read
-off the same primal sweep, since the dual is the primal's orthogonal
-complement.
+independently. The codec replays the grid's plan (CodeArray.plan), compiled
+once per array: its single-bit, two-bit and wider cells, each kind in
+row-major order, and each column's rebuild XOR count. Encoding fills the
+cells kind by kind. Decoding seeds known values from the surviving
+single-bit cells and peels the surviving two-bit cells with one unknown,
+sweeping them in row-major order; when peeling stalls it falls back to
+Gaussian elimination over every surviving cell of the mask grid, entered
+in row-major order. Verification checks that every pair of surviving
+columns spans the full variable space. It counts the survivors'
+single-bit cells as known variables and ranks only the wider cells with
+those bits cleared, which gives the same rank as ranking every cell. The
+dual's verdict is read off the same primal sweep, since the dual is the
+primal's orthogonal complement.
 """
 
 from __future__ import annotations
@@ -69,9 +74,13 @@ class DecodeReport:
     """Decode outcome: recovered values plus operation accounting.
 
     xor_count covers chain decoding: one XOR per value peeled from a two-bit
-    cell, plus popcount-1 XORs to rebuild each erased multi-bit cell.
-    elimination_xor_count separately reports row operations spent inside
-    the GF(2) fallback, if it ran.
+    cell, plus popcount-1 XORs to rebuild each erased multi-bit cell (the
+    plan's per-column rebuild counts). elimination_xor_count separately
+    reports row operations spent inside the GF(2) fallback, if it ran.
+    Peeling sweeps the surviving two-bit cells in row-major order and
+    elimination enters the surviving cells in row-major order; both counts,
+    and which cell a value comes from when cells disagree, follow from that
+    order.
     """
 
     recovered: dict[int, int]
@@ -93,7 +102,10 @@ class MdsResult:
 
 
 def encode(array: CodeArray, info_bits: dict[int, int]) -> Codeword:
-    """Fill every cell with the XOR of the info values its mask selects."""
+    """Fill every cell with the XOR of the info values its mask selects,
+    replaying the array's codec plan: a single-bit cell takes its value as
+    is (never 0 ^ value, which would copy a wide value), a two-bit cell
+    takes one XOR, and a wider cell one XOR per further member."""
     required = array.positions.keys()
     given = set(info_bits)
     if given != required:
@@ -101,27 +113,33 @@ def encode(array: CodeArray, info_bits: dict[int, int]) -> Codeword:
         extra = sorted(given - required)[:5]
         raise ValueError(f"info_bits mismatch: missing {missing}, extra {extra}")
     values = [info_bits[v] for v in required]
-    return Codeword(array, tuple(tuple(_xor_of(values, m) for m in row) for row in array.masks))
-
-
-def _xor_of(values: list[int], mask: int) -> int:
-    """XOR of the values at the mask's set bits; 0 for an empty mask."""
-    acc = 0
-    while mask:
-        rest = mask & (mask - 1)
-        value = values[(mask ^ rest).bit_length() - 1]
-        acc = acc ^ value if acc else value  # 0 ^ value would copy a wide value
-        mask = rest
-    return acc
+    if not all(map(isinstance, values, itertools.repeat(int))):
+        bad = next(v for v, x in zip(required, values) if not isinstance(x, int))
+        raise ValueError(f"info value for id {bad} is {type(info_bits[bad]).__name__}, not int")
+    plan = array.plan
+    grid = [[0] * array.params.v2 for _ in range(array.num_rows)]
+    for r, c, p in plan.units:
+        grid[r][c] = values[p]
+    for r, c, p, q in plan.pairs:
+        grid[r][c] = values[p] ^ values[q]
+    for r, c, (p, *rest) in plan.wides:
+        acc = values[p]
+        for q in rest:
+            acc ^= values[q]
+        grid[r][c] = acc
+    return Codeword(array, tuple(map(tuple, grid)))
 
 
 def erase(codeword: Codeword, pattern: ErasurePattern) -> tuple[tuple[int | None, ...], ...]:
     """Cell values with erased columns blanked to None."""
     pattern.validate_for(codeword.array.params)
-    return tuple(
-        tuple(None if c in pattern.erased_columns else v for c, v in enumerate(row))
-        for row in codeword.cell_values
-    )
+    rows = []
+    for row in codeword.cell_values:
+        row = list(row)
+        for c in pattern.erased_columns:
+            row[c] = None
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def decode(
@@ -132,31 +150,24 @@ def decode(
 ) -> DecodeReport:
     """Recover every variable from the surviving columns.
 
-    values is a full grid of cell values; erased columns are never read.
-    Raises UnrecoverableError when the surviving system is rank-deficient.
+    values is a full grid of cell values, num_rows rows of v2; erased
+    columns are never read. Raises ValueError on a grid of another shape and
+    UnrecoverableError when the surviving system is rank-deficient.
     """
     pattern.validate_for(array.params)
+    v2 = array.params.v2
+    if len(values) != array.num_rows or any(len(row) != v2 for row in values):
+        raise ValueError(f"decode expects a grid of {array.num_rows} rows of {v2} cells")
     nvars = len(array.positions)
-    surviving = pattern.survivors(array.params.v2)
-    equations = [
-        (mask, values[r][c])
-        for r, row in enumerate(array.masks)
-        for c in surviving
-        if (mask := row[c])
-    ]
+    erased = pattern.erased_columns
+    plan = array.plan
 
-    # known maps bit position -> value. Single-bit equations seed it; two-bit
-    # equations are peeled until none has exactly one unknown left.
-    known: dict[int, int] = {}
-    pending: list[tuple[int, int, int]] = []
-    for mask, value in equations:
-        rest = mask & (mask - 1)
-        if not rest:
-            known[mask.bit_length() - 1] = value
-        elif not rest & (rest - 1):
-            pending.append(((mask ^ rest).bit_length() - 1, rest.bit_length() - 1, value))
-
+    # known maps bit position -> value. Surviving single-bit cells seed it;
+    # surviving two-bit cells are peeled, in row-major order, until none has
+    # exactly one unknown left.
+    known = {p: values[r][c] for r, c, p in plan.units if c not in erased}
     seeded = len(known)
+    pending = [(p, q, values[r][c]) for r, c, p, q in plan.pairs if c not in erased]
     while pending and not force_elimination:
         remaining = []
         for p, q, value in pending:
@@ -175,6 +186,13 @@ def decode(
     peeling_sufficed = not force_elimination and len(known) == nvars
     elimination_ops = 0
     if not peeling_sufficed:
+        surviving = pattern.survivors(v2)
+        equations = [
+            (mask, values[r][c])
+            for r, row in enumerate(array.masks)
+            for c in surviving
+            if (mask := row[c])
+        ]
         solved = gf2.solve_unique(equations, nvars)
         if solved is None:
             deficit = gf2.rank([m for m, _ in equations])
@@ -182,9 +200,7 @@ def decode(
         known, elimination_ops = solved
 
     # Rebuilding each erased cell from recovered values costs popcount-1 XORs.
-    xor_count += sum(
-        m.bit_count() - 1 for row in array.masks for c in pattern.erased_columns if (m := row[c])
-    )
+    xor_count += sum(plan.rebuild[c] for c in erased)
 
     recovered = {v: known[p] for v, p in array.positions.items()}
     return DecodeReport(recovered, peeling_sufficed, xor_count, elimination_ops)

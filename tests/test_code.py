@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from cgrcode import (
     CgrParams,
+    Codeword,
     ContractShapeError,
+    DecodeReport,
     ErasurePattern,
     OffsetVector,
     UnrecoverableError,
@@ -50,6 +52,23 @@ def test_encode_validates_info_keys(k2_array):
         encode(k2_array, {0: 1})
     with pytest.raises(ValueError):
         encode(k2_array, {v: 1 for v in range(11)})
+
+
+def test_encode_rejects_a_value_that_is_not_an_int(k2_array):
+    bits = {v: 1 for v in k2_array.info_ids()}
+    bits[3] = None
+    bits[7] = "1"
+    with pytest.raises(ValueError, match="id 3 is NoneType"):
+        encode(k2_array, bits)
+
+
+def test_decode_rejects_a_grid_of_the_wrong_shape(k2_array):
+    codeword = encode(k2_array, random_bits(k2_array, 3))
+    pattern = ErasurePattern.of([0])
+    grid = erase(codeword, pattern)
+    for bad in (grid[:-1], grid[:2] + (grid[2][:-1],) + grid[3:], grid + (grid[0],)):
+        with pytest.raises(ValueError, match="grid of 5 rows of 5 cells"):
+            decode(k2_array, bad, pattern)
 
 
 def test_encode_zero_data_gives_zero_cells(k2_array):
@@ -184,6 +203,132 @@ def test_any_guaranteed_erasure_round_trips_at_any_width(v1, data):
         report = decode(array, grid, pattern, force_elimination=force)
         assert report.recovered == payload
         assert encode(array, report.recovered) == codeword
+
+
+def _reference_xor_of(values, mask):
+    acc = 0
+    while mask:
+        rest = mask & (mask - 1)
+        value = values[(mask ^ rest).bit_length() - 1]
+        acc = acc ^ value if acc else value
+        mask = rest
+    return acc
+
+
+def _reference_encode(array, info_bits):
+    values = [info_bits[v] for v in array.positions]
+    return Codeword(
+        array, tuple(tuple(_reference_xor_of(values, m) for m in row) for row in array.masks)
+    )
+
+
+def _reference_erase(codeword, pattern):
+    return tuple(
+        tuple(None if c in pattern.erased_columns else v for c, v in enumerate(row))
+        for row in codeword.cell_values
+    )
+
+
+def _reference_decode(array, values, pattern, force_elimination=False):
+    """Decode read off the mask grid cell by cell: every surviving cell
+    becomes one (mask, value) equation in row-major order."""
+    nvars = len(array.positions)
+    surviving = pattern.survivors(array.params.v2)
+    equations = [
+        (mask, values[r][c])
+        for r, row in enumerate(array.masks)
+        for c in surviving
+        if (mask := row[c])
+    ]
+    known = {}
+    pending = []
+    for mask, value in equations:
+        rest = mask & (mask - 1)
+        if not rest:
+            known[mask.bit_length() - 1] = value
+        elif not rest & (rest - 1):
+            pending.append(((mask ^ rest).bit_length() - 1, rest.bit_length() - 1, value))
+    seeded = len(known)
+    while pending and not force_elimination:
+        remaining = []
+        for p, q, value in pending:
+            if p in known:
+                if q not in known:
+                    known[q] = value ^ known[p]
+            elif q in known:
+                known[p] = value ^ known[q]
+            else:
+                remaining.append((p, q, value))
+        if len(remaining) == len(pending):
+            break
+        pending = remaining
+    xor_count = len(known) - seeded
+    peeling_sufficed = not force_elimination and len(known) == nvars
+    elimination_ops = 0
+    if not peeling_sufficed:
+        solved = gf2.solve_unique(equations, nvars)
+        if solved is None:
+            raise UnrecoverableError(pattern, gf2.rank([m for m, _ in equations]), nvars)
+        known, elimination_ops = solved
+    xor_count += sum(
+        m.bit_count() - 1 for row in array.masks for c in pattern.erased_columns if (m := row[c])
+    )
+    recovered = {v: known[p] for v, p in array.positions.items()}
+    return DecodeReport(recovered, peeling_sufficed, xor_count, elimination_ops)
+
+
+def _decode_outcome(decoder, array, grid, pattern, force):
+    """The DecodeReport, or the type, message and rank of what was raised."""
+    try:
+        return decoder(array, grid, pattern, force_elimination=force)
+    except (UnrecoverableError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "rank", None)
+
+
+@pytest.mark.parametrize("v1", [2, 4, 6])
+def test_codec_matches_the_cell_by_cell_reference(v1):
+    # The canonical array and two with entries redrawn (often not MDS, so
+    # UnrecoverableError is compared too), each primal under every pattern
+    # of up to v1 + 1 erased columns and each dual under up to 2. Every
+    # grid is decoded as erased and with one surviving cell XOR-corrupted:
+    # on inconsistent cells the recovered values depend on the order in
+    # which two-bit cells are peeled, which must stay row-major.
+    params = CgrParams.from_v1(v1)
+    v2 = params.v2
+    rng = Lcg(200 + v1)
+    canonical = tuple(derive_offsets(pif_factorize(v1)))
+    vectors = [canonical]
+    for _ in range(2):
+        vector = list(canonical)
+        for _ in range(1 + rng.randint(2)):
+            vector[rng.randint(params.num_rows)] = rng.randint(v2)
+        vectors.append(tuple(vector))
+    raised = 0
+    for vector in vectors:
+        primal = build_code_array(params, vector)
+        for array, tolerated in ((primal, v1 + 1), (dualize(primal), 2)):
+            payload = {v: rng.next_u64() for v in array.info_ids()}
+            codeword = encode(array, payload)
+            assert codeword == _reference_encode(array, payload)
+            cells = [(r, c) for r, row in enumerate(array.masks) for c, m in enumerate(row) if m]
+            for k in range(tolerated + 1):
+                for columns in itertools.combinations(range(v2), k):
+                    pattern = ErasurePattern.of(columns)
+                    grid = erase(codeword, pattern)
+                    assert grid == _reference_erase(codeword, pattern)
+                    survivors = [(r, c) for r, c in cells if c not in pattern.erased_columns]
+                    r, c = survivors[rng.randint(len(survivors))]
+                    corrupted = [list(row) for row in grid]
+                    corrupted[r][c] ^= 1 << rng.randint(64)
+                    for values in (grid, corrupted):
+                        for force in (False, True):
+                            outcome = _decode_outcome(decode, array, values, pattern, force)
+                            expected = _decode_outcome(
+                                _reference_decode, array, values, pattern, force
+                            )
+                            assert outcome == expected
+                            raised += not isinstance(outcome, DecodeReport)
+    assert raised
 
 
 def test_unrecoverable_erasure_raises(k2_array):

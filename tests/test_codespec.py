@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgrcode import (
     BUILTIN_VECTORS,
@@ -50,6 +52,24 @@ def test_dual_arrays_serialize(k2_array):
     restored = from_json(text)
     assert restored == dual
     assert restored.is_dual()
+
+
+@pytest.mark.parametrize("v1", [2, 4, 6])
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_dualize_is_an_involution_that_serializes(v1, data):
+    params = CgrParams.from_v1(v1)
+    vector = data.draw(
+        st.lists(
+            st.integers(0, params.v2 - 1), min_size=params.num_rows, max_size=params.num_rows
+        ),
+        label="offset_vector",
+    )
+    array = build_code_array(params, vector)
+    dual = dualize(array)
+    assert dual.is_dual()
+    assert dualize(dual) == array
+    assert from_json(to_json(dual)) == dual
 
 
 def test_file_round_trip(tmp_path, k2_array):
