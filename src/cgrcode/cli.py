@@ -121,6 +121,10 @@ def _load_primal(path: str) -> CodeArray:
 
 
 def cmd_generate(args) -> int:
+    if (args.offsets is not None or args.builtin is not None) and (
+        args.placement is not None or args.pi is not None
+    ):
+        raise ValueError("--placement and --pi apply only to --pif, not --offsets or --builtin")
     if args.offsets is not None:
         if args.v1 is None:
             raise ValueError("--offsets needs --v1")

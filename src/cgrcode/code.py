@@ -164,26 +164,29 @@ def decode(
 
     # known maps bit position -> value. Surviving single-bit cells seed it;
     # surviving two-bit cells are peeled, in row-major order, until none has
-    # exactly one unknown left.
-    known = {p: values[r][c] for r, c, p in plan.units if c not in erased}
-    seeded = len(known)
-    pending = [(p, q, values[r][c]) for r, c, p, q in plan.pairs if c not in erased]
-    while pending and not force_elimination:
-        remaining = []
-        for p, q, value in pending:
-            if p in known:
-                if q not in known:
-                    known[q] = value ^ known[p]
-            elif q in known:
-                known[p] = value ^ known[q]
-            else:
-                remaining.append((p, q, value))
-        if len(remaining) == len(pending):
-            break
-        pending = remaining
-    xor_count = len(known) - seeded  # one XOR per peeled value
+    # exactly one unknown left. Forced elimination skips all of it.
+    xor_count = 0
+    peeling_sufficed = False
+    if not force_elimination:
+        known = {p: values[r][c] for r, c, p in plan.units if c not in erased}
+        seeded = len(known)
+        pending = [(p, q, values[r][c]) for r, c, p, q in plan.pairs if c not in erased]
+        while pending:
+            remaining = []
+            for p, q, value in pending:
+                if p in known:
+                    if q not in known:
+                        known[q] = value ^ known[p]
+                elif q in known:
+                    known[p] = value ^ known[q]
+                else:
+                    remaining.append((p, q, value))
+            if len(remaining) == len(pending):
+                break
+            pending = remaining
+        xor_count = len(known) - seeded  # one XOR per peeled value
+        peeling_sufficed = len(known) == nvars
 
-    peeling_sufficed = not force_elimination and len(known) == nvars
     elimination_ops = 0
     if not peeling_sufficed:
         surviving = pattern.survivors(v2)
@@ -280,40 +283,32 @@ def dual_verdict(primal: MdsResult, v2: int) -> MdsResult:
 def dualize(array: CodeArray) -> CodeArray:
     """Swap vertex and edge roles on the same grid.
 
-    Primal -> dual: each parity cell over edge (u, v) becomes the info cell
-    of that edge's variable; each info cell of vertex v becomes a parity over
-    the v1+1 edge variables incident to v. Edge variables are numbered in
-    row-major order of the unshifted parity rows. Applying dualize twice
-    restores the original array exactly.
+    Primal -> dual: each parity cell over edge e becomes the info cell of
+    e's variable; each info cell of vertex v becomes a parity over the v1+1
+    edge variables incident to v, ascending. Edge variables are numbered in
+    the order of CgrGraph.edge_list, which is row-major order of the
+    unshifted parity rows. Dual -> primal is the reverse map. Applying
+    dualize twice restores the original array exactly.
+
+    A cell's member tuple is looked up as it stands, so a parity cell must
+    list its members as the canonical array does; a hand-built cell with
+    another member order raises KeyError. Arrays built by the library or
+    read by codespec always do.
     """
-    graph = build_cgr(array.params)
-    edges = graph.edge_list()
-    edge_id = {frozenset(e): i for i, e in enumerate(edges)}
+    edges = build_cgr(array.params).edge_list()
     incident: dict[int, list[int]] = {v: [] for v in range(array.params.num_vertices)}
     for i, (u, v) in enumerate(edges):
         incident[u].append(i)
         incident[v].append(i)
-
-    def primal_to_dual(cell: Cell) -> Cell:
-        if cell.is_info:
-            return Cell.parity(tuple(sorted(incident[cell.vertices[0]])))
-        if cell.is_parity:
-            return Cell.info(edge_id[cell.vertex_set])
-        return cell
-
-    def dual_to_primal(cell: Cell) -> Cell:
-        if cell.is_info:
-            return Cell.parity(edges[cell.vertices[0]])
-        if cell.is_parity:
-            common = set(edges[cell.vertices[0]])
-            for eid in cell.vertices[1:]:
-                common &= set(edges[eid])
-            (vertex,) = common
-            return Cell.info(vertex)
-        return cell
-
-    mapper = dual_to_primal if array.is_dual() else primal_to_dual
-    rows = tuple(tuple(mapper(cell) for cell in row) for row in array.rows)
+    if array.is_dual():
+        swap = {tuple(ids): Cell.info(v) for v, ids in incident.items()}
+        swap.update({(i,): Cell.parity(e) for i, e in enumerate(edges)})
+    else:
+        swap = {(v,): Cell.parity(tuple(ids)) for v, ids in incident.items()}
+        swap.update({e: Cell.info(i) for i, e in enumerate(edges)})
+    rows = tuple(
+        tuple(swap[cell.vertices] if cell.vertices else cell for cell in row) for row in array.rows
+    )
     return CodeArray(array.params, rows, array.offsets)
 
 

@@ -77,7 +77,7 @@ def from_obj(obj: dict) -> CodeArray:
         offsets = OffsetVector(tuple(int(a) for a in obj.get("offset_vector", ())))
     except KeyError as missing:
         raise ValueError(f"missing field {missing}") from None
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"bad header field: {exc}") from None
     offsets.validate_for(params)  # before building, so a huge v1 fails fast
     array = build_code_array(params, offsets)

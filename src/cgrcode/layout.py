@@ -185,15 +185,14 @@ class CodeArray:
 
 
 def map_unshifted(graph: CgrGraph) -> CodeArray:
-    """Lay the graph out with zero shifts: V_j rows, then E_j rows, then
-    inter-ring rows lexicographically."""
-    rows: list[tuple[Cell, ...]] = []
-    for verts in graph.vertex_sets:
-        rows.append(tuple(Cell.info(v) for v in verts))
-    for ring in graph.ring_edges:
-        rows.append(tuple(Cell.parity(e) for e in ring))
-    for pair in sorted(graph.inter_ring_edges):
-        rows.append(tuple(Cell.parity(e) for e in graph.inter_ring_edges[pair]))
+    """Lay the graph out with zero shifts: the V_j rows, then the edge list
+    cut into rows of v2 (each ring and each ring pair has exactly v2 edges),
+    so the parity rows are the E_j rows, then the inter-ring rows
+    lexicographically."""
+    v2 = graph.params.v2
+    edges = graph.edge_list()
+    rows = [tuple(Cell.info(v) for v in verts) for verts in graph.vertex_sets]
+    rows += [tuple(Cell.parity(e) for e in edges[k:k + v2]) for k in range(0, len(edges), v2)]
     return CodeArray(graph.params, tuple(rows), OffsetVector.zeros(graph.params))
 
 

@@ -71,6 +71,9 @@ def search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> tuple[list[OffsetV
     v2 = params.v2
     prefix = _canonical_prefix(params) if spec.fix_prefix else ()
     nfree = params.num_rows - len(prefix)
+    space = v2**nfree if spec.strategy == "exhaustive" else None
+    if space is not None and space > budget:
+        raise BudgetExceededError(f"exhaustive space {v2}^{nfree} exceeds budget {budget}")
 
     # Rotating a row moves its cells but not the variables they hold, so a
     # candidate's mask grid is the unshifted one with each row rotated, over
@@ -83,9 +86,6 @@ def search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> tuple[list[OffsetV
 
     found: list[OffsetVector] = []
     if spec.strategy == "exhaustive":
-        space = v2**nfree
-        if space > budget:
-            raise BudgetExceededError(f"exhaustive space {space} exceeds budget {budget}")
         trials = hits = 0
         for combo in itertools.product(range(v2), repeat=nfree):
             trials += 1

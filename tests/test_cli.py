@@ -183,6 +183,8 @@ def test_roundtrip_rejects_hex_data_wider_than_the_code(k2_file, capsys):
         ["search", "--v1", "2", "--strategy", "random", "--max-trials", "-5"],
         ["search", "--v1", "2", "--stop-after", "-1"],
         ["generate", "--v1", "26"],
+        ["generate", "--builtin", "k2_c5", "--pi", "1,0"],
+        ["generate", "--v1", "2", "--offsets", "0,1,2,2,4", "--placement", "0,1,inf"],
     ],
 )
 def test_edge_cases_are_usage_errors(argv, capsys):
@@ -281,6 +283,13 @@ def test_search_json(capsys):
 def test_search_budget_exceeded(capsys):
     assert main(["search", "--v1", "4", "--free-prefix"]) == 2
     assert "exceeds budget" in capsys.readouterr().err
+
+
+def test_search_checks_the_budget_before_laying_out_the_code(capsys):
+    # 83^3160 has over 6,000 digits: the message names it by base and exponent.
+    assert main(["search", "--v1", "80"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: exhaustive space 83^3160 exceeds budget 10000000\n"
 
 
 def test_search_budget_option(capsys):

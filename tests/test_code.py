@@ -17,6 +17,7 @@ from cgrcode import (
     DecodeReport,
     ErasurePattern,
     OffsetVector,
+    POS_INF,
     UnrecoverableError,
     build_code_array,
     contract,
@@ -484,6 +485,17 @@ def test_identity_codes_beyond_the_builtins_are_mds(v1):
     array = build_code_array(CgrParams.from_v1(v1), derive_offsets(pif_factorize(v1)))
     assert verify_mds(array).is_mds
     assert verify_dual_mds(array).is_mds
+    assert verify_contracted_mds(contract(array))
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(data=st.data())
+def test_every_placement_gives_mds_primal_dual_and_contracted_codes(data):
+    v1 = data.draw(st.sampled_from(range(2, 15, 2)), label="v1")
+    placement = data.draw(st.permutations(list(range(v1)) + [POS_INF]), label="placement")
+    array = build_code_array(CgrParams.from_v1(v1), derive_offsets(pif_factorize(v1, placement)))
+    assert verify_mds(array).is_mds
+    assert verify_dual_mds(dualize(array)).is_mds
     assert verify_contracted_mds(contract(array))
 
 

@@ -103,6 +103,8 @@ def _mutated(k2_array, mutate):
         lambda o: o["rows"][0][0].update(vertices=None),
         lambda o: o.update(v1=None),
         lambda o: o.update(offset_vector=None),
+        lambda o: o.update(v1=1e400),
+        lambda o: o["offset_vector"].__setitem__(0, 1e400),
     ],
 )
 def test_validation_rejects_malformed_objects(k2_array, mutate):
