@@ -70,6 +70,8 @@ def _csv_ints(text: str) -> list[int]:
 
 
 def _parse_placement(text: str):
+    if not text.strip():
+        return ()  # pif_factorize rejects it as no bijection
     items = []
     for part in text.split(","):
         part = part.strip()
@@ -143,8 +145,8 @@ def cmd_generate(args) -> int:
         if args.v1 is None:
             raise ValueError("--v1 is required")
         params = CgrParams.from_v1(args.v1)
-        placement = _parse_placement(args.placement) if args.placement else None
-        pi = tuple(_csv_ints(args.pi)) if args.pi else None
+        placement = _parse_placement(args.placement) if args.placement is not None else None
+        pi = tuple(_csv_ints(args.pi)) if args.pi is not None else None
         vector = derive_offsets(pif_factorize(params.v1, placement), pi)
     array = build_code_array(params, vector)
     if args.format == "text":
@@ -334,6 +336,7 @@ def cmd_search(args) -> int:
                 "trials": stats.trials,
                 "hits": stats.hits,
                 "space": stats.space,
+                "nodes": stats.nodes,
                 "vectors": [list(vec) for vec in vectors],
             },
             None,
@@ -406,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-trials", type=int, default=1000)
     p.add_argument("--stop-after", type=int, default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max exhaustive verifications")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max exhaustive candidates covered")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
 

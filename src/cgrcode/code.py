@@ -11,11 +11,11 @@ single-bit cells and peels the surviving two-bit cells with one unknown,
 sweeping them in row-major order; when peeling stalls it falls back to
 Gaussian elimination over every surviving cell of the mask grid, entered
 in row-major order. Verification checks that every pair of surviving
-columns spans the full variable space. It counts the survivors'
-single-bit cells as known variables and ranks only the wider cells with
-those bits cleared, which gives the same rank as ranking every cell. The
-dual's verdict is read off the same primal sweep, since the dual is the
-primal's orthogonal complement.
+columns spans the full variable space: each column is reduced once to a
+GF(2) basis, which every pair it leads shares, and the pair's other column
+extends a copy of it until the dependent cells exceed what full rank
+allows. The dual's verdict is read off the same primal sweep, since the
+dual is the primal's orthogonal complement.
 """
 
 from __future__ import annotations
@@ -215,34 +215,23 @@ def sweep_pairs(masks, nvars: int) -> MdsResult:
     in lexicographic pair order, stopping at the first hole; the witness is
     that pair's erased complement.
 
-    Each column is split once into the OR of its single-bit masks (unit) and
-    its wider masks. In a survivor pair the unit bits are known variables:
-    every unit row is in the span, so the span is the units' span plus that
-    of the wider rows with the known bits cleared, and the rank is the
-    number of known bits plus the rank of those residual rows.
+    Column a is reduced to an echelon basis once and shared by every pair
+    (a, b): a copy is extended with column b's nonzero masks. The pair has
+    rank nvars exactly when at most len(basis_a) + len(column b) - nvars of
+    those masks are dependent, so gf2.extend gets that slack and stops at
+    the first dependent mask past it.
     """
-    units: list[int] = []
-    wides: list[list[int]] = []
-    for column in zip(*masks):
-        unit = 0
-        wide = []
-        for m in column:
-            if m & (m - 1):
-                wide.append(m)
-            else:
-                unit |= m
-        units.append(unit)
-        wides.append(wide)
-    everything = (1 << nvars) - 1  # a positive complement keeps & on the fast path
+    columns = [[m for m in column if m] for column in zip(*masks)]
     checked = 0
-    for a, b in itertools.combinations(range(len(units)), 2):
-        checked += 1
-        known = units[a] | units[b]
-        unknown = everything ^ known
-        residual = [m & unknown for c in (a, b) for m in wides[c]]
-        if known.bit_count() + gf2.rank(residual) < nvars:
-            erased = set(range(len(units))).difference((a, b))
-            return MdsResult(False, ErasurePattern.of(erased), checked)
+    for a, column_a in enumerate(columns):
+        basis_a: dict[int, int] = {}
+        gf2.extend(basis_a, column_a, len(column_a))
+        for b in range(a + 1, len(columns)):
+            checked += 1
+            column_b = columns[b]
+            if gf2.extend(dict(basis_a), column_b, len(basis_a) + len(column_b) - nvars) < 0:
+                erased = set(range(len(columns))).difference((a, b))
+                return MdsResult(False, ErasurePattern.of(erased), checked)
     return MdsResult(True, None, checked)
 
 

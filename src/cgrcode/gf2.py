@@ -10,16 +10,33 @@ all of them at once: a cell value of any width is one rhs.
 from __future__ import annotations
 
 
-def rank(masks: list[int]) -> int:
-    """Rank of a set of GF(2) row vectors given as bitmasks."""
-    basis: dict[int, int] = {}
+def extend(basis: dict[int, int], masks, slack: int) -> int:
+    """Insert masks into an echelon basis (pivot bit -> row), in place.
+
+    Each mask that reduces to zero, a zero mask included, uses up one unit
+    of slack. Returns the slack left, which is negative when the masks do
+    not fit: -1 as soon as a dependent mask finds no slack, and the basis
+    then holds the masks inserted so far.
+    """
     for m in masks:
         while m:
             p = m.bit_length() - 1
-            if p not in basis:
+            row = basis.get(p)
+            if row is None:
                 basis[p] = m
                 break
-            m ^= basis[p]
+            m ^= row
+        else:
+            slack -= 1
+            if slack < 0:
+                return -1
+    return slack
+
+
+def rank(masks: list[int]) -> int:
+    """Rank of a set of GF(2) row vectors given as bitmasks."""
+    basis: dict[int, int] = {}
+    extend(basis, masks, len(masks))
     return len(basis)
 
 

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from . import gf2
 from .code import MdsResult, sweep_pairs, verify_mds
 from .fixtures import BUILTIN_VECTORS
 from .graph import CgrParams, build_cgr
@@ -16,7 +17,7 @@ DEFAULT_BUDGET = 10**7
 
 
 class BudgetExceededError(Exception):
-    """Exhaustive space larger than the configured verification budget."""
+    """Exhaustive space larger than the configured budget of candidates."""
 
 
 @dataclass(frozen=True)
@@ -25,8 +26,9 @@ class SearchSpec:
 
     fix_prefix holds the canonical prefix (0..v1-1, then v1 repeated) fixed
     and varies only the v1(v1-1)/2 inter-ring entries; otherwise the whole
-    vector is free. strategy is "exhaustive" (full scan of the free space)
-    or "random" (max_trials seeded draws). stop_after caps how many valid
+    vector is free. strategy is "exhaustive" (every candidate of the free
+    space, in lexicographic order, by a rank-pruned depth-first search) or
+    "random" (max_trials seeded draws). stop_after caps how many valid
     vectors are collected into the result list.
     """
 
@@ -40,13 +42,17 @@ class SearchSpec:
 
 @dataclass(frozen=True)
 class SearchStats:
-    """trials = vectors tested; hits = valid vectors seen (for exhaustive
-    runs this is the exact count in the whole space); space = size of the
-    enumerated space for exhaustive runs, None for random."""
+    """trials = candidates covered (for exhaustive runs, pruned ones
+    included); hits = valid vectors seen (for exhaustive runs this is the
+    exact count in the whole space); space = size of the enumerated space
+    for exhaustive runs, None for random; nodes = the work done: search-tree
+    nodes visited for exhaustive runs, candidates swept for random ones.
+    nodes is left out of comparisons, so stats compare by outcome."""
 
     trials: int
     hits: int
     space: int | None
+    nodes: int = field(default=0, compare=False)
 
 
 def params_for_offset_length(n: int) -> CgrParams:
@@ -79,35 +85,80 @@ def search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> tuple[list[OffsetV
     # candidate's mask grid is the unshifted one with each row rotated, over
     # the same positions.
     unshifted = map_unshifted(build_cgr(params))
-    nvars = len(unshifted.positions)
-
-    def is_valid(vec: tuple[int, ...]) -> bool:
-        return sweep_pairs(rotate_rows(unshifted.masks, vec), nvars).is_mds
-
-    found: list[OffsetVector] = []
+    masks = unshifted.masks
     if spec.strategy == "exhaustive":
-        trials = hits = 0
-        for combo in itertools.product(range(v2), repeat=nfree):
-            trials += 1
-            vec = prefix + combo
-            if is_valid(vec):
-                hits += 1
-                if spec.stop_after is None or len(found) < spec.stop_after:
-                    found.append(OffsetVector(vec))
-        return found, SearchStats(trials, hits, space)
+        return _exhaustive(masks, prefix, v2, space, spec.stop_after)
     if spec.strategy == "random":
+        nvars = len(unshifted.positions)
         rng = Lcg(spec.seed)
+        found: list[OffsetVector] = []
         trials = hits = 0
         while trials < spec.max_trials:
             if spec.stop_after is not None and len(found) >= spec.stop_after:
                 break
             trials += 1
             vec = prefix + tuple(rng.randint(v2) for _ in range(nfree))
-            if is_valid(vec):
+            if sweep_pairs(rotate_rows(masks, vec), nvars).is_mds:
                 hits += 1
                 found.append(OffsetVector(vec))
-        return found, SearchStats(trials, hits, None)
+        return found, SearchStats(trials, hits, None, nodes=trials)
     raise ValueError(f"unknown strategy {spec.strategy!r} (use 'exhaustive' or 'random')")
+
+
+def _exhaustive(
+    masks, prefix: tuple[int, ...], v2: int, space: int, stop_after: int | None
+) -> tuple[list[OffsetVector], SearchStats]:
+    """Every offset vector that starts with prefix, by a depth-first search
+    over the unshifted rows in index order with values ascending, so hits
+    come in the order of a lexicographic scan.
+
+    A primal array fills every cell, so each column pair holds exactly nvars
+    masks, and it has full rank only if all of them are independent. A node
+    keeps one echelon basis per column pair and extends it, with slack 0, by
+    its row's two masks there; the first dependent pair rules out the node's
+    whole subtree, whose v2 ** (rows left) candidates still count as trials.
+    """
+    pairs = list(itertools.combinations(range(v2), 2))
+    nrows = len(masks)
+    found: list[OffsetVector] = []
+    trials = hits = nodes = 0
+
+    def place(bases, row, k):
+        """The bases with row, rotated left by k, added; None if a pair turns dependent."""
+        row = row[k:] + row[:k]
+        children = []
+        for basis, (a, b) in zip(bases, pairs):
+            basis = dict(basis)
+            if gf2.extend(basis, (row[a], row[b]), 0) < 0:
+                return None
+            children.append(basis)
+        return children
+
+    def visit(bases, vec):
+        nonlocal trials, hits, nodes
+        depth = len(vec)
+        row = masks[depth]
+        below = v2 ** (nrows - depth - 1)
+        for k in range(v2):
+            nodes += 1
+            children = place(bases, row, k)
+            if children is None:
+                trials += below
+            elif depth + 1 < nrows:
+                visit(children, vec + (k,))
+            else:
+                trials += 1
+                hits += 1
+                if stop_after is None or len(found) < stop_after:
+                    found.append(OffsetVector(vec + (k,)))
+
+    bases = [{} for _ in pairs]
+    for row, k in zip(masks, prefix):
+        bases = place(bases, row, k)
+        if bases is None:
+            return found, SearchStats(space, 0, space)
+    visit(bases, prefix)
+    return found, SearchStats(trials, hits, space, nodes)
 
 
 def validate_fixture_set(vectors: dict[str, tuple[int, ...]] | None = None) -> dict[str, MdsResult]:

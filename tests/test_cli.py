@@ -185,6 +185,8 @@ def test_roundtrip_rejects_hex_data_wider_than_the_code(k2_file, capsys):
         ["generate", "--v1", "26"],
         ["generate", "--builtin", "k2_c5", "--pi", "1,0"],
         ["generate", "--v1", "2", "--offsets", "0,1,2,2,4", "--placement", "0,1,inf"],
+        ["generate", "--v1", "4", "--pi", ""],
+        ["generate", "--v1", "4", "--placement", ""],
     ],
 )
 def test_edge_cases_are_usage_errors(argv, capsys):
@@ -277,6 +279,7 @@ def test_search_json(capsys):
     assert main(["search", "--v1", "2", "--free-prefix", "--stop-after", "2", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert (payload["trials"], payload["hits"], payload["space"]) == (3125, 50, 3125)
+    assert 0 < payload["nodes"] < payload["trials"]
     assert len(payload["vectors"]) == 2
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from cgrcode import (
     ContractShapeError,
     DecodeReport,
     ErasurePattern,
+    MdsResult,
     OffsetVector,
     POS_INF,
     UnrecoverableError,
@@ -34,7 +37,8 @@ from cgrcode import (
     verify_mds,
 )
 from cgrcode import gf2
-from cgrcode.layout import cell_mask
+from cgrcode.code import sweep_pairs
+from cgrcode.layout import cell_mask, rotate_rows
 from cgrcode.rng import Lcg
 from conftest import builtin_array, random_bits
 
@@ -444,6 +448,65 @@ def test_sweeps_match_a_full_rank_reference(v1):
         assert verify_contracted_mds(contracted) == expected[0]
     assert True in verdicts and False in verdicts
 
+
+def _residual_rank_sweep(masks, nvars):
+    """MdsResult of the unit/wide pair sweep that sweep_pairs replaced: each
+    column split once into the OR of its single-bit masks and its wider
+    masks, and a pair's rank taken as its known bits plus the rank of its
+    wider masks with those bits cleared."""
+    units, wides = [], []
+    for column in zip(*masks):
+        units.append(functools.reduce(operator.or_, (m for m in column if not m & (m - 1)), 0))
+        wides.append([m for m in column if m & (m - 1)])
+    everything = (1 << nvars) - 1
+    checked = 0
+    for a, b in itertools.combinations(range(len(units)), 2):
+        checked += 1
+        known = units[a] | units[b]
+        residual = [m & (everything ^ known) for c in (a, b) for m in wides[c]]
+        if known.bit_count() + gf2.rank(residual) < nvars:
+            erased = set(range(len(units))) - {a, b}
+            return MdsResult(False, ErasurePattern.of(erased), checked)
+    return MdsResult(True, None, checked)
+
+
+@pytest.mark.parametrize("v1", [2, 4, 6])
+def test_sweep_pairs_matches_the_residual_rank_sweep(v1):
+    # Seeded rotated grids: the canonical vector and copies of it with one to
+    # three entries redrawn (some MDS, most not), and every contraction (mostly MDS) as
+    # it is, with one column cut short and with one column given another
+    # column's cell as well; zip_longest fills the short columns with empty
+    # cells, and the long column leaves slack to spare.
+    params = CgrParams.from_v1(v1)
+    v2 = params.v2
+    rng = Lcg(100 + v1)
+    unshifted = build_code_array(params, (0,) * params.num_rows)
+    canonical = tuple(derive_offsets(pif_factorize(v1)))
+    kinds = {"primal": [], "contracted": [], "padded": []}
+    for trial in range(60):
+        vector = list(canonical)
+        for _ in range(trial % 4):
+            vector[rng.randint(params.num_rows)] = rng.randint(v2)
+        grid = rotate_rows(unshifted.masks, vector)
+        kinds["primal"].append((grid, len(unshifted.positions)))
+        try:
+            contracted = contract(build_code_array(params, vector))
+        except ContractShapeError:
+            continue
+        pos = {v: i for i, v in enumerate(contracted.retained_ids())}
+        columns = [[cell_mask(cell, pos) for cell in col] for col in contracted.columns]
+        kinds["contracted"].append((list(itertools.zip_longest(*columns, fillvalue=0)), len(pos)))
+        a, b = rng.randint(len(columns)), rng.randint(len(columns))
+        for changed in (columns[a][:-1], columns[a] + columns[b][:1]):
+            ragged = columns[:a] + [changed] + columns[a + 1:]
+            kinds["padded"].append((list(itertools.zip_longest(*ragged, fillvalue=0)), len(pos)))
+    for kind, corpus in kinds.items():
+        verdicts = set()
+        for grid, nvars in corpus:
+            result = sweep_pairs(grid, nvars)
+            assert result == _residual_rank_sweep(grid, nvars), kind
+            verdicts.add(result.is_mds)
+        assert verdicts == {True, False} or kind == "contracted" and True in verdicts, kind
 
 
 @pytest.mark.parametrize("v1", [2, 4, 6])

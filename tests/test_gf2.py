@@ -32,6 +32,57 @@ def test_rank_ignores_dependent_and_zero_rows():
     assert gf2.rank([0b101, 0b011, 0b110]) == 2  # third row = xor of first two
 
 
+def _scratch_rank(masks):
+    # Rank by elimination on a copy, written apart from gf2's basis.
+    rows = [m for m in masks if m]
+    rank = 0
+    while rows:
+        pivot = max(rows)
+        top = pivot.bit_length() - 1
+        rows = [r ^ pivot if r >> top & 1 else r for r in rows if r != pivot]
+        rows = [r for r in rows if r]
+        rank += 1
+    return rank
+
+
+def test_extend_matches_a_scratch_rank_on_random_masks():
+    rng = random.Random(11)
+    boundaries = 0
+    for _ in range(400):
+        nbits = rng.randint(1, 24)
+        head = [rng.getrandbits(nbits) for _ in range(rng.randint(0, nbits))]
+        tail = [rng.getrandbits(nbits) for _ in range(rng.randint(0, nbits + 4))]
+        if tail and rng.random() < 0.3:
+            tail[rng.randrange(len(tail))] = 0  # a zero mask is dependent too
+        basis = {}
+        # With slack len(head), each dependent mask uses one and rank are left.
+        assert gf2.extend(basis, head, len(head)) == _scratch_rank(head)
+        assert len(basis) == _scratch_rank(head)
+        assert all(row.bit_length() - 1 == p for p, row in basis.items())
+        dependent = len(tail) - (_scratch_rank(head + tail) - len(basis))
+        for slack in {dependent - 1, dependent, dependent + 2, 0}:
+            if slack < 0:
+                continue
+            trial = dict(basis)
+            left = gf2.extend(trial, tail, slack)
+            if slack >= dependent:
+                assert left == slack - dependent
+                assert len(trial) == _scratch_rank(head + tail)
+            else:
+                # It stops at the (slack + 1)-th dependent mask, with every
+                # mask before that one inserted.
+                assert left == -1
+                seen = 0
+                for i, m in enumerate(tail):
+                    if _scratch_rank(head + tail[: i + 1]) == _scratch_rank(head + tail[:i]):
+                        seen += 1
+                        if seen > slack:
+                            break
+                assert len(trial) == _scratch_rank(head + tail[:i])
+                boundaries += 1
+    assert boundaries > 50
+
+
 def test_solve_unique_small_system():
     # x0 ^ x1 = 1, x1 = 1  =>  x0 = 0, x1 = 1
     solution, ops = gf2.solve_unique([(0b11, 1), (0b10, 1)], 2)

@@ -61,6 +61,22 @@ def test_exhaustive_search_free_prefix():
     assert (0, 1, 2, 2, 4) in {tuple(v) for v in vectors}
 
 
+def test_exhaustive_search_v1_4_fixed_prefix():
+    # 7^6 candidates; the rank-pruned search visits a few hundred nodes.
+    vectors, stats = search(SearchSpec(CgrParams.from_v1(4)))
+    prefix = (0, 1, 2, 3, 4, 4, 4, 4)
+    assert [tuple(v) for v in vectors] == [
+        prefix + (2, 3, 6, 6, 0, 1),
+        prefix + (2, 6, 1, 3, 6, 0),
+        prefix + (3, 1, 6, 6, 2, 0),
+        prefix + (3, 6, 2, 0, 6, 1),
+        prefix + (6, 1, 2, 3, 0, 6),
+        prefix + (6, 3, 1, 0, 2, 6),
+    ]
+    assert (stats.trials, stats.hits, stats.space) == (117649, 6, 117649)
+    assert 0 < stats.nodes < stats.trials
+
+
 def test_exhaustive_stop_after_truncates_list_only():
     spec = SearchSpec(params=CgrParams.from_v1(2), fix_prefix=False, stop_after=3)
     vectors, stats = search(spec)
@@ -84,7 +100,7 @@ def test_random_search_stop_after():
     )
     vectors, stats = search(spec)
     assert len(vectors) == 1
-    assert stats.trials < 50
+    assert stats.nodes == stats.trials < 50
 
 
 @pytest.mark.parametrize(
