@@ -3,7 +3,8 @@
 Pipeline: build_cgr lays out the graph, pif_factorize + derive_offsets
 produce an offset vector, build_code_array yields the shifted cell grid,
 encode/decode move bits through it, and verify_mds / verify_dual_mds /
-verify_contracted_mds check every legal erasure pattern exhaustively.
+verify_contracted_mds check every legal erasure pattern (a built array's
+survivor pairs one per ring-rotation orbit, since rotation preserves rank).
 """
 
 from .bcode import (

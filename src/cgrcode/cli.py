@@ -166,6 +166,7 @@ def _verify_one(name: str, array: CodeArray) -> dict:
         "mds": primal.is_mds,
         "witness": sorted(primal.witness.erased_columns) if primal.witness else None,
         "patterns_checked": primal.patterns_checked,
+        "pairs_swept": primal.pairs_swept,
         "dual_mds": dual.is_mds,
         "dual_witness": sorted(dual.witness.erased_columns) if dual.witness else None,
         "dual_patterns_checked": dual.patterns_checked,
@@ -371,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write to file instead of stdout")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("verify", help="check the MDS property (and the dual's) exhaustively")
+    p = sub.add_parser("verify", help="check the MDS property (and the dual's) for every erased pair")
     p.add_argument("file", nargs="?", help="code JSON file")
     p.add_argument("--builtin", help="named built-in vector, or 'all'")
     p.add_argument("--json", action="store_true")

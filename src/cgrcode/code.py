@@ -14,14 +14,19 @@ in row-major order. Verification checks that every pair of surviving
 columns spans the full variable space: each column is reduced once to a
 GF(2) basis, which every pair it leads shares, and the pair's other column
 extends a copy of it until the dependent cells exceed what full rank
-allows. The dual's verdict is read off the same primal sweep, since the
-dual is the primal's orthogonal complement.
+allows. Rotating every ring by one position is an automorphism of the
+graph that moves each row of a built array, primal or dual, one cell to
+the side, so column c + 1 is column c with its variables relabelled and the
+survivor pair {a, b} has the rank of {0, d}, d the circular distance of a
+and b: when a grid passes that check, only the pairs (0, d) for
+d <= v2 // 2 are swept. The dual's verdict is read off the same primal
+sweep, since the dual is the primal's orthogonal complement.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import gf2
@@ -91,11 +96,18 @@ class DecodeReport:
 
 @dataclass(frozen=True)
 class MdsResult:
-    """Verdict of an exhaustive erasure sweep, with a counterexample if any."""
+    """Verdict of an erasure sweep, with a counterexample if any.
+
+    patterns_checked counts the patterns covered, in lexicographic order up
+    to and including the witness; pairs_swept counts the survivor pairs
+    actually reduced, fewer when rotation symmetry covers the rest. It is
+    left out of comparisons, so results compare by outcome.
+    """
 
     is_mds: bool
     witness: ErasurePattern | None
     patterns_checked: int
+    pairs_swept: int = field(default=0, compare=False)
 
     def __bool__(self) -> bool:
         return self.is_mds
@@ -153,6 +165,12 @@ def decode(
     values is a full grid of cell values, num_rows rows of v2; erased
     columns are never read. Raises ValueError on a grid of another shape and
     UnrecoverableError when the surviving system is rank-deficient.
+
+    This is an erasure decoder, not an error detector: surviving cells are
+    trusted. Peeling never reads the surviving cells it does not need, so a
+    corrupted one can come back as wrong data with peeling_sufficed=True;
+    forced elimination enters every surviving cell and raises ValueError
+    when they disagree.
     """
     pattern.validate_for(array.params)
     v2 = array.params.v2
@@ -215,24 +233,65 @@ def sweep_pairs(masks, nvars: int) -> MdsResult:
     in lexicographic pair order, stopping at the first hole; the witness is
     that pair's erased complement.
 
-    Column a is reduced to an echelon basis once and shared by every pair
-    (a, b): a copy is extended with column b's nonzero masks. The pair has
-    rank nvars exactly when at most len(basis_a) + len(column b) - nvars of
-    those masks are dependent, so gf2.extend gets that slack and stops at
-    the first dependent mask past it.
+    When every row passes _rotates, column c + 1 is column c relabelled by
+    a bit permutation, so the pair {a, b} has the rank of {0, d}, d the
+    circular distance between a and b, and only (0, 1) .. (0, v2 // 2) are
+    swept. The first failing pair in lexicographic order is then (0, d*),
+    d* the least failing distance, so the witness and patterns_checked
+    (d* on a failure, C(v2, 2) on success: the pairs covered) are those of
+    the full sweep. Any other grid, contracted or hand-built, has every
+    pair swept.
     """
+    v2 = len(masks[0]) if masks else 0
+    if _rotates(masks, v2, nvars):
+        return _sweep_columns(lambda c: [m for row in masks if (m := row[c])], v2, nvars, True)
     columns = [[m for m in column if m] for column in zip(*masks)]
-    checked = 0
-    for a, column_a in enumerate(columns):
+    return _sweep_columns(columns.__getitem__, len(columns), nvars, False)
+
+
+def _rotates(masks, v2: int, nvars: int) -> bool:
+    """True when every row has length v2 and row[(c + 1) % v2] == sigma(row[c]),
+    where sigma moves bit j*v2 + k to j*v2 + (k + 1) % v2: the image, on the
+    mask grid, of rotating every ring of the graph by one position. sigma
+    permutes the bits of the blocks that cover nvars, and a grid that passes
+    holds only images of sigma, so it moves each column onto the next one
+    as a linear bijection."""
+    if not v2:
+        return False
+    unit = sum(1 << j for j in range(0, nvars, v2))
+    hi = unit << (v2 - 1)
+    keep = hi - unit
+    for row in masks:
+        if len(row) != v2:
+            return False
+        if [((m & keep) << 1) | ((m & hi) >> (v2 - 1)) for m in row] != [*row[1:], row[0]]:
+            return False
+    return True
+
+
+def _sweep_columns(column, v2: int, nvars: int, orbits: bool) -> MdsResult:
+    """The pair loop behind sweep_pairs and the random search: column(c)
+    gives column c's masks. Column a is reduced to an echelon basis once and
+    shared by every pair (a, b): a copy is extended with column b's masks.
+    The pair has rank nvars exactly when at most len(basis_a) +
+    len(column b) - nvars of those masks are dependent, so gf2.extend gets
+    that slack and stops at the first dependent mask past it. With orbits,
+    the grid passes _rotates and only the pairs (0, d), d <= v2 // 2, are
+    swept, each column read once.
+    """
+    swept = 0
+    last = v2 // 2 + 1 if orbits else v2
+    for a in range(1 if orbits else v2):
+        column_a = column(a)
         basis_a: dict[int, int] = {}
         gf2.extend(basis_a, column_a, len(column_a))
-        for b in range(a + 1, len(columns)):
-            checked += 1
-            column_b = columns[b]
+        for b in range(a + 1, last):
+            swept += 1
+            column_b = column(b)
             if gf2.extend(dict(basis_a), column_b, len(basis_a) + len(column_b) - nvars) < 0:
-                erased = set(range(len(columns))).difference((a, b))
-                return MdsResult(False, ErasurePattern.of(erased), checked)
-    return MdsResult(True, None, checked)
+                erased = set(range(v2)).difference((a, b))
+                return MdsResult(False, ErasurePattern.of(erased), swept, pairs_swept=swept)
+    return MdsResult(True, None, v2 * (v2 - 1) // 2, pairs_swept=swept)
 
 
 def verify_mds(array: CodeArray) -> MdsResult:
@@ -266,7 +325,8 @@ def dual_verdict(primal: MdsResult, v2: int) -> MdsResult:
     """The dual's MdsResult read off a primal sweep (see verify_dual_mds)."""
     if primal.is_mds:
         return primal
-    return MdsResult(False, ErasurePattern.of(primal.witness.survivors(v2)), primal.patterns_checked)
+    witness = ErasurePattern.of(primal.witness.survivors(v2))
+    return MdsResult(False, witness, primal.patterns_checked, pairs_swept=primal.pairs_swept)
 
 
 def dualize(array: CodeArray) -> CodeArray:

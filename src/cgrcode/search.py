@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 from . import gf2
-from .code import MdsResult, sweep_pairs, verify_mds
+from .code import MdsResult, _sweep_columns, verify_mds
 from .fixtures import BUILTIN_VECTORS
 from .graph import CgrParams, build_cgr
-from .layout import OffsetVector, build_code_array, map_unshifted, rotate_rows
+from .layout import OffsetVector, build_code_array, map_unshifted
 from .rng import Lcg
 
 DEFAULT_BUDGET = 10**7
@@ -83,11 +82,15 @@ def search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> tuple[list[OffsetV
 
     # Rotating a row moves its cells but not the variables they hold, so a
     # candidate's mask grid is the unshifted one with each row rotated, over
-    # the same positions.
+    # the same positions. Every unshifted row moves one cell to the side
+    # under the ring rotation, and so does every rotated row: each candidate
+    # passes code._rotates by construction, and only its survivor pairs
+    # (0, d), d <= v2 // 2, are swept. Each row is kept twice over, so
+    # column c of a row rotated left by k is doubled_row[c + k].
     unshifted = map_unshifted(build_cgr(params))
-    masks = unshifted.masks
+    doubled = [row + row for row in unshifted.masks]
     if spec.strategy == "exhaustive":
-        return _exhaustive(masks, prefix, v2, space, spec.stop_after)
+        return _exhaustive(doubled, prefix, v2, space, spec.stop_after)
     if spec.strategy == "random":
         nvars = len(unshifted.positions)
         rng = Lcg(spec.seed)
@@ -98,38 +101,48 @@ def search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> tuple[list[OffsetV
                 break
             trials += 1
             vec = prefix + tuple(rng.randint(v2) for _ in range(nfree))
-            if sweep_pairs(rotate_rows(masks, vec), nvars).is_mds:
+            if _sweep_columns(_rotated_column(doubled, vec), v2, nvars, True).is_mds:
                 hits += 1
                 found.append(OffsetVector(vec))
         return found, SearchStats(trials, hits, None, nodes=trials)
     raise ValueError(f"unknown strategy {spec.strategy!r} (use 'exhaustive' or 'random')")
 
 
+def _rotated_column(doubled, vec):
+    """Column c of the grid whose row r is the unshifted row rotated left by
+    vec[r], built only when the sweep asks for it; doubled holds each
+    unshifted row twice over."""
+    return lambda c: [row[c + k] for row, k in zip(doubled, vec)]
+
+
 def _exhaustive(
-    masks, prefix: tuple[int, ...], v2: int, space: int, stop_after: int | None
+    doubled, prefix: tuple[int, ...], v2: int, space: int, stop_after: int | None
 ) -> tuple[list[OffsetVector], SearchStats]:
     """Every offset vector that starts with prefix, by a depth-first search
-    over the unshifted rows in index order with values ascending, so hits
-    come in the order of a lexicographic scan.
+    over the unshifted rows (each kept twice over) in index order with
+    values ascending, so hits come in the order of a lexicographic scan.
 
     A primal array fills every cell, so each column pair holds exactly nvars
-    masks, and it has full rank only if all of them are independent. A node
-    keeps one echelon basis per column pair and extends it, with slack 0, by
-    its row's two masks there; the first dependent pair rules out the node's
-    whole subtree, whose v2 ** (rows left) candidates still count as trials.
+    masks, and it has full rank only if all of them are independent. Every
+    row placed so far moves one cell to the side under the ring rotation, so
+    the pair {a, b} of a node's rows has the rank of {0, d}, d the circular
+    distance of a and b. A node keeps one echelon basis per pair (0, d),
+    d <= v2 // 2, and extends it, with slack 0, by its row's two masks
+    there; the first dependent pair rules out the node's whole subtree,
+    whose v2 ** (rows left) candidates still count as trials.
     """
-    pairs = list(itertools.combinations(range(v2), 2))
-    nrows = len(masks)
+    distances = range(1, v2 // 2 + 1)
+    nrows = len(doubled)
     found: list[OffsetVector] = []
     trials = hits = nodes = 0
 
     def place(bases, row, k):
         """The bases with row, rotated left by k, added; None if a pair turns dependent."""
-        row = row[k:] + row[:k]
+        first = row[k]
         children = []
-        for basis, (a, b) in zip(bases, pairs):
+        for basis, d in zip(bases, distances):
             basis = dict(basis)
-            if gf2.extend(basis, (row[a], row[b]), 0) < 0:
+            if gf2.extend(basis, (first, row[k + d]), 0) < 0:
                 return None
             children.append(basis)
         return children
@@ -137,7 +150,7 @@ def _exhaustive(
     def visit(bases, vec):
         nonlocal trials, hits, nodes
         depth = len(vec)
-        row = masks[depth]
+        row = doubled[depth]
         below = v2 ** (nrows - depth - 1)
         for k in range(v2):
             nodes += 1
@@ -152,8 +165,8 @@ def _exhaustive(
                 if stop_after is None or len(found) < stop_after:
                     found.append(OffsetVector(vec + (k,)))
 
-    bases = [{} for _ in pairs]
-    for row, k in zip(masks, prefix):
+    bases = [{} for _ in distances]
+    for row, k in zip(doubled, prefix):
         bases = place(bases, row, k)
         if bases is None:
             return found, SearchStats(space, 0, space)
