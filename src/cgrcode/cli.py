@@ -295,7 +295,7 @@ def cmd_dual(args) -> int:
 
 def cmd_contract(args) -> int:
     array = _load_primal(args.file)
-    order = _csv_ints(args.order) if args.order else None
+    order = _csv_ints(args.order) if args.order is not None else None
     contracted = contract(array, order)
     ok = verify_contracted_mds(contracted)
     if args.format == "text":
@@ -310,10 +310,7 @@ def cmd_contract(args) -> int:
                 "v2": contracted.params.v2,
                 "source_columns": list(contracted.source_column_index),
                 "mds": ok,
-                "columns": [
-                    [{"kind": cell.kind, "vertices": list(cell.vertices)} for cell in col]
-                    for col in contracted.columns
-                ],
+                "columns": [list(map(codespec.cell_record, col)) for col in contracted.columns],
             },
             args.output,
         )

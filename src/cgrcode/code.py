@@ -10,17 +10,17 @@ cells kind by kind. Decoding seeds known values from the surviving
 single-bit cells and peels the surviving two-bit cells with one unknown,
 sweeping them in row-major order; when peeling stalls it falls back to
 Gaussian elimination over every surviving cell of the mask grid, entered
-in row-major order. Verification checks that every pair of surviving
-columns spans the full variable space: each column is reduced once to a
-GF(2) basis, which every pair it leads shares, and the pair's other column
-extends a copy of it until the dependent cells exceed what full rank
-allows. Rotating every ring by one position is an automorphism of the
-graph that moves each row of a built array, primal or dual, one cell to
-the side, so column c + 1 is column c with its variables relabelled and the
-survivor pair {a, b} has the rank of {0, d}, d the circular distance of a
-and b: when a grid passes that check, only the pairs (0, d) for
-d <= v2 // 2 are swept. The dual's verdict is read off the same primal
-sweep, since the dual is the primal's orthogonal complement.
+in row-major order. Verification (sweep_pairs) checks that every pair of
+surviving columns spans the full variable space: each column is reduced
+once to a GF(2) basis, which every pair it leads shares, and the pair's
+other column extends a copy of it until the dependent cells exceed what
+full rank allows. Rotating every ring by one position moves each row of a
+built array, primal or dual, one cell to the side, so when a grid passes
+that check only the pairs (0, d) for d <= v2 // 2 are swept (see
+sweep_pairs). Search sweeps no columns: both its strategies place rows
+onto one basis per pair (0, d), by the argument stated in search.search.
+The dual's verdict is read off the same primal sweep, since the dual is
+the primal's orthogonal complement.
 """
 
 from __future__ import annotations
@@ -233,20 +233,39 @@ def sweep_pairs(masks, nvars: int) -> MdsResult:
     in lexicographic pair order, stopping at the first hole; the witness is
     that pair's erased complement.
 
+    Column a is reduced to an echelon basis once and shared by every pair
+    (a, b): a copy is extended with column b's masks. The pair has rank
+    nvars exactly when at most len(basis_a) + len(column b) - nvars of those
+    masks are dependent, so gf2.extend gets that slack and stops at the
+    first dependent mask past it.
+
     When every row passes _rotates, column c + 1 is column c relabelled by
     a bit permutation, so the pair {a, b} has the rank of {0, d}, d the
     circular distance between a and b, and only (0, 1) .. (0, v2 // 2) are
-    swept. The first failing pair in lexicographic order is then (0, d*),
-    d* the least failing distance, so the witness and patterns_checked
-    (d* on a failure, C(v2, 2) on success: the pairs covered) are those of
-    the full sweep. Any other grid, contracted or hand-built, has every
-    pair swept.
+    swept, over the first v2 // 2 + 1 columns. The first failing pair in
+    lexicographic order is then (0, d*), d* the least failing distance, so
+    the witness and patterns_checked (d* on a failure, C(v2, 2) on success:
+    the pairs covered) are those of the full sweep. Any other grid,
+    contracted or hand-built, has every pair swept, over the columns zip
+    reads.
     """
     v2 = len(masks[0]) if masks else 0
-    if _rotates(masks, v2, nvars):
-        return _sweep_columns(lambda c: [m for row in masks if (m := row[c])], v2, nvars, True)
-    columns = [[m for m in column if m] for column in zip(*masks)]
-    return _sweep_columns(columns.__getitem__, len(columns), nvars, False)
+    orbits = _rotates(masks, v2, nvars)
+    read = itertools.islice(zip(*masks), v2 // 2 + 1 if orbits else None)
+    columns = [[m for m in column if m] for column in read]
+    if not orbits:
+        v2 = len(columns)
+    swept = 0
+    for a in range(1 if orbits else v2):
+        basis_a: dict[int, int] = {}
+        gf2.extend(basis_a, columns[a], len(columns[a]))
+        for b in range(a + 1, len(columns)):
+            swept += 1
+            column_b = columns[b]
+            if gf2.extend(dict(basis_a), column_b, len(basis_a) + len(column_b) - nvars) < 0:
+                erased = set(range(v2)).difference((a, b))
+                return MdsResult(False, ErasurePattern.of(erased), swept, pairs_swept=swept)
+    return MdsResult(True, None, v2 * (v2 - 1) // 2, pairs_swept=swept)
 
 
 def _rotates(masks, v2: int, nvars: int) -> bool:
@@ -267,31 +286,6 @@ def _rotates(masks, v2: int, nvars: int) -> bool:
         if [((m & keep) << 1) | ((m & hi) >> (v2 - 1)) for m in row] != [*row[1:], row[0]]:
             return False
     return True
-
-
-def _sweep_columns(column, v2: int, nvars: int, orbits: bool) -> MdsResult:
-    """The pair loop behind sweep_pairs and the random search: column(c)
-    gives column c's masks. Column a is reduced to an echelon basis once and
-    shared by every pair (a, b): a copy is extended with column b's masks.
-    The pair has rank nvars exactly when at most len(basis_a) +
-    len(column b) - nvars of those masks are dependent, so gf2.extend gets
-    that slack and stops at the first dependent mask past it. With orbits,
-    the grid passes _rotates and only the pairs (0, d), d <= v2 // 2, are
-    swept, each column read once.
-    """
-    swept = 0
-    last = v2 // 2 + 1 if orbits else v2
-    for a in range(1 if orbits else v2):
-        column_a = column(a)
-        basis_a: dict[int, int] = {}
-        gf2.extend(basis_a, column_a, len(column_a))
-        for b in range(a + 1, last):
-            swept += 1
-            column_b = column(b)
-            if gf2.extend(dict(basis_a), column_b, len(basis_a) + len(column_b) - nvars) < 0:
-                erased = set(range(v2)).difference((a, b))
-                return MdsResult(False, ErasurePattern.of(erased), swept, pairs_swept=swept)
-    return MdsResult(True, None, v2 * (v2 - 1) // 2, pairs_swept=swept)
 
 
 def verify_mds(array: CodeArray) -> MdsResult:

@@ -12,9 +12,14 @@ import json
 
 from .code import dualize
 from .graph import CgrParams
-from .layout import CodeArray, OffsetVector, build_code_array
+from .layout import Cell, CodeArray, OffsetVector, build_code_array
 
 FORMAT_VERSION = "1"
+
+
+def cell_record(cell: Cell) -> dict:
+    """The JSON record of one cell: {"kind": ..., "vertices": [...]}."""
+    return {"kind": cell.kind, "vertices": list(cell.vertices)}
 
 
 def to_obj(array: CodeArray) -> dict:
@@ -23,10 +28,7 @@ def to_obj(array: CodeArray) -> dict:
         "v1": array.params.v1,
         "v2": array.params.v2,
         "offset_vector": list(array.offsets),
-        "rows": [
-            [{"kind": cell.kind, "vertices": list(cell.vertices)} for cell in row]
-            for row in array.rows
-        ],
+        "rows": [list(map(cell_record, row)) for row in array.rows],
     }
 
 

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import gf2
-from .code import MdsResult, _sweep_columns, verify_mds
+from .code import MdsResult, verify_mds
 from .fixtures import BUILTIN_VECTORS
 from .graph import CgrParams, build_cgr
 from .layout import OffsetVector, build_code_array, map_unshifted
@@ -83,16 +83,28 @@ def search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> tuple[list[OffsetV
     # Rotating a row moves its cells but not the variables they hold, so a
     # candidate's mask grid is the unshifted one with each row rotated, over
     # the same positions. Every unshifted row moves one cell to the side
-    # under the ring rotation, and so does every rotated row: each candidate
-    # passes code._rotates by construction, and only its survivor pairs
-    # (0, d), d <= v2 // 2, are swept. Each row is kept twice over, so
-    # column c of a row rotated left by k is doubled_row[c + k].
-    unshifted = map_unshifted(build_cgr(params))
-    doubled = [row + row for row in unshifted.masks]
+    # under the ring rotation, and so does every rotated row: the survivor
+    # pair {a, b} of any set of rows has the rank of {0, d}, d the circular
+    # distance of a and b, so only the pairs (0, d), d <= v2 // 2, are
+    # checked. A primal array fills every cell, so each column pair holds
+    # exactly one mask per variable, and it has full rank only if all of
+    # them are independent: a candidate is valid exactly when each of its
+    # rows places (see _place) onto one echelon basis per pair (0, d). Each
+    # row is kept twice over, so column c of a row rotated left by k is
+    # doubled_row[c + k]. The prefix rows are placed once, here, for both
+    # strategies.
+    doubled = [row + row for row in map_unshifted(build_cgr(params)).masks]
+    distances = range(1, v2 // 2 + 1)
+    bases = [{} for _ in distances]
+    for row, k in zip(doubled, prefix):
+        if bases is not None:
+            bases = _place(bases, row, k, distances)
     if spec.strategy == "exhaustive":
-        return _exhaustive(doubled, prefix, v2, space, spec.stop_after)
+        if bases is None:
+            return [], SearchStats(space, 0, space)
+        return _exhaustive(doubled, bases, prefix, v2, space, spec.stop_after)
     if spec.strategy == "random":
-        nvars = len(unshifted.positions)
+        free_rows = doubled[len(prefix):]
         rng = Lcg(spec.seed)
         found: list[OffsetVector] = []
         trials = hits = 0
@@ -100,52 +112,49 @@ def search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> tuple[list[OffsetV
             if spec.stop_after is not None and len(found) >= spec.stop_after:
                 break
             trials += 1
-            vec = prefix + tuple(rng.randint(v2) for _ in range(nfree))
-            if _sweep_columns(_rotated_column(doubled, vec), v2, nvars, True).is_mds:
+            free = [rng.randint(v2) for _ in range(nfree)]
+            placed = bases
+            for row, k in zip(free_rows, free):
+                if placed is None:
+                    break
+                placed = _place(placed, row, k, distances)
+            if placed is not None:
                 hits += 1
-                found.append(OffsetVector(vec))
+                found.append(OffsetVector(prefix + tuple(free)))
         return found, SearchStats(trials, hits, None, nodes=trials)
     raise ValueError(f"unknown strategy {spec.strategy!r} (use 'exhaustive' or 'random')")
 
 
-def _rotated_column(doubled, vec):
-    """Column c of the grid whose row r is the unshifted row rotated left by
-    vec[r], built only when the sweep asks for it; doubled holds each
-    unshifted row twice over."""
-    return lambda c: [row[c + k] for row, k in zip(doubled, vec)]
+def _place(bases, row, k, distances):
+    """bases, one echelon basis per pair (0, d) for d in distances, with
+    row (an unshifted row kept twice over) rotated left by k added: its
+    masks row[k] and row[k + d] extend the basis of (0, d), with slack 0.
+    Returns new bases, leaving the given ones as they were, or None at the
+    first pair that turns dependent."""
+    first = row[k]
+    placed = []
+    for basis, d in zip(bases, distances):
+        basis = dict(basis)
+        if gf2.extend(basis, (first, row[k + d]), 0) < 0:
+            return None
+        placed.append(basis)
+    return placed
 
 
 def _exhaustive(
-    doubled, prefix: tuple[int, ...], v2: int, space: int, stop_after: int | None
+    doubled, bases, prefix: tuple[int, ...], v2: int, space: int, stop_after: int | None
 ) -> tuple[list[OffsetVector], SearchStats]:
-    """Every offset vector that starts with prefix, by a depth-first search
-    over the unshifted rows (each kept twice over) in index order with
-    values ascending, so hits come in the order of a lexicographic scan.
-
-    A primal array fills every cell, so each column pair holds exactly nvars
-    masks, and it has full rank only if all of them are independent. Every
-    row placed so far moves one cell to the side under the ring rotation, so
-    the pair {a, b} of a node's rows has the rank of {0, d}, d the circular
-    distance of a and b. A node keeps one echelon basis per pair (0, d),
-    d <= v2 // 2, and extends it, with slack 0, by its row's two masks
-    there; the first dependent pair rules out the node's whole subtree,
-    whose v2 ** (rows left) candidates still count as trials.
+    """Every offset vector that starts with prefix, whose rows are already
+    placed onto bases, by a depth-first search over the remaining rows in
+    index order with values ascending, so hits come in the order of a
+    lexicographic scan. Each node places its row; the first dependent pair rules out the
+    node's whole subtree, whose v2 ** (rows left) candidates still count as
+    trials.
     """
     distances = range(1, v2 // 2 + 1)
     nrows = len(doubled)
     found: list[OffsetVector] = []
     trials = hits = nodes = 0
-
-    def place(bases, row, k):
-        """The bases with row, rotated left by k, added; None if a pair turns dependent."""
-        first = row[k]
-        children = []
-        for basis, d in zip(bases, distances):
-            basis = dict(basis)
-            if gf2.extend(basis, (first, row[k + d]), 0) < 0:
-                return None
-            children.append(basis)
-        return children
 
     def visit(bases, vec):
         nonlocal trials, hits, nodes
@@ -154,7 +163,7 @@ def _exhaustive(
         below = v2 ** (nrows - depth - 1)
         for k in range(v2):
             nodes += 1
-            children = place(bases, row, k)
+            children = _place(bases, row, k, distances)
             if children is None:
                 trials += below
             elif depth + 1 < nrows:
@@ -165,11 +174,6 @@ def _exhaustive(
                 if stop_after is None or len(found) < stop_after:
                     found.append(OffsetVector(vec + (k,)))
 
-    bases = [{} for _ in distances]
-    for row, k in zip(doubled, prefix):
-        bases = place(bases, row, k)
-        if bases is None:
-            return found, SearchStats(space, 0, space)
     visit(bases, prefix)
     return found, SearchStats(trials, hits, space, nodes)
 

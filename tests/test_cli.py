@@ -263,6 +263,16 @@ def test_contract_json(k2_file, capsys):
     assert payload["columns"][1] == [{"kind": "parity", "vertices": [0, 5]}]
 
 
+def test_contract_empty_order_is_a_usage_error(k2_file, capsys):
+    # An empty --order is an order that permutes no column, not the default.
+    assert main(["contract", k2_file, "--order", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: column_order must permute the nonempty parent columns [0, 1, 4], got []\n"
+    )
+
+
 def test_contract_shape_error(tmp_path, capsys):
     path = tmp_path / "zeros.json"
     assert main(["generate", "--v1", "2", "--offsets", "0,0,0,0,0", "--output", str(path)]) == 0
