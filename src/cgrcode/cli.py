@@ -47,19 +47,18 @@ def render_cell(cell: Cell) -> str:
     return " ⊕ ".join(str(v) for v in cell.vertices)
 
 
-def render_array_text(array: CodeArray) -> str:
-    lines = ["offset vector: " + ",".join(str(a) for a in array.offsets)]
-    for row in array.rows:
-        lines.append("\t".join(render_cell(cell) for cell in row))
+def _render_grid(label: str, header, rows) -> str:
+    lines = [f"{label}: " + ",".join(map(str, header))]
+    lines += ["\t".join(map(render_cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def render_array_text(array: CodeArray) -> str:
+    return _render_grid("offset vector", array.offsets, array.rows)
 
 
 def render_contracted_text(contracted: ContractedArray) -> str:
-    lines = ["source columns: " + ",".join(str(c) for c in contracted.source_column_index)]
-    height = len(contracted.columns[0])
-    for i in range(height):
-        lines.append("\t".join(render_cell(col[i]) for col in contracted.columns))
-    return "\n".join(lines) + "\n"
+    return _render_grid("source columns", contracted.source_column_index, zip(*contracted.columns))
 
 
 def _csv_ints(text: str) -> list[int]:
@@ -115,6 +114,12 @@ def _emit_json(obj, output: str | None) -> None:
     _emit(json.dumps(obj, indent=2) + "\n", output)
 
 
+def _emit_array(array: CodeArray, args) -> int:
+    text = render_array_text(array) if args.format == "text" else codespec.to_json(array)
+    _emit(text, args.output)
+    return 0
+
+
 def _load_primal(path: str) -> CodeArray:
     array = codespec.load(path)
     if array.is_dual():
@@ -148,12 +153,7 @@ def cmd_generate(args) -> int:
         placement = _parse_placement(args.placement) if args.placement is not None else None
         pi = tuple(_csv_ints(args.pi)) if args.pi is not None else None
         vector = derive_offsets(pif_factorize(params.v1, placement), pi)
-    array = build_code_array(params, vector)
-    if args.format == "text":
-        _emit(render_array_text(array), args.output)
-    else:
-        _emit(codespec.to_json(array), args.output)
-    return 0
+    return _emit_array(build_code_array(params, vector), args)
 
 
 def _verify_one(name: str, array: CodeArray) -> dict:
@@ -284,13 +284,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    array = codespec.load(args.file)
-    dual = dualize(array)
-    if args.format == "text":
-        _emit(render_array_text(dual), args.output)
-    else:
-        _emit(codespec.to_json(dual), args.output)
-    return 0
+    return _emit_array(dualize(codespec.load(args.file)), args)
 
 
 def cmd_contract(args) -> int:

@@ -75,11 +75,11 @@ def from_obj(obj: dict) -> CodeArray:
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {version!r} (expected {FORMAT_VERSION!r})")
     try:
-        params = CgrParams(int(obj["v1"]), int(obj["v2"]))
-        offsets = OffsetVector(tuple(int(a) for a in obj.get("offset_vector", ())))
+        params = CgrParams(obj["v1"], obj["v2"])
+        offsets = OffsetVector(obj.get("offset_vector", ()))
     except KeyError as missing:
         raise ValueError(f"missing field {missing}") from None
-    except (TypeError, OverflowError) as exc:
+    except TypeError as exc:
         raise ValueError(f"bad header field: {exc}") from None
     offsets.validate_for(params)  # before building, so a huge v1 fails fast
     array = build_code_array(params, offsets)
@@ -94,7 +94,7 @@ def from_obj(obj: dict) -> CodeArray:
 def from_json(text: str) -> CodeArray:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"invalid JSON: {exc}") from None
     return from_obj(obj)
 

@@ -29,6 +29,8 @@ class CgrParams:
     v2: int
 
     def __post_init__(self) -> None:
+        if type(self.v1) is not int or type(self.v2) is not int:  # rejects bools too
+            raise ValueError(f"v1 and v2 must be ints, got v1={self.v1!r}, v2={self.v2!r}")
         if self.v1 < 2 or self.v1 % 2 != 0:
             raise ValueError(f"v1 must be even and >= 2, got {self.v1}")
         if self.v2 != self.v1 + 3:
@@ -98,8 +100,12 @@ class Factorization:
     Hamiltonian cycle.
     """
 
-    order: int
     factors: tuple[tuple[Pair, ...], ...]
+
+    @property
+    def order(self) -> int:
+        """v1 + 2: K_{v1+2} has one factor fewer than it has vertices."""
+        return len(self.factors) + 1
 
     def center_of(self, index: int) -> Label:
         """The label paired with NEG_INF in the given factor."""
@@ -197,4 +203,4 @@ def pif_factorize(v1: int, placement: tuple[Label, ...] | None = None) -> Factor
         + tuple(_normalize(placement[a], placement[b]) for a, b in factor[1:])
         for p, factor in enumerate(positional)
     )
-    return Factorization(v1 + 2, factors)
+    return Factorization(factors)

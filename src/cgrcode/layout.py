@@ -23,77 +23,66 @@ EMPTY = "empty"
 class Cell:
     """One grid entry: an info bit, a parity over several bits, or empty.
 
-    Members are kept in construction order (ring wrap-around edges stay as
-    (largest, smallest)); use vertex_set for order-free comparisons.
+    The kind follows from the member count: none is empty, one is an info
+    bit, two or more a parity. Members are kept in construction order (ring
+    wrap-around edges stay as (largest, smallest)); use vertex_set for
+    order-free comparisons.
     """
 
-    kind: str
     vertices: tuple[int, ...]
 
     @classmethod
     def info(cls, vertex: int) -> Cell:
-        return cls(INFO, (vertex,))
+        return cls((vertex,))
 
     @classmethod
     def parity(cls, vertices: tuple[int, ...]) -> Cell:
         if len(vertices) < 2:
             raise ValueError("parity cell needs at least 2 members")
-        return cls(PARITY, tuple(vertices))
+        return cls(tuple(vertices))
 
     @classmethod
     def empty(cls) -> Cell:
-        return cls(EMPTY, ())
+        return cls(())
+
+    @property
+    def kind(self) -> str:
+        return (EMPTY, INFO, PARITY)[min(len(self.vertices), 2)]
 
     @property
     def is_info(self) -> bool:
-        return self.kind == INFO
+        return len(self.vertices) == 1
 
     @property
     def is_parity(self) -> bool:
-        return self.kind == PARITY
+        return len(self.vertices) > 1
 
     @property
     def is_empty(self) -> bool:
-        return self.kind == EMPTY
+        return not self.vertices
 
     @property
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.vertices)
 
 
-@dataclass(frozen=True)
-class OffsetVector:
+class OffsetVector(tuple):
     """Per-row left cyclic shift amounts; the code's sole free parameter."""
 
-    offsets: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.offsets)
-
-    def __iter__(self):
-        return iter(self.offsets)
-
-    def __getitem__(self, i: int) -> int:
-        return self.offsets[i]
+    __slots__ = ()
 
     def validate_for(self, params: CgrParams) -> None:
-        if len(self.offsets) != params.num_rows:
-            raise ValueError(
-                f"offset vector length {len(self.offsets)} != row count {params.num_rows}"
-            )
-        for a in self.offsets:
+        if len(self) != params.num_rows:
+            raise ValueError(f"offset vector length {len(self)} != row count {params.num_rows}")
+        for a in self:
+            if type(a) is not int:  # rejects bools too
+                raise ValueError(f"offset entry {a!r} is not an int")
             if not 0 <= a < params.v2:
                 raise ValueError(f"offset entry {a} out of range [0, {params.v2 - 1}]")
 
     @classmethod
     def zeros(cls, params: CgrParams) -> OffsetVector:
         return cls((0,) * params.num_rows)
-
-
-def as_offsets(offsets) -> OffsetVector:
-    if isinstance(offsets, OffsetVector):
-        return offsets
-    return OffsetVector(tuple(offsets))
 
 
 class CodecPlan(NamedTuple):  # not a frozen dataclass, whose creation adds 0.5 ms to import
@@ -181,7 +170,7 @@ class CodeArray:
 
     @cached_property
     def _dual(self) -> bool:
-        return any(len(cell.vertices) > 2 for row in self.rows for cell in row if cell.is_parity)
+        return any(len(cell.vertices) > 2 for row in self.rows for cell in row)
 
 
 def map_unshifted(graph: CgrGraph) -> CodeArray:
@@ -203,11 +192,11 @@ def rotate_rows(rows, offsets) -> tuple:
 
 def apply_offsets(array: CodeArray, offsets) -> CodeArray:
     """Rotate row r left by offsets[r]; composes additively mod v2."""
-    off = as_offsets(offsets)
+    off = OffsetVector(offsets)
     off.validate_for(array.params)
     v2 = array.params.v2
     rows = rotate_rows(array.rows, off)
-    combined = OffsetVector(tuple((a + b) % v2 for a, b in zip(array.offsets, off)))
+    combined = OffsetVector((a + b) % v2 for a, b in zip(array.offsets, off))
     return CodeArray(array.params, rows, combined)
 
 
@@ -238,4 +227,4 @@ def derive_offsets(factorization: Factorization, pi=None) -> OffsetVector:
             idx = lookup[frozenset((i, j))]
             center = factorization.center_of(idx)
             entries.append(v1 + 2 if center == POS_INF else pi[int(center)])
-    return OffsetVector(tuple(entries))
+    return OffsetVector(entries)

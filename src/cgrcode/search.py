@@ -72,6 +72,8 @@ def search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> tuple[list[OffsetV
         raise ValueError(f"max_trials must be >= 0, got {spec.max_trials}")
     if spec.stop_after is not None and spec.stop_after < 0:
         raise ValueError(f"stop_after must be >= 0, got {spec.stop_after}")
+    if spec.strategy not in ("exhaustive", "random"):
+        raise ValueError(f"unknown strategy {spec.strategy!r} (use 'exhaustive' or 'random')")
     params = spec.params
     v2 = params.v2
     prefix = _canonical_prefix(params) if spec.fix_prefix else ()
@@ -103,26 +105,24 @@ def search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> tuple[list[OffsetV
         if bases is None:
             return [], SearchStats(space, 0, space)
         return _exhaustive(doubled, bases, prefix, v2, space, spec.stop_after)
-    if spec.strategy == "random":
-        free_rows = doubled[len(prefix):]
-        rng = Lcg(spec.seed)
-        found: list[OffsetVector] = []
-        trials = hits = 0
-        while trials < spec.max_trials:
-            if spec.stop_after is not None and len(found) >= spec.stop_after:
+    free_rows = doubled[len(prefix):]
+    rng = Lcg(spec.seed)
+    found: list[OffsetVector] = []
+    trials = hits = 0
+    while trials < spec.max_trials:
+        if spec.stop_after is not None and len(found) >= spec.stop_after:
+            break
+        trials += 1
+        free = [rng.randint(v2) for _ in range(nfree)]
+        placed = bases
+        for row, k in zip(free_rows, free):
+            if placed is None:
                 break
-            trials += 1
-            free = [rng.randint(v2) for _ in range(nfree)]
-            placed = bases
-            for row, k in zip(free_rows, free):
-                if placed is None:
-                    break
-                placed = _place(placed, row, k, distances)
-            if placed is not None:
-                hits += 1
-                found.append(OffsetVector(prefix + tuple(free)))
-        return found, SearchStats(trials, hits, None, nodes=trials)
-    raise ValueError(f"unknown strategy {spec.strategy!r} (use 'exhaustive' or 'random')")
+            placed = _place(placed, row, k, distances)
+        if placed is not None:
+            hits += 1
+            found.append(OffsetVector(prefix + tuple(free)))
+    return found, SearchStats(trials, hits, None, nodes=trials)
 
 
 def _place(bases, row, k, distances):

@@ -187,10 +187,47 @@ def test_roundtrip_rejects_hex_data_wider_than_the_code(k2_file, capsys):
         ["generate", "--v1", "2", "--offsets", "0,1,2,2,4", "--placement", "0,1,inf"],
         ["generate", "--v1", "4", "--pi", ""],
         ["generate", "--v1", "4", "--placement", ""],
+        ["generate", "--builtin", "k2_c5", "--v1", "4"],
+        ["generate", "--pif"],
+        ["verify", "--builtin", "nope"],
     ],
 )
 def test_edge_cases_are_usage_errors(argv, capsys):
     assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        {"v1": 2.5},
+        {"v1": "2"},
+        {"v1": False},
+        {"v2": 5.0},
+        {"offset_vector": [0, 1, 2, 2, 4.9]},
+        {"offset_vector": [False, 1, 2, 2, 4]},
+    ],
+)
+def test_non_integer_header_is_a_usage_error(k2_file, tmp_path, capsys, header):
+    with open(k2_file, encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj.update(header)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "roundtrip", "dual", "contract"])
+def test_too_deeply_nested_code_file_is_a_usage_error(command, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    assert main([command, str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -105,11 +105,24 @@ def _mutated(k2_array, mutate):
         lambda o: o.update(offset_vector=None),
         lambda o: o.update(v1=1e400),
         lambda o: o["offset_vector"].__setitem__(0, 1e400),
+        lambda o: o.pop("v1"),
+        # Non-int numbers whose truncation to int would match the array.
+        lambda o: o.update(v1=2.5),
+        lambda o: o.update(v1="2"),
+        lambda o: o.update(v2=5.0),
+        lambda o: o["offset_vector"].__setitem__(4, 4.9),
+        lambda o: o["offset_vector"].__setitem__(0, False),
     ],
 )
 def test_validation_rejects_malformed_objects(k2_array, mutate):
     with pytest.raises(ValueError):
         from_obj(_mutated(k2_array, mutate))
+
+
+@pytest.mark.parametrize("text", ["[]", "{", "[" * 100_000], ids=["array", "truncated", "deep"])
+def test_from_json_rejects_non_objects_bad_text_and_deep_nesting(text):
+    with pytest.raises(ValueError):
+        from_json(text)
 
 
 def test_to_json_writes_the_indent_encoder_bytes():

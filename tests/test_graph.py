@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -22,6 +23,8 @@ def test_params_validation():
         CgrParams.from_v1(0)
     with pytest.raises(ValueError):
         CgrParams(2, 6)
+    with pytest.raises(ValueError):
+        CgrParams(4.0, 7.0)
     params = CgrParams.from_v1(4)
     assert (params.v1, params.v2) == (4, 7)
     assert params.num_vertices == 28
@@ -59,6 +62,7 @@ def test_graph_is_regular():
 
 def test_wheel_factorization_for_four_rings():
     factorization = pif_factorize(4)
+    assert [f.name for f in dataclasses.fields(factorization)] == ["factors"]
     assert factorization.order == 6
     assert factorization.factors == (
         ((NEG_INF, 0), (1, POS_INF), (2, 3)),

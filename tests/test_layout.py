@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from cgrcode import (
@@ -26,6 +28,15 @@ def test_cell_constructors():
     assert empty.is_empty and empty.vertices == ()
     with pytest.raises(ValueError):
         Cell.parity((3,))
+
+
+def test_value_types_hold_only_their_data():
+    assert [f.name for f in dataclasses.fields(Cell)] == ["vertices"]
+    kinds = [Cell(members).kind for members in [(), (3,), (3, 4), (1, 2, 3)]]
+    assert kinds == ["empty", "info", "parity", "parity"]
+    vector = OffsetVector((0, 1, 2, 2, 4))
+    assert isinstance(vector, tuple) and not hasattr(vector, "offsets")
+    assert vector == (0, 1, 2, 2, 4) and repr(vector) == "(0, 1, 2, 2, 4)"
 
 
 def test_unshifted_two_ring_layout():
@@ -60,6 +71,9 @@ def test_offset_vector_validation():
         OffsetVector((0, 1, 2)).validate_for(params)
     with pytest.raises(ValueError):
         OffsetVector((0, 1, 2, 2, 5)).validate_for(params)
+    for entry in (4.0, True):
+        with pytest.raises(ValueError):
+            OffsetVector((0, 1, 2, 2, entry)).validate_for(params)
     zeros = OffsetVector.zeros(params)
     assert tuple(zeros) == (0, 0, 0, 0, 0)
     assert len(zeros) == 5 and zeros[3] == 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 
 import pytest
@@ -143,6 +144,16 @@ def test_search_matches_a_reference_scan(spec):
 def test_negative_limits_are_rejected(limits):
     with pytest.raises(ValueError):
         search(SearchSpec(params=CgrParams.from_v1(2), **limits))
+
+
+def test_unknown_strategy_is_rejected_before_any_layout(monkeypatch):
+    def no_graph(params):
+        raise AssertionError("search built a graph for a spec it rejects")
+
+    # The package's search attribute is the function, so reach the module.
+    monkeypatch.setattr(importlib.import_module("cgrcode.search"), "build_cgr", no_graph)
+    with pytest.raises(ValueError, match="unknown strategy"):
+        search(SearchSpec(params=CgrParams.from_v1(60), strategy="bogus"))
 
 
 def test_budget_guard():
