@@ -48,20 +48,21 @@ def puncture(array: CodeArray) -> CodeArray:
 
 
 def contract(array: CodeArray, column_order=None) -> ContractedArray:
-    """Puncture, group survivors by parent column, and drop empty columns.
+    """Group the cells puncture keeps by parent column, in one pass; drop empty columns.
 
     Columns come out in ascending parent-column order unless column_order
     (a permutation of the nonempty parent column indices) rearranges them;
     cells within a column keep ascending parent-row order. Raises
-    ContractShapeError if the survivors do not form v1+1 columns of v1/2
-    cells.
+    ValueError on a dual array and ContractShapeError if the survivors do
+    not form v1+1 columns of v1/2 cells.
     """
+    if array.is_dual():
+        raise ValueError("contract expects a primal array")
     v1, v2 = array.params.v1, array.params.v2
-    punctured = puncture(array)
     groups: dict[int, list[Cell]] = {}
-    for row in punctured.rows:
+    for row in array.rows:
         for c, cell in enumerate(row):
-            if not cell.is_empty:
+            if _is_retained(cell, v2):
                 groups.setdefault(c, []).append(cell)
     nonempty = sorted(groups)
     if len(nonempty) != v1 + 1 or any(len(groups[c]) != v1 // 2 for c in nonempty):

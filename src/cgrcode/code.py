@@ -171,6 +171,13 @@ def decode(
     corrupted one can come back as wrong data with peeling_sufficed=True;
     forced elimination enters every surviving cell and raises ValueError
     when they disagree.
+
+    On a primal array (cells of one or two bits) peeling is complete: in
+    the graph of the surviving two-bit cells, flipping every variable of a
+    component that no surviving single-bit cell pins keeps every surviving
+    value, so the survivors have full rank exactly when every component is
+    pinned, and peeling resolves exactly the pinned ones. A stalled primal
+    peel is final; wider (dual) cells are what need elimination.
     """
     pattern.validate_for(array.params)
     v2 = array.params.v2

@@ -95,9 +95,9 @@ def build_cgr(params: CgrParams) -> CgrGraph:
 class Factorization:
     """One-factorization of K_{v1+2} over labels {NEG_INF, 0..v1-1, POS_INF}.
 
-    factors[p] lists the edges of factor p, center edge (NEG_INF, x) first.
-    In a perfect one-factorization the union of any two factors is a single
-    Hamiltonian cycle.
+    factors[p] lists the edges of factor p, center edge (NEG_INF, x) first:
+    a contract, which derive_offsets checks. In a perfect one-factorization
+    the union of any two factors is a single Hamiltonian cycle.
     """
 
     factors: tuple[tuple[Pair, ...], ...]
@@ -106,27 +106,6 @@ class Factorization:
     def order(self) -> int:
         """v1 + 2: K_{v1+2} has one factor fewer than it has vertices."""
         return len(self.factors) + 1
-
-    def center_of(self, index: int) -> Label:
-        """The label paired with NEG_INF in the given factor."""
-        for a, b in self.factors[index]:
-            if a == NEG_INF:
-                return b
-            if b == NEG_INF:
-                return a
-        raise ValueError(f"factor {index} has no center edge")
-
-    def factor_of_edge(self) -> dict[frozenset[Label], int]:
-        """Map from edge (as a label set) to its factor index."""
-        lookup: dict[frozenset[Label], int] = {}
-        for idx, factor in enumerate(self.factors):
-            for a, b in factor:
-                lookup[frozenset((a, b))] = idx
-        return lookup
-
-
-def _normalize(a: Label, b: Label) -> Pair:
-    return (a, b) if a < b else (b, a)
 
 
 def _translates(starter: tuple[tuple[int, int], ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -180,8 +159,7 @@ def pif_factorize(v1: int, placement: tuple[Label, ...] | None = None) -> Factor
     way they are relabelled through the placement; perfectness is checked by
     the tests, not at run time.
     """
-    if v1 < 2 or v1 % 2 != 0:
-        raise ValueError(f"v1 must be even and >= 2, got {v1}")
+    CgrParams.from_v1(v1)  # the one owner of the v1 rule
     n = v1 + 1
     if placement is None:
         placement = tuple(range(v1)) + (POS_INF,)
@@ -200,7 +178,7 @@ def pif_factorize(v1: int, placement: tuple[Label, ...] | None = None) -> Factor
         )
     factors = tuple(
         ((NEG_INF, placement[p]),)
-        + tuple(_normalize(placement[a], placement[b]) for a, b in factor[1:])
+        + tuple(tuple(sorted((placement[a], placement[b]))) for a, b in factor[1:])
         for p, factor in enumerate(positional)
     )
     return Factorization(factors)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .graph import POS_INF, CgrGraph, CgrParams, Factorization, build_cgr
+from .graph import NEG_INF, POS_INF, CgrGraph, CgrParams, Factorization, build_cgr
 
 INFO = "info"
 PARITY = "parity"
@@ -62,8 +62,8 @@ class Cell:
         return not self.vertices
 
     @property
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
+    def vertex_set(self) -> set[int]:
+        return set(self.vertices)
 
 
 class OffsetVector(tuple):
@@ -205,14 +205,19 @@ def build_code_array(params: CgrParams, offsets) -> CodeArray:
     return apply_offsets(map_unshifted(build_cgr(params)), offsets)
 
 
+def canonical_prefix(v1: int) -> tuple[int, ...]:
+    """The offsets of the vertex rows, 0..v1-1, then v1 for every ring-edge row."""
+    return tuple(range(v1)) + (v1,) * v1
+
+
 def derive_offsets(factorization: Factorization, pi=None) -> OffsetVector:
     """Assemble an offset vector from a perfect one-factorization.
 
-    Vertex rows take offsets 0..v1-1 and ring-edge rows all take v1. The
-    inter-ring row for ring pair (i, j) looks up the factor containing edge
-    (i, j): the POS_INF-centered factor's edges get offset v1+2, every other
-    factor's edges get pi(center label). pi must be a permutation of
-    0..v1-1 (default: identity); edges touching a sentinel are ignored.
+    The vertex and ring-edge rows take canonical_prefix(v1). Each factor
+    must start with its center edge (NEG_INF, c), else ValueError; the
+    inter-ring row for ring pair (i, j) takes pi(c), or v1+2 when c is
+    POS_INF, from the factor holding edge (i, j). pi must be a permutation
+    of 0..v1-1 (default: identity); edges touching a sentinel are ignored.
     """
     v1 = factorization.order - 2
     if pi is None:
@@ -220,11 +225,12 @@ def derive_offsets(factorization: Factorization, pi=None) -> OffsetVector:
     pi = tuple(pi)
     if sorted(pi) != list(range(v1)):
         raise ValueError(f"pi must be a permutation of 0..{v1 - 1}, got {pi}")
-    lookup = factorization.factor_of_edge()
-    entries = list(range(v1)) + [v1] * v1
-    for i in range(v1):
-        for j in range(i + 1, v1):
-            idx = lookup[frozenset((i, j))]
-            center = factorization.center_of(idx)
-            entries.append(v1 + 2 if center == POS_INF else pi[int(center)])
-    return OffsetVector(entries)
+    offset_of = dict(enumerate(pi)) | {POS_INF: v1 + 2}
+    offset = {}  # ring pair, both ways round -> offset
+    for p, ((neg, c), *edges) in enumerate(factorization.factors):
+        if neg != NEG_INF:
+            raise ValueError(f"factor {p} does not start with its center edge (NEG_INF, c)")
+        for a, b in edges:
+            offset[a, b] = offset[b, a] = offset_of[c]
+    inter = tuple(offset[i, j] for i in range(v1) for j in range(i + 1, v1))
+    return OffsetVector(canonical_prefix(v1) + inter)

@@ -9,7 +9,7 @@ from . import gf2
 from .code import MdsResult, verify_mds
 from .fixtures import BUILTIN_VECTORS
 from .graph import CgrParams, build_cgr
-from .layout import OffsetVector, build_code_array, map_unshifted
+from .layout import OffsetVector, build_code_array, canonical_prefix, map_unshifted
 from .rng import Lcg
 
 DEFAULT_BUDGET = 10**7
@@ -23,7 +23,7 @@ class BudgetExceededError(Exception):
 class SearchSpec:
     """What to search: code size, free entries, strategy, and limits.
 
-    fix_prefix holds the canonical prefix (0..v1-1, then v1 repeated) fixed
+    fix_prefix holds layout.canonical_prefix (0..v1-1, then v1 repeated) fixed
     and varies only the v1(v1-1)/2 inter-ring entries; otherwise the whole
     vector is free. strategy is "exhaustive" (every candidate of the free
     space, in lexicographic order, by a rank-pruned depth-first search) or
@@ -62,10 +62,6 @@ def params_for_offset_length(n: int) -> CgrParams:
     return CgrParams.from_v1(v1)
 
 
-def _canonical_prefix(params: CgrParams) -> tuple[int, ...]:
-    return tuple(range(params.v1)) + (params.v1,) * params.v1
-
-
 def search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> tuple[list[OffsetVector], SearchStats]:
     """Run the search; every returned vector passes verify_mds."""
     if spec.max_trials < 0:
@@ -76,7 +72,7 @@ def search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> tuple[list[OffsetV
         raise ValueError(f"unknown strategy {spec.strategy!r} (use 'exhaustive' or 'random')")
     params = spec.params
     v2 = params.v2
-    prefix = _canonical_prefix(params) if spec.fix_prefix else ()
+    prefix = canonical_prefix(params.v1) if spec.fix_prefix else ()
     nfree = params.num_rows - len(prefix)
     space = v2**nfree if spec.strategy == "exhaustive" else None
     if space is not None and space > budget:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from cgrcode import BUILTIN_VECTORS, CgrParams, CodeArray, build_code_array
+from cgrcode import BUILTIN_VECTORS, POS_INF, CgrParams, CodeArray, build_code_array
 from cgrcode.rng import Lcg
 from cgrcode.search import params_for_offset_length
 
@@ -32,3 +32,13 @@ def k4a_array() -> CodeArray:
 @pytest.fixture(scope="session")
 def k2_params() -> CgrParams:
     return CgrParams.from_v1(2)
+
+
+def placements_and_pis(v1: int):
+    """Three cycle placements times three pi for one size: the identity,
+    the reversal and a seeded shuffle of each."""
+    rng = Lcg(v1)
+    labels = list(range(v1)) + [POS_INF]
+    placements = [None, tuple(reversed(labels)), tuple(labels[i] for i in rng.permutation(v1 + 1))]
+    pis = [None, tuple(reversed(range(v1))), rng.permutation(v1)]
+    return [(placement, pi) for placement in placements for pi in pis]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from cgrcode import (
+    BUILTIN_VECTORS,
     Cell,
     CgrParams,
     ContractedArray,
@@ -18,7 +19,9 @@ from cgrcode import (
     puncture,
     verify_contracted_mds,
 )
-from cgrcode.cli import render_cell
+from cgrcode.cli import render_array_text, render_cell
+from cgrcode.rng import Lcg
+from conftest import builtin_array, placements_and_pis
 
 
 def test_puncture_two_ring_array(k2_array):
@@ -33,9 +36,75 @@ def test_puncture_two_ring_array(k2_array):
     assert survivors == {(0, 0): "0", (1, 4): "5", (4, 1): "0 ⊕ 5"}
 
 
+def test_punctured_grid_renders_blank_cells_as_dashes(k2_array):
+    assert render_array_text(puncture(k2_array)).splitlines() == [
+        "offset vector: 0,1,2,2,4",
+        "0\t-\t-\t-\t-",
+        "-\t-\t-\t-\t5",
+        "-\t-\t-\t-\t-",
+        "-\t-\t-\t-\t-",
+        "-\t0 ⊕ 5\t-\t-\t-",
+    ]
+
+
 def test_puncture_rejects_dual(k2_array):
     with pytest.raises(ValueError):
         puncture(dualize(k2_array))
+
+
+def test_contract_rejects_dual(k2_array):
+    with pytest.raises(ValueError, match="contract expects a primal array"):
+        contract(dualize(k2_array))
+
+
+def _reference_contract(array):
+    """Contraction as first written: puncture, then group the nonempty
+    cells of the punctured copy by column. Returns the columns and their
+    parent indices, or the ContractShapeError message."""
+    v1 = array.params.v1
+    groups = {}
+    for row in puncture(array).rows:
+        for c, cell in enumerate(row):
+            if not cell.is_empty:
+                groups.setdefault(c, []).append(cell)
+    shape = {c: len(groups[c]) for c in sorted(groups)}
+    if len(shape) != v1 + 1 or set(shape.values()) != {v1 // 2}:
+        return f"expected {v1 + 1} columns of {v1 // 2} cells, got {shape}"
+    return tuple(tuple(groups[c]) for c in sorted(groups)), tuple(sorted(groups))
+
+
+def _contract_outcome(array):
+    try:
+        contracted = contract(array)
+    except ContractShapeError as exc:
+        return str(exc)
+    return contracted.columns, contracted.source_column_index
+
+
+@pytest.mark.parametrize("v1", range(2, 25, 2))
+def test_contract_matches_the_puncture_then_group_reference(v1):
+    # Every derived vector, under each placement and pi, contracts; copies
+    # with one entry redrawn mostly do not, so shape errors are compared too.
+    params = CgrParams.from_v1(v1)
+    rng = Lcg(v1)
+    vectors = [
+        derive_offsets(pif_factorize(v1, placement), pi) for placement, pi in placements_and_pis(v1)
+    ]
+    for vector in vectors[:6]:
+        vector = list(vector)
+        vector[rng.randint(params.num_rows)] = rng.randint(params.v2)
+        vectors.append(vector)
+    for vector in vectors:
+        array = build_code_array(params, vector)
+        assert _contract_outcome(array) == _reference_contract(array)
+
+
+def test_contract_matches_the_reference_on_builtins_and_zero_offsets(k2_params):
+    arrays = [builtin_array(name) for name in BUILTIN_VECTORS]
+    arrays.append(build_code_array(k2_params, OffsetVector.zeros(k2_params)))
+    outcomes = [_contract_outcome(array) for array in arrays]
+    assert outcomes == [_reference_contract(array) for array in arrays]
+    assert isinstance(outcomes[-1], str)  # a shape error
 
 
 def test_contract_two_ring_array(k2_array):

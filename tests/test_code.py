@@ -336,6 +336,45 @@ def test_codec_matches_the_cell_by_cell_reference(v1):
     assert raised
 
 
+@pytest.mark.parametrize("v1", [2, 4, 6])
+def test_primal_peeling_is_complete(v1):
+    # decode's docstring argues that a stalled peel on a primal array is
+    # final. On the canonical array and four copies with entries redrawn,
+    # under every erasure subset, the non-forced decode peels exactly when
+    # the surviving masks have full rank, and raises UnrecoverableError with
+    # that rank otherwise.
+    params = CgrParams.from_v1(v1)
+    v2 = params.v2
+    rng = Lcg(300 + v1)
+    canonical = tuple(derive_offsets(pif_factorize(v1)))
+    vectors = [canonical]
+    for _ in range(4):
+        vector = list(canonical)
+        for _ in range(1 + rng.randint(3)):
+            vector[rng.randint(params.num_rows)] = rng.randint(v2)
+        vectors.append(vector)
+    outcomes = {True: 0, False: 0}
+    for vector in vectors:
+        array = build_code_array(params, vector)
+        nvars = len(array.positions)
+        payload = {v: rng.next_u64() for v in array.info_ids()}
+        codeword = encode(array, payload)
+        for k in range(v2 + 1):
+            for columns in itertools.combinations(range(v2), k):
+                pattern = ErasurePattern.of(columns)
+                surviving = [m for row in array.masks for c, m in enumerate(row) if c not in columns]
+                rank = gf2.rank(surviving)
+                try:
+                    report = decode(array, erase(codeword, pattern), pattern)
+                except UnrecoverableError as exc:
+                    assert rank < nvars and exc.rank == rank, (vector, columns)
+                else:
+                    assert rank == nvars and report.peeling_sufficed, (vector, columns)
+                    assert report.recovered == payload
+                outcomes[rank == nvars] += 1
+    assert outcomes[True] and outcomes[False]
+
+
 def test_unrecoverable_erasure_raises(k2_array):
     bits = random_bits(k2_array, 5)
     codeword = encode(k2_array, bits)

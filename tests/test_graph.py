@@ -71,15 +71,7 @@ def test_wheel_factorization_for_four_rings():
         ((NEG_INF, 3), (2, POS_INF), (0, 1)),
         ((NEG_INF, POS_INF), (0, 3), (1, 2)),
     )
-    assert [factorization.center_of(i) for i in range(5)] == [0, 1, 2, 3, POS_INF]
-
-
-def test_factor_of_edge_lookup():
-    factorization = pif_factorize(4)
-    lookup = factorization.factor_of_edge()
-    assert len(lookup) == 15  # all edges of K_6
-    assert lookup[frozenset((0, 1))] == 3
-    assert lookup[frozenset((NEG_INF, POS_INF))] == 4
+    assert [factor[0][1] for factor in factorization.factors] == [0, 1, 2, 3, POS_INF]
 
 
 def _unions_to_one_cycle(f1, f2, order: int) -> bool:
@@ -142,9 +134,12 @@ def test_factorization_respects_placement():
     placement = (2, 0, POS_INF, 1, 3)
     factorization = pif_factorize(4, placement)
     # Factor p holds the center edge for the label at cycle position p.
-    assert [factorization.center_of(i) for i in range(5)] == [2, 0, POS_INF, 1, 3]
-    _ = factorization.factor_of_edge()  # still a full edge cover
-    assert len(factorization.factor_of_edge()) == 15
+    assert [factor[0] for factor in factorization.factors] == [
+        (NEG_INF, 2), (NEG_INF, 0), (NEG_INF, POS_INF), (NEG_INF, 1), (NEG_INF, 3)
+    ]
+    # Still a cover of all 15 edges of K_6, each edge once.
+    edges = [frozenset(edge) for factor in factorization.factors for edge in factor]
+    assert len(edges) == len(set(edges)) == 15
 
 
 def test_placement_validation():
@@ -158,11 +153,19 @@ def test_placement_validation():
         pif_factorize(3)
 
 
+@pytest.mark.parametrize("v1", [4.0, 6.0])
+def test_a_float_size_is_a_value_error(v1):
+    # CgrParams owns the v1 rule: a float is rejected, not passed on to
+    # range() as a TypeError.
+    with pytest.raises(ValueError, match="must be ints"):
+        pif_factorize(v1)
+
+
 def test_searched_fallback_keeps_center_convention():
     # The order-10 wheel is not perfect, so this exercises the frozen table;
     # the factor-to-center convention must be preserved.
     factorization = pif_factorize(8)
-    assert [factorization.center_of(i) for i in range(9)] == list(range(8)) + [POS_INF]
+    assert [factor[0][1] for factor in factorization.factors] == list(range(8)) + [POS_INF]
 
 
 def test_searched_fallback_fails_fast_without_a_result():

@@ -7,8 +7,11 @@ import dataclasses
 import pytest
 
 from cgrcode import (
+    NEG_INF,
+    POS_INF,
     Cell,
     CgrParams,
+    Factorization,
     OffsetVector,
     apply_offsets,
     build_cgr,
@@ -17,13 +20,15 @@ from cgrcode import (
     map_unshifted,
     pif_factorize,
 )
+from cgrcode.layout import canonical_prefix
+from conftest import placements_and_pis
 
 
 def test_cell_constructors():
     info = Cell.info(7)
     assert info.is_info and info.vertices == (7,)
     parity = Cell.parity((4, 0))
-    assert parity.is_parity and parity.vertex_set == frozenset((0, 4))
+    assert parity.is_parity and parity.vertex_set == {0, 4}
     empty = Cell.empty()
     assert empty.is_empty and empty.vertices == ()
     with pytest.raises(ValueError):
@@ -91,7 +96,7 @@ def test_derive_offsets_prefix_and_two_ring_vector():
     vector = derive_offsets(pif_factorize(2))
     assert tuple(vector) == (0, 1, 2, 2, 4)
     vector4 = derive_offsets(pif_factorize(4))
-    assert tuple(vector4)[:8] == (0, 1, 2, 3, 4, 4, 4, 4)
+    assert tuple(vector4)[:8] == canonical_prefix(4) == (0, 1, 2, 3, 4, 4, 4, 4)
 
 
 def test_derive_offsets_known_assignments():
@@ -112,3 +117,49 @@ def test_derive_offsets_validates_pi():
         derive_offsets(factorization, (0, 1, 2, 2))
     with pytest.raises(ValueError):
         derive_offsets(factorization, (1, 2, 3, 4))
+
+
+def test_derive_offsets_needs_each_center_edge_first():
+    factors = list(pif_factorize(4).factors)
+    first, *rest = factors[1]
+    factors[1] = (*rest, first)
+    with pytest.raises(ValueError, match="factor 1 does not start with its center edge"):
+        derive_offsets(Factorization(tuple(factors)))
+
+
+def test_derive_offsets_reads_edges_either_way_round():
+    factorization = pif_factorize(6)
+    flipped = Factorization(
+        tuple((center, *((b, a) for a, b in edges)) for center, *edges in factorization.factors)
+    )
+    assert derive_offsets(flipped) == derive_offsets(factorization)
+
+
+def _reference_offsets(factorization, pi=None):
+    """Offset derivation as first written: a map from each edge, as a label
+    set, to its factor, then a scan of that factor for the label paired
+    with NEG_INF."""
+    v1 = factorization.order - 2
+    pi = tuple(range(v1)) if pi is None else tuple(pi)
+    factor_of = {
+        frozenset(edge): idx for idx, factor in enumerate(factorization.factors) for edge in factor
+    }
+
+    def center_of(idx):
+        for a, b in factorization.factors[idx]:
+            if NEG_INF in (a, b):
+                return b if a == NEG_INF else a
+
+    entries = list(range(v1)) + [v1] * v1
+    for i in range(v1):
+        for j in range(i + 1, v1):
+            center = center_of(factor_of[frozenset((i, j))])
+            entries.append(v1 + 2 if center == POS_INF else pi[int(center)])
+    return tuple(entries)
+
+
+@pytest.mark.parametrize("v1", range(2, 25, 2))
+def test_derive_offsets_matches_the_edge_lookup_reference(v1):
+    for placement, pi in placements_and_pis(v1):
+        factorization = pif_factorize(v1, placement)
+        assert tuple(derive_offsets(factorization, pi)) == _reference_offsets(factorization, pi)
