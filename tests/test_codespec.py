@@ -69,6 +69,9 @@ def test_dualize_is_an_involution_that_serializes(v1, data):
     dual = dualize(array)
     assert dual.is_dual()
     assert dualize(dual) == array
+    assert dualize(dualize(dual)) == dual
+    punctured = puncture(array)
+    assert dualize(dualize(punctured)) == punctured
     assert from_json(to_json(dual)) == dual
 
 

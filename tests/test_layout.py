@@ -17,6 +17,7 @@ from cgrcode import (
     build_cgr,
     build_code_array,
     derive_offsets,
+    dualize,
     map_unshifted,
     pif_factorize,
 )
@@ -54,6 +55,39 @@ def test_unshifted_two_ring_layout():
     assert [cell.vertices for cell in array.rows[4]] == [(0, 5), (1, 6), (2, 7), (3, 8), (4, 9)]
     assert array.info_ids() == list(range(10))
     assert not array.is_dual()
+
+
+@pytest.mark.parametrize("v1", range(2, 25, 2))
+def test_variable_ids_are_bit_positions(v1):
+    # Each cell's members are exactly its mask's bits, so a variable's id is
+    # its bit position: the vertex ids in the primal, and in the dual the
+    # edge indices in edge_list order, the edge at unshifted parity position
+    # (r, u) being number (r - v1) * v2 + u.
+    params = CgrParams.from_v1(v1)
+    v2 = params.v2
+    primal = build_code_array(params, derive_offsets(pif_factorize(v1)))
+    dual = dualize(primal)
+    edges = build_cgr(params).edge_list()
+    incident = {v: set() for v in range(params.num_vertices)}
+    for e, edge in enumerate(edges):
+        for v in edge:
+            incident[v].add(e)
+    assert primal.info_ids() == list(range(params.num_vertices))
+    assert dual.info_ids() == list(range(len(edges)))
+    for array in (primal, dual):
+        for cells, masks in zip(array.rows, array.masks):
+            assert [sum(1 << v for v in cell.vertices) for cell in cells] == list(masks)
+    for r, k in enumerate(primal.offsets):
+        for c in range(v2):
+            u = (c + k) % v2
+            primal_cell, dual_cell = primal.rows[r][c], dual.rows[r][c]
+            if r < v1:
+                assert primal_cell.vertices == (r * v2 + u,)
+                assert dual_cell.vertex_set == incident[r * v2 + u]
+            else:
+                e = (r - v1) * v2 + u
+                assert primal_cell.vertex_set == set(edges[e])
+                assert dual_cell.vertices == (e,)
 
 
 def test_apply_offsets_rotates_left():
