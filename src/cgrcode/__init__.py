@@ -1,7 +1,8 @@
 """XOR-based MDS array erasure codes built from complete graphs of rings.
 
-Pipeline: build_cgr lays out the graph, pif_factorize + derive_offsets
-produce an offset vector, build_code_array yields the shifted cell grid,
+Pipeline: build_cgr labels the graph, pif_factorize + derive_offsets
+produce an offset vector, build_code_array lays the graph out as a GF(2)
+mask grid with its rows rotated (CodeArray.rows shows the cells),
 encode/decode move bits through it, and verify_mds / verify_dual_mds /
 verify_contracted_mds check every legal erasure pattern (a built array's
 survivor pairs one per ring-rotation orbit, since rotation preserves rank).

@@ -31,24 +31,17 @@ class ContractedArray:
         return sorted(ids)
 
 
-def _is_retained(cell: Cell, v2: int) -> bool:
-    return not cell.is_empty and all(v % v2 == 0 for v in cell.vertices)
-
-
 def puncture(array: CodeArray) -> CodeArray:
     """Blank every cell not supported on the first-vertex set {j*v2}."""
     if array.is_dual():
         raise ValueError("puncture expects a primal array")
-    v2 = array.params.v2
-    rows = tuple(
-        tuple(cell if _is_retained(cell, v2) else Cell.empty() for cell in row)
-        for row in array.rows
-    )
-    return CodeArray(array.params, rows, array.offsets)
+    outside = ~sum(1 << (j * array.params.v2) for j in range(array.params.v1))
+    masks = tuple(tuple(0 if m & outside else m for m in row) for row in array.masks)
+    return CodeArray(array.params, array.offsets, masks)
 
 
 def contract(array: CodeArray, column_order=None) -> ContractedArray:
-    """Group the cells puncture keeps by parent column, in one pass; drop empty columns.
+    """Group the cells puncture keeps by parent column; drop empty columns.
 
     Columns come out in ascending parent-column order unless column_order
     (a permutation of the nonempty parent column indices) rearranges them;
@@ -59,11 +52,11 @@ def contract(array: CodeArray, column_order=None) -> ContractedArray:
     if array.is_dual():
         raise ValueError("contract expects a primal array")
     v1, v2 = array.params.v1, array.params.v2
-    groups: dict[int, list[Cell]] = {}
-    for row in array.rows:
-        for c, cell in enumerate(row):
-            if _is_retained(cell, v2):
-                groups.setdefault(c, []).append(cell)
+    groups: dict[int, list[int]] = {}
+    for row in puncture(array).masks:
+        for c, m in enumerate(row):
+            if m:
+                groups.setdefault(c, []).append(m)
     nonempty = sorted(groups)
     if len(nonempty) != v1 + 1 or any(len(groups[c]) != v1 // 2 for c in nonempty):
         shape = {c: len(groups[c]) for c in nonempty}
@@ -80,7 +73,7 @@ def contract(array: CodeArray, column_order=None) -> ContractedArray:
             )
     return ContractedArray(
         array.params,
-        tuple(tuple(groups[c]) for c in order),
+        tuple(tuple(Cell.from_mask(m, v2) for m in groups[c]) for c in order),
         tuple(order),
     )
 

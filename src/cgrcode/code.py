@@ -1,8 +1,8 @@
 """Encoding, erasure decoding, MDS verification, duals, and complexity.
 
-Encoding, decoding and verification read only the array's compiled GF(2)
-mask grid (CodeArray.masks over CodeArray.positions). Cell values are XORs
-of info values, which may be ints of any width: each bit plane is coded
+Encoding, decoding and verification read only the array's GF(2) mask grid
+(CodeArray.masks, whose bit positions are the variable ids). Cell values are
+XORs of info values, which may be ints of any width: each bit plane is coded
 independently. The codec replays the grid's plan (CodeArray.plan), compiled
 once per array: its single-bit, two-bit and wider cells, each kind in
 row-major order, and each column's rebuild XOR count. Encoding fills the
@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import gf2
-from .graph import CgrParams, build_cgr
-from .layout import Cell, CodeArray
+from .graph import CgrParams
+from .layout import CodeArray, map_unshifted, rotate_rows
 
 
 class UnrecoverableError(Exception):
@@ -59,6 +59,8 @@ class ErasurePattern:
 
     def validate_for(self, params: CgrParams) -> None:
         for c in self.erased_columns:
+            if type(c) is not int:  # rejects bools too
+                raise ValueError(f"erased column {c!r} is not an int")
             if not 0 <= c < params.v2:
                 raise ValueError(f"erased column {c} out of range [0, {params.v2 - 1}]")
 
@@ -117,17 +119,19 @@ def encode(array: CodeArray, info_bits: dict[int, int]) -> Codeword:
     """Fill every cell with the XOR of the info values its mask selects,
     replaying the array's codec plan: a single-bit cell takes its value as
     is (never 0 ^ value, which would copy a wide value), a two-bit cell
-    takes one XOR, and a wider cell one XOR per further member."""
-    required = array.positions.keys()
-    given = set(info_bits)
+    takes one XOR, and a wider cell one XOR per further member. Values are
+    indexed by id, the bit position the plan holds."""
+    ids = array.info_ids()
+    required = set(ids)
+    given = info_bits.keys()
     if given != required:
         missing = sorted(required - given)[:5]
         extra = sorted(given - required)[:5]
         raise ValueError(f"info_bits mismatch: missing {missing}, extra {extra}")
-    values = [info_bits[v] for v in required]
-    if not all(map(isinstance, values, itertools.repeat(int))):
-        bad = next(v for v, x in zip(required, values) if not isinstance(x, int))
+    if not all(map(isinstance, info_bits.values(), itertools.repeat(int))):
+        bad = next(v for v in ids if not isinstance(info_bits[v], int))
         raise ValueError(f"info value for id {bad} is {type(info_bits[bad]).__name__}, not int")
+    values = list(map(info_bits.get, range(ids[-1] + 1)))  # None at a punctured array's gaps
     plan = array.plan
     grid = [[0] * array.params.v2 for _ in range(array.num_rows)]
     for r, c, p in plan.units:
@@ -183,11 +187,12 @@ def decode(
     v2 = array.params.v2
     if len(values) != array.num_rows or any(len(row) != v2 for row in values):
         raise ValueError(f"decode expects a grid of {array.num_rows} rows of {v2} cells")
-    nvars = len(array.positions)
+    ids = array.info_ids()
+    nvars = len(ids)
     erased = pattern.erased_columns
     plan = array.plan
 
-    # known maps bit position -> value. Surviving single-bit cells seed it;
+    # known maps id (bit position) -> value. Surviving single-bit cells seed it;
     # surviving two-bit cells are peeled, in row-major order, until none has
     # exactly one unknown left. Forced elimination skips all of it.
     xor_count = 0
@@ -230,7 +235,7 @@ def decode(
     # Rebuilding each erased cell from recovered values costs popcount-1 XORs.
     xor_count += sum(plan.rebuild[c] for c in erased)
 
-    recovered = {v: known[p] for v, p in array.positions.items()}
+    recovered = {v: known[v] for v in ids}
     return DecodeReport(recovered, peeling_sufficed, xor_count, elimination_ops)
 
 
@@ -303,7 +308,7 @@ def verify_mds(array: CodeArray) -> MdsResult:
     """
     if array.is_dual():
         raise ValueError("verify_mds expects a primal array; use verify_dual_mds")
-    return sweep_pairs(array.masks, len(array.positions))
+    return sweep_pairs(array.masks, len(array.info_ids()))
 
 
 def verify_dual_mds(array: CodeArray) -> MdsResult:
@@ -333,33 +338,29 @@ def dual_verdict(primal: MdsResult, v2: int) -> MdsResult:
 def dualize(array: CodeArray) -> CodeArray:
     """Swap vertex and edge roles on the same grid.
 
-    Primal -> dual: each parity cell over edge e becomes the info cell of
-    e's variable; each info cell of vertex v becomes a parity over the v1+1
-    edge variables incident to v, ascending. Edge variables are numbered in
-    the order of CgrGraph.edge_list, which is row-major order of the
-    unshifted parity rows. Dual -> primal is the reverse map. Applying
-    dualize twice restores the original array exactly.
-
-    A cell's member tuple is looked up as it stands, so a parity cell must
-    list its members as the canonical array does; a hand-built cell with
-    another member order raises KeyError. Arrays built by the library or
-    read by codespec always do.
+    Each nonempty cell becomes the other code's cell at its unshifted
+    position: the result is the other code's unshifted grid rotated by the
+    array's offsets, with the array's empty cells kept empty. Edge variable
+    (r - v1)*v2 + c, its index in CgrGraph.edge_list, sits at unshifted
+    parity position (r, c), and a dual vertex cell is the OR of the bits of
+    its v1 + 1 incident edges. Applying dualize twice restores the array.
     """
-    edges = build_cgr(array.params).edge_list()
-    incident: dict[int, list[int]] = {v: [] for v in range(array.params.num_vertices)}
-    for i, (u, v) in enumerate(edges):
-        incident[u].append(i)
-        incident[v].append(i)
-    if array.is_dual():
-        swap = {tuple(ids): Cell.info(v) for v, ids in incident.items()}
-        swap.update({(i,): Cell.parity(e) for i, e in enumerate(edges)})
-    else:
-        swap = {(v,): Cell.parity(tuple(ids)) for v, ids in incident.items()}
-        swap.update({e: Cell.info(i) for i, e in enumerate(edges)})
-    rows = tuple(
-        tuple(swap[cell.vertices] if cell.vertices else cell for cell in row) for row in array.rows
+    params = array.params
+    v1, v2 = params.v1, params.v2
+    other = map_unshifted(params).masks
+    if not array.is_dual():
+        edges = list(itertools.chain.from_iterable(other[v1:]))
+        incident = [0] * params.num_vertices
+        for e, m in enumerate(edges):
+            incident[m.bit_length() - 1] |= 1 << e
+            incident[(m & -m).bit_length() - 1] |= 1 << e
+        other = [incident[k:k + v2] for k in range(0, len(incident), v2)]
+        other += [[1 << e for e in range(k, k + v2)] for k in range(0, len(edges), v2)]
+    masks = tuple(
+        tuple(n if m else 0 for m, n in zip(row, new))
+        for row, new in zip(array.masks, rotate_rows(other, array.offsets))
     )
-    return CodeArray(array.params, rows, array.offsets)
+    return CodeArray(params, array.offsets, masks)
 
 
 def update_complexity(params: CgrParams) -> Fraction:

@@ -1,18 +1,19 @@
-"""Array layout: mapping a CGR graph into a grid and applying offsets.
+"""Array layout: the code array as a GF(2) mask grid, and its row rotation.
 
-The unshifted array stacks vertex rows, ring-edge rows, and inter-ring edge
-rows; the offset vector then rotates each row left by its entry. In a primal
-array, info cells carry vertex ids and parity cells carry edges (2 vertex
-ids); a dual array reuses the same grid with edge-variable ids instead.
+A cell is an int mask over the variables it XORs (0 when empty), so a
+variable's id is its bit position. The unshifted grid stacks the vertex,
+ring-edge and inter-ring edge rows of the CGR graph; the offset vector
+rotates each row left by its entry. CodeArray.rows shows the grid as Cells.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .graph import NEG_INF, POS_INF, CgrGraph, CgrParams, Factorization, build_cgr
+from .graph import NEG_INF, POS_INF, CgrParams, Factorization
 
 INFO = "info"
 PARITY = "parity"
@@ -24,8 +25,8 @@ class Cell:
     """One grid entry: an info bit, a parity over several bits, or empty.
 
     The kind follows from the member count: none is empty, one is an info
-    bit, two or more a parity. Members are kept in construction order (ring
-    wrap-around edges stay as (largest, smallest)); use vertex_set for
+    bit, two or more a parity. Members are kept in construction order (see
+    from_mask for the order a code array shows); use vertex_set for
     order-free comparisons.
     """
 
@@ -44,6 +45,20 @@ class Cell:
     @classmethod
     def empty(cls) -> Cell:
         return cls(())
+
+    @classmethod
+    def from_mask(cls, mask: int, v2: int) -> Cell:
+        """The cell of a mask: its bits ascending, except a ring's wrap-around
+        edge (two bits v2 - 1 apart), which lists as (largest, smallest), the
+        order build_cgr gives it."""
+        members = []
+        while mask:
+            low = mask & -mask
+            members.append(low.bit_length() - 1)
+            mask ^= low
+        if len(members) == 2 and members[1] - members[0] == v2 - 1:
+            members.reverse()
+        return cls(tuple(members))
 
     @property
     def kind(self) -> str:
@@ -88,9 +103,9 @@ class OffsetVector(tuple):
 class CodecPlan(NamedTuple):  # not a frozen dataclass, whose creation adds 0.5 ms to import
     """An array's nonempty cells sorted by width, each list in row-major order.
 
-    units holds (row, col, pos) for single-bit cells, pairs (row, col, p, q)
-    for two-bit cells with p < q, and wides (row, col, positions) for wider
-    cells (dual parities), positions ascending. rebuild[c] is the number of
+    units holds (row, col, id) for single-bit cells, pairs (row, col, p, q)
+    for two-bit cells with ids p < q, and wides (row, col, ids) for wider
+    cells (dual parities), ids ascending. rebuild[c] is the number of
     XORs that rebuild column c from the variables: the sum of popcount - 1
     over its cells.
     """
@@ -111,15 +126,20 @@ def cell_mask(cell: Cell, positions: dict[int, int]) -> int:
 
 @dataclass(frozen=True)
 class CodeArray:
-    """The code definition: a grid of cells plus the offsets that shaped it."""
+    """The code definition: a GF(2) mask grid plus the offsets that shaped it.
+
+    Bit i of masks[r][c] is set when variable i is in cell (r, c). Ids are
+    the vertex ids in a primal array, the edge indices in CgrGraph.edge_list
+    order in a dual, and 0, v2, 2*v2, ... in a punctured one.
+    """
 
     params: CgrParams
-    rows: tuple[tuple[Cell, ...], ...]
     offsets: OffsetVector
+    masks: tuple[tuple[int, ...], ...]
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return len(self.masks)
 
     @property
     def num_columns(self) -> int:
@@ -129,16 +149,10 @@ class CodeArray:
         return [row[c] for row in self.rows]
 
     @cached_property
-    def positions(self) -> dict[int, int]:
-        """Variable id -> bit position, in ascending id order (shared: do not mutate)."""
-        ids = sorted({cell.vertices[0] for row in self.rows for cell in row if cell.is_info})
-        return {v: i for i, v in enumerate(ids)}
-
-    @cached_property
-    def masks(self) -> tuple[tuple[int, ...], ...]:
-        """The grid as GF(2) bitmasks over positions, 0 for an empty cell."""
-        pos = self.positions
-        return tuple(tuple(cell_mask(cell, pos) for cell in row) for row in self.rows)
+    def rows(self) -> tuple[tuple[Cell, ...], ...]:
+        """The grid as Cells (see Cell.from_mask), built once from masks."""
+        v2 = self.params.v2
+        return tuple(tuple(Cell.from_mask(m, v2) for m in row) for row in self.masks)
 
     @cached_property
     def plan(self) -> CodecPlan:
@@ -162,31 +176,35 @@ class CodeArray:
 
     def info_ids(self) -> list[int]:
         """All variable ids carried by info cells, ascending."""
-        return list(self.positions)
-
-    def is_dual(self) -> bool:
-        """True when parity cells are wider than 2 (vertex/edge roles swapped)."""
-        return self._dual
+        return list(self._ids)
 
     @cached_property
-    def _dual(self) -> bool:
-        return any(len(cell.vertices) > 2 for row in self.rows for cell in row)
+    def _ids(self) -> tuple[int, ...]:
+        singles = (m for row in self.masks for m in row if m and not m & (m - 1))
+        return tuple(sorted(m.bit_length() - 1 for m in singles))
+
+    def is_dual(self) -> bool:
+        """True when parity cells are wider than 2 (vertex/edge roles swapped),
+        read off vertex row 0, where a dual holds its (v1+1)-bit parities."""
+        return any(m.bit_count() > 2 for m in self.masks[0])
 
 
-def map_unshifted(graph: CgrGraph) -> CodeArray:
-    """Lay the graph out with zero shifts: the V_j rows, then the edge list
-    cut into rows of v2 (each ring and each ring pair has exactly v2 edges),
-    so the parity rows are the E_j rows, then the inter-ring rows
-    lexicographically."""
-    v2 = graph.params.v2
-    edges = graph.edge_list()
-    rows = [tuple(Cell.info(v) for v in verts) for verts in graph.vertex_sets]
-    rows += [tuple(Cell.parity(e) for e in edges[k:k + v2]) for k in range(0, len(edges), v2)]
-    return CodeArray(graph.params, tuple(rows), OffsetVector.zeros(graph.params))
+def map_unshifted(params: CgrParams) -> CodeArray:
+    """Lay CGR(K_v1, C_v2) out with zero shifts, labelled as build_cgr labels
+    it: the V_j rows, then the edge list cut into rows of v2 (each ring and
+    each ring pair has exactly v2 edges), so the parity rows are the E_j
+    rows, then the inter-ring rows lexicographically. Ring j's vertex k is
+    bit j*v2 + k, so each row is its first cell's mask shifted along."""
+    v1, v2 = params.v1, params.v2
+    first = [1 << (j * v2) for j in range(v1)]  # vertex 0 of each ring
+    rows = [[f << k for k in range(v2)] for f in first]
+    rows += [[f << k | f << (k + 1) % v2 for k in range(v2)] for f in first]
+    rows += [[(f | g) << k for k in range(v2)] for f, g in itertools.combinations(first, 2)]
+    return CodeArray(params, OffsetVector.zeros(params), tuple(map(tuple, rows)))
 
 
 def rotate_rows(rows, offsets) -> tuple:
-    """Rotate row r left by offsets[r], whatever the rows hold (cells or masks)."""
+    """Rotate row r left by offsets[r], whatever the rows hold (masks or cells)."""
     return tuple(row[k:] + row[:k] for row, k in zip(rows, offsets))
 
 
@@ -195,14 +213,13 @@ def apply_offsets(array: CodeArray, offsets) -> CodeArray:
     off = OffsetVector(offsets)
     off.validate_for(array.params)
     v2 = array.params.v2
-    rows = rotate_rows(array.rows, off)
     combined = OffsetVector((a + b) % v2 for a, b in zip(array.offsets, off))
-    return CodeArray(array.params, rows, combined)
+    return CodeArray(array.params, combined, rotate_rows(array.masks, off))
 
 
 def build_code_array(params: CgrParams, offsets) -> CodeArray:
-    """Full pipeline: build the graph, lay it out, apply the offset vector."""
-    return apply_offsets(map_unshifted(build_cgr(params)), offsets)
+    """Full pipeline: lay the graph out, then apply the offset vector."""
+    return apply_offsets(map_unshifted(params), offsets)
 
 
 def canonical_prefix(v1: int) -> tuple[int, ...]:
@@ -216,8 +233,9 @@ def derive_offsets(factorization: Factorization, pi=None) -> OffsetVector:
     The vertex and ring-edge rows take canonical_prefix(v1). Each factor
     must start with its center edge (NEG_INF, c), else ValueError; the
     inter-ring row for ring pair (i, j) takes pi(c), or v1+2 when c is
-    POS_INF, from the factor holding edge (i, j). pi must be a permutation
-    of 0..v1-1 (default: identity); edges touching a sentinel are ignored.
+    POS_INF, from the factor holding edge (i, j); a ring pair no factor
+    holds raises ValueError. pi must be a permutation of 0..v1-1 (default:
+    identity); edges touching a sentinel are ignored.
     """
     v1 = factorization.order - 2
     if pi is None:
@@ -232,5 +250,8 @@ def derive_offsets(factorization: Factorization, pi=None) -> OffsetVector:
             raise ValueError(f"factor {p} does not start with its center edge (NEG_INF, c)")
         for a, b in edges:
             offset[a, b] = offset[b, a] = offset_of[c]
-    inter = tuple(offset[i, j] for i in range(v1) for j in range(i + 1, v1))
+    try:
+        inter = tuple(offset[i, j] for i in range(v1) for j in range(i + 1, v1))
+    except KeyError as exc:
+        raise ValueError(f"no factor holds ring pair {exc.args[0]}") from None
     return OffsetVector(canonical_prefix(v1) + inter)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from . import gf2
 from .code import MdsResult, verify_mds
 from .fixtures import BUILTIN_VECTORS
-from .graph import CgrParams, build_cgr
+from .graph import CgrParams
 from .layout import OffsetVector, build_code_array, canonical_prefix, map_unshifted
 from .rng import Lcg
 
@@ -91,7 +91,7 @@ def search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> tuple[list[OffsetV
     # row is kept twice over, so column c of a row rotated left by k is
     # doubled_row[c + k]. The prefix rows are placed once, here, for both
     # strategies.
-    doubled = [row + row for row in map_unshifted(build_cgr(params)).masks]
+    doubled = [row + row for row in map_unshifted(params).masks]
     distances = range(1, v2 // 2 + 1)
     bases = [{} for _ in distances]
     for row, k in zip(doubled, prefix):

@@ -52,6 +52,16 @@ def test_erasure_pattern_helpers(k2_params):
         ErasurePattern.of([7]).validate_for(k2_params)
 
 
+@pytest.mark.parametrize("column", [1.5, "1", True])
+def test_erase_and_decode_reject_a_column_that_is_not_an_int(k2_array, column):
+    codeword = encode(k2_array, random_bits(k2_array, 3))
+    pattern = ErasurePattern.of([0, column])
+    with pytest.raises(ValueError, match="is not an int"):
+        erase(codeword, pattern)
+    with pytest.raises(ValueError, match="is not an int"):
+        decode(k2_array, codeword.cell_values, pattern)
+
+
 def test_encode_validates_info_keys(k2_array):
     with pytest.raises(ValueError):
         encode(k2_array, {0: 1})
@@ -221,9 +231,8 @@ def _reference_xor_of(values, mask):
 
 
 def _reference_encode(array, info_bits):
-    values = [info_bits[v] for v in array.positions]
     return Codeword(
-        array, tuple(tuple(_reference_xor_of(values, m) for m in row) for row in array.masks)
+        array, tuple(tuple(_reference_xor_of(info_bits, m) for m in row) for row in array.masks)
     )
 
 
@@ -237,7 +246,7 @@ def _reference_erase(codeword, pattern):
 def _reference_decode(array, values, pattern, force_elimination=False):
     """Decode read off the mask grid cell by cell: every surviving cell
     becomes one (mask, value) equation in row-major order."""
-    nvars = len(array.positions)
+    nvars = len(array.info_ids())
     surviving = pattern.survivors(array.params.v2)
     equations = [
         (mask, values[r][c])
@@ -278,7 +287,7 @@ def _reference_decode(array, values, pattern, force_elimination=False):
     xor_count += sum(
         m.bit_count() - 1 for row in array.masks for c in pattern.erased_columns if (m := row[c])
     )
-    recovered = {v: known[p] for v, p in array.positions.items()}
+    recovered = {v: known[v] for v in array.info_ids()}
     return DecodeReport(recovered, peeling_sufficed, xor_count, elimination_ops)
 
 
@@ -356,7 +365,7 @@ def test_primal_peeling_is_complete(v1):
     outcomes = {True: 0, False: 0}
     for vector in vectors:
         array = build_code_array(params, vector)
-        nvars = len(array.positions)
+        nvars = len(array.info_ids())
         payload = {v: rng.next_u64() for v in array.info_ids()}
         codeword = encode(array, payload)
         for k in range(v2 + 1):
@@ -469,8 +478,8 @@ def test_sweeps_match_a_full_rank_reference(v1):
         array = build_code_array(params, vector)
         dual = dualize(array)
         for result, grid, nvars, survivor_sets in (
-            (verify_mds(array), array.masks, len(array.positions), pairs),
-            (verify_dual_mds(array), dual.masks, len(dual.positions), complements),
+            (verify_mds(array), array.masks, len(array.info_ids()), pairs),
+            (verify_dual_mds(array), dual.masks, len(dual.info_ids()), complements),
         ):
             witness = result.witness and set(result.witness.erased_columns)
             expected = _reference_sweep(list(zip(*grid)), nvars, survivor_sets)
@@ -527,7 +536,7 @@ def test_sweep_pairs_matches_the_residual_rank_sweep(v1):
         for _ in range(trial % 4):
             vector[rng.randint(params.num_rows)] = rng.randint(v2)
         grid = rotate_rows(unshifted.masks, vector)
-        kinds["primal"].append((grid, len(unshifted.positions)))
+        kinds["primal"].append((grid, len(unshifted.info_ids())))
         try:
             contracted = contract(build_code_array(params, vector))
         except ContractShapeError:
@@ -568,7 +577,7 @@ def test_dual_is_the_orthogonal_complement_of_the_primal(v1):
             if p or d
         ]
         # meets[u] bit e: parity of the cells holding both vertex u and edge e.
-        meets = [0] * len(array.positions)
+        meets = [0] * len(array.info_ids())
         for p, d in cells:
             for u in range(len(meets)):
                 if p >> u & 1:

@@ -46,7 +46,7 @@ def test_value_types_hold_only_their_data():
 
 
 def test_unshifted_two_ring_layout():
-    array = map_unshifted(build_cgr(CgrParams.from_v1(2)))
+    array = map_unshifted(CgrParams.from_v1(2))
     assert array.num_rows == 5
     assert array.num_columns == 5
     assert [cell.vertices[0] for cell in array.rows[0]] == [0, 1, 2, 3, 4]
@@ -91,14 +91,14 @@ def test_variable_ids_are_bit_positions(v1):
 
 
 def test_apply_offsets_rotates_left():
-    base = map_unshifted(build_cgr(CgrParams.from_v1(2)))
+    base = map_unshifted(CgrParams.from_v1(2))
     shifted = apply_offsets(base, (0, 1, 0, 0, 0))
     assert [cell.vertices[0] for cell in shifted.rows[1]] == [6, 7, 8, 9, 5]
     assert tuple(shifted.offsets) == (0, 1, 0, 0, 0)
 
 
 def test_apply_offsets_composes_additively():
-    base = map_unshifted(build_cgr(CgrParams.from_v1(2)))
+    base = map_unshifted(CgrParams.from_v1(2))
     once = apply_offsets(apply_offsets(base, (0, 1, 2, 2, 4)), (1, 1, 1, 1, 1))
     combined = apply_offsets(base, (1, 2, 3, 3, 0))
     assert once == combined
@@ -158,6 +158,13 @@ def test_derive_offsets_needs_each_center_edge_first():
     first, *rest = factors[1]
     factors[1] = (*rest, first)
     with pytest.raises(ValueError, match="factor 1 does not start with its center edge"):
+        derive_offsets(Factorization(tuple(factors)))
+
+
+def test_derive_offsets_names_a_ring_pair_no_factor_holds():
+    factors = list(pif_factorize(4).factors)
+    factors[0] = factors[0][:-1]  # drops the edge (2, 3)
+    with pytest.raises(ValueError, match=r"no factor holds ring pair \(2, 3\)"):
         derive_offsets(Factorization(tuple(factors)))
 
 

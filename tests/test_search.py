@@ -147,11 +147,11 @@ def test_negative_limits_are_rejected(limits):
 
 
 def test_unknown_strategy_is_rejected_before_any_layout(monkeypatch):
-    def no_graph(params):
-        raise AssertionError("search built a graph for a spec it rejects")
+    def no_layout(params):
+        raise AssertionError("search laid out a grid for a spec it rejects")
 
     # The package's search attribute is the function, so reach the module.
-    monkeypatch.setattr(importlib.import_module("cgrcode.search"), "build_cgr", no_graph)
+    monkeypatch.setattr(importlib.import_module("cgrcode.search"), "map_unshifted", no_layout)
     with pytest.raises(ValueError, match="unknown strategy"):
         search(SearchSpec(params=CgrParams.from_v1(60), strategy="bogus"))
 

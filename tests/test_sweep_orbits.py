@@ -23,7 +23,6 @@ from cgrcode import (
 )
 from cgrcode.cli import main
 from cgrcode.code import _rotates, sweep_pairs
-from cgrcode.graph import build_cgr
 from cgrcode.layout import cell_mask, map_unshifted, rotate_rows
 from cgrcode.rng import Lcg
 from cgrcode.search import _place
@@ -44,7 +43,7 @@ def test_built_and_dual_grids_rotate_with_the_rings(v1, data):
     vector = data.draw(st.lists(st.integers(0, params.v2 - 1), min_size=n, max_size=n))
     array = build_code_array(params, vector)
     for grid in (array, dualize(array)):
-        assert _rotates(grid.masks, params.v2, len(grid.positions))
+        assert _rotates(grid.masks, params.v2, len(grid.info_ids()))
 
 
 def test_pairs_swept_counts_the_pairs_reduced():
@@ -85,8 +84,8 @@ def test_grids_without_the_symmetry_are_swept_in_full(v1):
     params = CgrParams.from_v1(v1)
     v2 = params.v2
     rng = Lcg(300 + v1)
-    unshifted = map_unshifted(build_cgr(params))
-    nvars = len(unshifted.positions)
+    unshifted = map_unshifted(params)
+    nvars = len(unshifted.info_ids())
     canonical = tuple(derive_offsets(pif_factorize(v1)))
     pairs = list(itertools.combinations(range(v2), 2))
     verdicts = set()
@@ -118,7 +117,7 @@ def test_a_ragged_grid_is_swept_as_zip_reads_it():
     # zip, over the first three columns only, as before.
     array = _canonical(2)
     grid = [*array.masks, (0, 0, 0)]
-    nvars = len(array.positions)
+    nvars = len(array.info_ids())
     assert not _rotates(grid, 5, nvars)
     result = sweep_pairs(grid, nvars)
     pairs = list(itertools.combinations(range(3), 2))
@@ -131,7 +130,7 @@ def test_search_places_every_row_exactly_when_the_array_is_mds(v1):
     # Seeded draws, nearly all of them failing past v1 = 2, and the
     # built-in vectors of this size, all of them MDS.
     params = CgrParams.from_v1(v1)
-    doubled = [row + row for row in map_unshifted(build_cgr(params)).masks]
+    doubled = [row + row for row in map_unshifted(params).masks]
     distances = range(1, params.v2 // 2 + 1)
     rng = Lcg(500 + v1)
     vectors = [tuple(rng.randint(params.v2) for _ in range(params.num_rows)) for _ in range(10)]
