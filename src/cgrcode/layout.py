@@ -51,11 +51,7 @@ class Cell:
         """The cell of a mask: its bits ascending, except a ring's wrap-around
         edge (two bits v2 - 1 apart), which lists as (largest, smallest), the
         order build_cgr gives it."""
-        members = []
-        while mask:
-            low = mask & -mask
-            members.append(low.bit_length() - 1)
-            mask ^= low
+        members = bits_of(mask)
         if len(members) == 2 and members[1] - members[0] == v2 - 1:
             members.reverse()
         return cls(tuple(members))
@@ -116,6 +112,16 @@ class CodecPlan(NamedTuple):  # not a frozen dataclass, whose creation adds 0.5 
     rebuild: tuple[int, ...]
 
 
+def bits_of(mask: int) -> list[int]:
+    """The set bits of mask, ascending, one step per set bit."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
+
+
 def cell_mask(cell: Cell, positions: dict[int, int]) -> int:
     """The cell as a GF(2) row: one bit per member variable, 0 when empty."""
     mask = 0
@@ -167,8 +173,7 @@ class CodeArray:
                         units.append((r, c, m.bit_length() - 1))
                     continue
                 if rest & (rest - 1):
-                    bits = [i for i in range(m.bit_length()) if m >> i & 1]
-                    wides.append((r, c, tuple(bits)))
+                    wides.append((r, c, tuple(bits_of(m))))
                 else:
                     pairs.append((r, c, (m ^ rest).bit_length() - 1, rest.bit_length() - 1))
                 rebuild[c] += m.bit_count() - 1
