@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from . import gf2
 from .graph import CgrParams
-from .layout import CodeArray, map_unshifted, rotate_rows
+from .layout import CodeArray, bits_of, map_unshifted, rotate_rows
 
 
 class UnrecoverableError(Exception):
@@ -352,8 +352,8 @@ def dualize(array: CodeArray) -> CodeArray:
         edges = list(itertools.chain.from_iterable(other[v1:]))
         incident = [0] * params.num_vertices
         for e, m in enumerate(edges):
-            incident[m.bit_length() - 1] |= 1 << e
-            incident[(m & -m).bit_length() - 1] |= 1 << e
+            for v in bits_of(m):
+                incident[v] |= 1 << e
         other = [incident[k:k + v2] for k in range(0, len(incident), v2)]
         other += [[1 << e for e in range(k, k + v2)] for k in range(0, len(edges), v2)]
     masks = tuple(
