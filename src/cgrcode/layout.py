@@ -209,7 +209,7 @@ def map_unshifted(params: CgrParams) -> CodeArray:
 
 
 def rotate_rows(rows, offsets) -> tuple:
-    """Rotate row r left by offsets[r], whatever the rows hold (masks or cells)."""
+    """Rotate row r left by offsets[r], whatever the rows hold (cells or masks)."""
     return tuple(row[k:] + row[:k] for row, k in zip(rows, offsets))
 
 
