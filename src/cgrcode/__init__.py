@@ -2,14 +2,14 @@
 
 Pipeline: build_cgr labels the graph, pif_factorize + derive_offsets
 produce an offset vector, build_code_array lays the graph out as a GF(2)
-mask grid with its rows rotated (CodeArray.rows shows the cells),
-encode/decode move bits through it, and verify_mds / verify_dual_mds /
+mask grid with its rows rotated (CodeArray.rows shows the cells), contract
+compacts it to the B-code's narrower grid, another CodeArray, encode/decode
+move bits through either grid, and verify_mds / verify_dual_mds /
 verify_contracted_mds check every legal erasure pattern (a built array's
 survivor pairs one per ring-rotation orbit, since rotation preserves rank).
 """
 
 from .bcode import (
-    ContractedArray,
     ContractShapeError,
     contract,
     puncture,
@@ -69,7 +69,6 @@ __all__ = [
     "CodeArray",
     "Codeword",
     "ContractShapeError",
-    "ContractedArray",
     "DEFAULT_BUDGET",
     "DecodeReport",
     "ErasurePattern",

@@ -2,37 +2,25 @@
 
 Only the first vertex of each ring (ids j*v2) and the inter-ring edges
 joining two such vertices survive; everything else is punctured. Compacting
-the survivors column-wise yields v1+1 columns of v1/2 cells each.
+the survivors column-wise yields a CodeArray of v1+1 columns of v1/2 cells
+each, whose ids stay sparse (0, v2, 2*v2, ...): the shared codec encodes
+and decodes it, and verify_mds sweeps it.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-
-from .code import sweep_pairs
-from .layout import Cell, CodeArray, CgrParams, cell_mask
+from .code import verify_mds
+from .layout import CodeArray, require_cgr_layout
 
 
 class ContractShapeError(Exception):
     """Punctured cells do not balance into (v1+1) columns of v1/2 cells."""
 
 
-@dataclass(frozen=True)
-class ContractedArray:
-    """Compacted survivor columns, each tagged with its parent column index."""
-
-    params: CgrParams
-    columns: tuple[tuple[Cell, ...], ...]
-    source_column_index: tuple[int, ...]
-
-    def retained_ids(self) -> list[int]:
-        ids = {v for col in self.columns for cell in col for v in cell.vertices}
-        return sorted(ids)
-
-
 def puncture(array: CodeArray) -> CodeArray:
-    """Blank every cell not supported on the first-vertex set {j*v2}."""
+    """Blank every cell not supported on the first-vertex set {j*v2}.
+    Raises ValueError on a dual or contracted array."""
+    require_cgr_layout(array, "puncture")
     if array.is_dual():
         raise ValueError("puncture expects a primal array")
     outside = ~sum(1 << (j * array.params.v2) for j in range(array.params.v1))
@@ -40,18 +28,20 @@ def puncture(array: CodeArray) -> CodeArray:
     return CodeArray(array.params, array.offsets, masks)
 
 
-def contract(array: CodeArray, column_order=None) -> ContractedArray:
+def contract(array: CodeArray, column_order=None) -> CodeArray:
     """Group the cells puncture keeps by parent column; drop empty columns.
 
+    The result is a CodeArray with the parent's params and offsets, v1/2
+    rows by v1+1 columns, and source_columns naming each column's parent.
     Columns come out in ascending parent-column order unless column_order
     (a permutation of the nonempty parent column indices) rearranges them;
     cells within a column keep ascending parent-row order. Raises
-    ValueError on a dual array and ContractShapeError if the survivors do
-    not form v1+1 columns of v1/2 cells.
+    ValueError on a dual or contracted array and ContractShapeError if the
+    survivors do not form v1+1 columns of v1/2 cells.
     """
     if array.is_dual():
         raise ValueError("contract expects a primal array")
-    v1, v2 = array.params.v1, array.params.v2
+    v1 = array.params.v1
     groups: dict[int, list[int]] = {}
     for row in puncture(array).masks:
         for c, m in enumerate(row):
@@ -71,20 +61,12 @@ def contract(array: CodeArray, column_order=None) -> ContractedArray:
             raise ValueError(
                 f"column_order must permute the nonempty parent columns {nonempty}, got {order}"
             )
-    return ContractedArray(
-        array.params,
-        tuple(tuple(Cell.from_mask(m, v2) for m in groups[c]) for c in order),
-        tuple(order),
-    )
+    masks = tuple(zip(*(groups[c] for c in order)))
+    return CodeArray(array.params, array.offsets, masks, tuple(order))
 
 
-def verify_contracted_mds(contracted: ContractedArray) -> bool:
+def verify_contracted_mds(contracted: CodeArray) -> bool:
     """True iff every 2 surviving columns recover all retained bits."""
-    ncols = len(contracted.columns)
-    if ncols < 2:
+    if contracted.num_columns < 2:
         raise ValueError("contracted array needs at least 2 columns to verify")
-    pos = {v: i for i, v in enumerate(contracted.retained_ids())}
-    columns = [[cell_mask(cell, pos) for cell in col] for col in contracted.columns]
-    # A short column reads as empty (0) cells below its last one.
-    masks = list(itertools.zip_longest(*columns, fillvalue=0))
-    return sweep_pairs(masks, len(pos)).is_mds
+    return verify_mds(contracted).is_mds

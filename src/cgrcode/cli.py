@@ -13,7 +13,7 @@ import re
 import sys
 
 from . import codespec
-from .bcode import ContractedArray, ContractShapeError, contract, verify_contracted_mds
+from .bcode import ContractShapeError, contract, verify_contracted_mds
 from .code import (
     ErasurePattern,
     UnrecoverableError,
@@ -47,18 +47,15 @@ def render_cell(cell: Cell) -> str:
     return " ⊕ ".join(str(v) for v in cell.vertices)
 
 
-def _render_grid(label: str, header, rows) -> str:
-    lines = [f"{label}: " + ",".join(map(str, header))]
-    lines += ["\t".join(map(render_cell, row)) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
 def render_array_text(array: CodeArray) -> str:
-    return _render_grid("offset vector", array.offsets, array.rows)
-
-
-def render_contracted_text(contracted: ContractedArray) -> str:
-    return _render_grid("source columns", contracted.source_column_index, zip(*contracted.columns))
+    """A header line (a contracted array's source columns, else its offset
+    vector), then one tab-separated line of cells per row."""
+    if array.source_columns is None:
+        lines = ["offset vector: " + ",".join(map(str, array.offsets))]
+    else:
+        lines = ["source columns: " + ",".join(map(str, array.source_columns))]
+    lines += ["\t".join(map(render_cell, row)) for row in array.rows]
+    return "\n".join(lines) + "\n"
 
 
 def _csv_ints(text: str) -> list[int]:
@@ -158,7 +155,7 @@ def cmd_generate(args) -> int:
 
 def _verify_one(name: str, array: CodeArray) -> dict:
     primal = verify_mds(array)
-    dual = dual_verdict(primal, array.params.v2)
+    dual = dual_verdict(primal, array.num_columns)
     return {
         "name": name,
         "v1": array.params.v1,
@@ -293,7 +290,7 @@ def cmd_contract(args) -> int:
     contracted = contract(array, order)
     ok = verify_contracted_mds(contracted)
     if args.format == "text":
-        text = render_contracted_text(contracted)
+        text = render_array_text(contracted)
         text += f"mds: {'true' if ok else 'false'}\n"
         _emit(text, args.output)
     else:
@@ -302,9 +299,9 @@ def cmd_contract(args) -> int:
                 "version": codespec.FORMAT_VERSION,
                 "v1": contracted.params.v1,
                 "v2": contracted.params.v2,
-                "source_columns": list(contracted.source_column_index),
+                "source_columns": list(contracted.source_columns),
                 "mds": ok,
-                "columns": [list(map(codespec.cell_record, col)) for col in contracted.columns],
+                "columns": [list(map(codespec.cell_record, col)) for col in zip(*contracted.rows)],
             },
             args.output,
         )

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from . import gf2
 from .graph import CgrParams
-from .layout import CodeArray, bits_of, map_unshifted, rotate_rows
+from .layout import CodeArray, bits_of, map_unshifted, require_cgr_layout, rotate_rows
 
 
 class UnrecoverableError(Exception):
@@ -57,15 +57,17 @@ class ErasurePattern:
     def of(cls, columns) -> ErasurePattern:
         return cls(frozenset(columns))
 
-    def validate_for(self, params: CgrParams) -> None:
+    def validate_for(self, num_columns: int) -> None:
+        """Raise ValueError unless every erased column is an int in
+        [0, num_columns)."""
         for c in self.erased_columns:
             if type(c) is not int:  # rejects bools too
                 raise ValueError(f"erased column {c!r} is not an int")
-            if not 0 <= c < params.v2:
-                raise ValueError(f"erased column {c} out of range [0, {params.v2 - 1}]")
+            if not 0 <= c < num_columns:
+                raise ValueError(f"erased column {c} out of range [0, {num_columns - 1}]")
 
-    def survivors(self, v2: int) -> list[int]:
-        return [c for c in range(v2) if c not in self.erased_columns]
+    def survivors(self, num_columns: int) -> list[int]:
+        return [c for c in range(num_columns) if c not in self.erased_columns]
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,7 @@ def encode(array: CodeArray, info_bits: dict[int, int]) -> Codeword:
         raise ValueError(f"info value for id {bad} is {type(info_bits[bad]).__name__}, not int")
     values = list(map(info_bits.get, range(ids[-1] + 1)))  # None at a punctured array's gaps
     plan = array.plan
-    grid = [[0] * array.params.v2 for _ in range(array.num_rows)]
+    grid = [[0] * array.num_columns for _ in range(array.num_rows)]
     for r, c, p in plan.units:
         grid[r][c] = values[p]
     for r, c, p, q in plan.pairs:
@@ -148,7 +150,7 @@ def encode(array: CodeArray, info_bits: dict[int, int]) -> Codeword:
 
 def erase(codeword: Codeword, pattern: ErasurePattern) -> tuple[tuple[int | None, ...], ...]:
     """Cell values with erased columns blanked to None."""
-    pattern.validate_for(codeword.array.params)
+    pattern.validate_for(codeword.array.num_columns)
     rows = []
     for row in codeword.cell_values:
         row = list(row)
@@ -166,8 +168,9 @@ def decode(
 ) -> DecodeReport:
     """Recover every variable from the surviving columns.
 
-    values is a full grid of cell values, num_rows rows of v2; erased
-    columns are never read. Raises ValueError on a grid of another shape and
+    values is a full grid of cell values, num_rows rows of num_columns;
+    erased columns are never read. Raises ValueError on a grid of another
+    shape or an array whose plan does not compile (see CodeArray.plan), and
     UnrecoverableError when the surviving system is rank-deficient.
 
     This is an erasure decoder, not an error detector: surviving cells are
@@ -183,10 +186,10 @@ def decode(
     pinned, and peeling resolves exactly the pinned ones. A stalled primal
     peel is final; wider (dual) cells are what need elimination.
     """
-    pattern.validate_for(array.params)
-    v2 = array.params.v2
-    if len(values) != array.num_rows or any(len(row) != v2 for row in values):
-        raise ValueError(f"decode expects a grid of {array.num_rows} rows of {v2} cells")
+    width = array.num_columns
+    pattern.validate_for(width)
+    if len(values) != array.num_rows or any(len(row) != width for row in values):
+        raise ValueError(f"decode expects a grid of {array.num_rows} rows of {width} cells")
     ids = array.info_ids()
     nvars = len(ids)
     erased = pattern.erased_columns
@@ -219,7 +222,7 @@ def decode(
 
     elimination_ops = 0
     if not peeling_sufficed:
-        surviving = pattern.survivors(v2)
+        surviving = pattern.survivors(width)
         equations = [
             (mask, values[r][c])
             for r, row in enumerate(array.masks)
@@ -324,14 +327,14 @@ def verify_dual_mds(array: CodeArray) -> MdsResult:
     failing survivor pair. A dual input is dualized back first.
     """
     primal = dualize(array) if array.is_dual() else array
-    return dual_verdict(verify_mds(primal), array.params.v2)
+    return dual_verdict(verify_mds(primal), array.num_columns)
 
 
-def dual_verdict(primal: MdsResult, v2: int) -> MdsResult:
+def dual_verdict(primal: MdsResult, num_columns: int) -> MdsResult:
     """The dual's MdsResult read off a primal sweep (see verify_dual_mds)."""
     if primal.is_mds:
         return primal
-    witness = ErasurePattern.of(primal.witness.survivors(v2))
+    witness = ErasurePattern.of(primal.witness.survivors(num_columns))
     return MdsResult(False, witness, primal.patterns_checked, pairs_swept=primal.pairs_swept)
 
 
@@ -344,7 +347,9 @@ def dualize(array: CodeArray) -> CodeArray:
     (r - v1)*v2 + c, its index in CgrGraph.edge_list, sits at unshifted
     parity position (r, c), and a dual vertex cell is the OR of the bits of
     its v1 + 1 incident edges. Applying dualize twice restores the array.
+    Raises ValueError on a contracted array.
     """
+    require_cgr_layout(array, "dualize")
     params = array.params
     v1, v2 = params.v1, params.v2
     other = map_unshifted(params).masks

@@ -4,6 +4,7 @@ A cell is an int mask over the variables it XORs (0 when empty), so a
 variable's id is its bit position. The unshifted grid stacks the vertex,
 ring-edge and inter-ring edge rows of the CGR graph; the offset vector
 rotates each row left by its entry. CodeArray.rows shows the grid as Cells.
+A contracted array (bcode.contract) is a narrower grid of the same type.
 """
 
 from __future__ import annotations
@@ -122,26 +123,22 @@ def bits_of(mask: int) -> list[int]:
     return bits
 
 
-def cell_mask(cell: Cell, positions: dict[int, int]) -> int:
-    """The cell as a GF(2) row: one bit per member variable, 0 when empty."""
-    mask = 0
-    for v in cell.vertices:
-        mask |= 1 << positions[v]
-    return mask
-
-
 @dataclass(frozen=True)
 class CodeArray:
     """The code definition: a GF(2) mask grid plus the offsets that shaped it.
 
     Bit i of masks[r][c] is set when variable i is in cell (r, c). Ids are
     the vertex ids in a primal array, the edge indices in CgrGraph.edge_list
-    order in a dual, and 0, v2, 2*v2, ... in a punctured one.
+    order in a dual, and 0, v2, 2*v2, ... in a punctured or contracted one.
+    The column count is the grid's: v2 for a built array, v1 + 1 for a
+    contracted one, whose source_columns gives each column's parent column
+    (None for every other array).
     """
 
     params: CgrParams
     offsets: OffsetVector
     masks: tuple[tuple[int, ...], ...]
+    source_columns: tuple[int, ...] | None = None
 
     @property
     def num_rows(self) -> int:
@@ -149,7 +146,7 @@ class CodeArray:
 
     @property
     def num_columns(self) -> int:
-        return self.params.v2
+        return len(self.masks[0])
 
     def column(self, c: int) -> list[Cell]:
         return [row[c] for row in self.rows]
@@ -162,9 +159,12 @@ class CodeArray:
 
     @cached_property
     def plan(self) -> CodecPlan:
-        """The mask grid compiled for the codec, in one pass over masks."""
+        """The mask grid compiled for the codec, in one pass over masks.
+        Raises ValueError at the first cell, in row-major order, that holds
+        a bit no info cell carries."""
+        ids = sum(1 << i for i in self._ids)
         units, pairs, wides = [], [], []
-        rebuild = [0] * self.params.v2
+        rebuild = [0] * self.num_columns
         for r, row in enumerate(self.masks):
             for c, m in enumerate(row):
                 rest = m & (m - 1)
@@ -172,6 +172,8 @@ class CodeArray:
                     if m:
                         units.append((r, c, m.bit_length() - 1))
                     continue
+                if m & ids != m:
+                    raise ValueError(f"cell ({r}, {c}) holds a bit that no info cell carries")
                 if rest & (rest - 1):
                     wides.append((r, c, tuple(bits_of(m))))
                 else:
@@ -213,8 +215,16 @@ def rotate_rows(rows, offsets) -> tuple:
     return tuple(row[k:] + row[:k] for row, k in zip(rows, offsets))
 
 
+def require_cgr_layout(array: CodeArray, name: str) -> None:
+    """Raise ValueError when array is contracted: name needs the CGR layout."""
+    if array.source_columns is not None:
+        raise ValueError(f"{name} expects a CGR-layout array, not a contracted one")
+
+
 def apply_offsets(array: CodeArray, offsets) -> CodeArray:
-    """Rotate row r left by offsets[r]; composes additively mod v2."""
+    """Rotate row r left by offsets[r]; composes additively mod v2. Raises
+    ValueError on a contracted array."""
+    require_cgr_layout(array, "apply_offsets")
     off = OffsetVector(offsets)
     off.validate_for(array.params)
     v2 = array.params.v2

@@ -35,7 +35,7 @@ from cgrcode import (
     verify_dual_mds,
     verify_mds,
 )
-from cgrcode.cli import main, render_cell, render_contracted_text
+from cgrcode.cli import main, render_array_text, render_cell
 from cgrcode.codespec import from_json, to_json
 from cgrcode.rng import Lcg
 from cgrcode.search import params_for_offset_length
@@ -160,7 +160,7 @@ def test_06_contraction_reproduces_compact_code():
     }
 
     contracted = contract(array, (0, 6, 5, 4, 1))
-    assert render_contracted_text(contracted) == (
+    assert render_array_text(contracted) == (
         "source columns: 0,6,5,4,1\n"
         "0\t7\t14\t21\t0 ⊕ 21\n"
         "7 ⊕ 21\t14 ⊕ 21\t0 ⊕ 7\t0 ⊕ 14\t7 ⊕ 14\n"

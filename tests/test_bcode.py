@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from cgrcode import (
     BUILTIN_VECTORS,
-    Cell,
     CgrParams,
-    ContractedArray,
     ContractShapeError,
+    ErasurePattern,
     OffsetVector,
+    UnrecoverableError,
+    apply_offsets,
     build_code_array,
     contract,
+    decode,
     derive_offsets,
     dualize,
+    encode,
+    erase,
     pif_factorize,
     puncture,
     verify_contracted_mds,
@@ -78,7 +84,7 @@ def _contract_outcome(array):
         contracted = contract(array)
     except ContractShapeError as exc:
         return str(exc)
-    return contracted.columns, contracted.source_column_index
+    return tuple(zip(*contracted.rows)), contracted.source_columns
 
 
 @pytest.mark.parametrize("v1", range(2, 25, 2))
@@ -109,20 +115,20 @@ def test_contract_matches_the_reference_on_builtins_and_zero_offsets(k2_params):
 
 def test_contract_two_ring_array(k2_array):
     contracted = contract(k2_array)
-    assert contracted.source_column_index == (0, 1, 4)
-    assert [[render_cell(cell) for cell in col] for col in contracted.columns] == [
+    assert contracted.source_columns == (0, 1, 4)
+    assert [[render_cell(cell) for cell in col] for col in zip(*contracted.rows)] == [
         ["0"],
         ["0 ⊕ 5"],
         ["5"],
     ]
-    assert contracted.retained_ids() == [0, 5]
+    assert contracted.info_ids() == [0, 5]
     assert verify_contracted_mds(contracted)
 
 
 def test_contract_explicit_column_order(k2_array):
     contracted = contract(k2_array, (4, 0, 1))
-    assert contracted.source_column_index == (4, 0, 1)
-    assert [render_cell(col[0]) for col in contracted.columns] == ["5", "0", "0 ⊕ 5"]
+    assert contracted.source_columns == (4, 0, 1)
+    assert [render_cell(col[0]) for col in zip(*contracted.rows)] == ["5", "0", "0 ⊕ 5"]
 
 
 def test_contract_validates_column_order(k2_array):
@@ -143,22 +149,51 @@ def test_contracted_derived_arrays_are_mds(v1):
     params = CgrParams.from_v1(v1)
     array = build_code_array(params, derive_offsets(pif_factorize(v1)))
     contracted = contract(array)
-    assert len(contracted.columns) == v1 + 1
-    assert all(len(col) == v1 // 2 for col in contracted.columns)
+    assert contracted.num_columns == v1 + 1
+    assert all(len(col) == v1 // 2 for col in zip(*contracted.rows))
     assert verify_contracted_mds(contracted)
 
 
 def test_verify_contracted_needs_two_columns(k2_array):
     contracted = contract(k2_array)
-    lone = type(contracted)(contracted.params, contracted.columns[:1], contracted.source_column_index[:1])
+    lone = type(contracted)(
+        contracted.params,
+        contracted.offsets,
+        tuple(row[:1] for row in contracted.masks),
+        contracted.source_columns[:1],
+    )
     with pytest.raises(ValueError):
         verify_contracted_mds(lone)
 
 
-def test_verify_contracted_reads_a_short_column_as_empty_cells(k2_params):
-    # Every column pair spans both bits only if the longer columns' second
-    # cells count; cutting every column to the shortest one loses (0, 2).
-    first, second = Cell.info(0), Cell.info(5)
-    both = Cell.parity((0, 5))
-    columns = ((first,), (second, both), (first, both))
-    assert verify_contracted_mds(ContractedArray(k2_params, columns, (0, 1, 2)))
+
+@pytest.mark.parametrize(
+    "transform",
+    [lambda a: apply_offsets(a, (1,) * a.params.num_rows), dualize, puncture, contract],
+    ids=["apply_offsets", "dualize", "puncture", "contract"],
+)
+def test_cgr_layout_transforms_reject_a_contracted_array(k4a_array, transform):
+    # Each reads rows by the CGR layout, which a contracted grid has lost.
+    with pytest.raises(ValueError, match="not a contracted one"):
+        transform(contract(k4a_array))
+
+
+@pytest.mark.parametrize("v1", range(2, 25, 2))
+def test_contracted_array_round_trips_every_tolerated_erasure(v1):
+    # contract(canonical) is a (v1 + 1, 2) code over v1 bits: any v1 - 1
+    # erased columns are recovered by peeling (every size up to v1 - 1 at
+    # v1 <= 8, the largest above), and one surviving column is too few.
+    params = CgrParams.from_v1(v1)
+    contracted = contract(build_code_array(params, derive_offsets(pif_factorize(v1))))
+    payload = {v: 3 * v + 1 for v in contracted.info_ids()}
+    codeword = encode(contracted, payload)
+    columns = range(contracted.num_columns)
+    for k in range(v1) if v1 <= 8 else [v1 - 1]:
+        for erased in itertools.combinations(columns, k):
+            pattern = ErasurePattern.of(erased)
+            report = decode(contracted, erase(codeword, pattern), pattern)
+            assert report.recovered == payload and report.peeling_sufficed, erased
+    for erased in itertools.combinations(columns, v1):
+        pattern = ErasurePattern.of(erased)
+        with pytest.raises(UnrecoverableError):
+            decode(contracted, erase(codeword, pattern), pattern)

@@ -31,6 +31,7 @@ from cgrcode import (
     encode,
     erase,
     pif_factorize,
+    puncture,
     update_complexity,
     verify_contracted_mds,
     verify_dual_mds,
@@ -38,7 +39,7 @@ from cgrcode import (
 )
 from cgrcode import gf2
 from cgrcode.code import sweep_pairs
-from cgrcode.layout import cell_mask, rotate_rows
+from cgrcode.layout import bits_of, rotate_rows
 from cgrcode.rng import Lcg
 from conftest import builtin_array, random_bits
 
@@ -47,9 +48,9 @@ def test_erasure_pattern_helpers(k2_params):
     pattern = ErasurePattern.of([3, 0])
     assert sorted(pattern.erased_columns) == [0, 3]
     assert pattern.survivors(5) == [1, 2, 4]
-    pattern.validate_for(k2_params)
+    pattern.validate_for(5)
     with pytest.raises(ValueError):
-        ErasurePattern.of([7]).validate_for(k2_params)
+        ErasurePattern.of([7]).validate_for(5)
 
 
 @pytest.mark.parametrize("column", [1.5, "1", True])
@@ -395,6 +396,30 @@ def test_unrecoverable_erasure_raises(k2_array):
     assert sorted(exc.pattern.erased_columns) == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("v1", [2, 4, 6])
+def test_cells_over_bits_that_are_not_variables_fail_fast(v1):
+    # dualize(puncture(a)) gives each kept vertex a parity over all v1 + 1
+    # incident edges, but only the edges between kept vertices keep an info
+    # cell: the plan rejects the first such parity, in row-major order.
+    array = build_code_array(CgrParams.from_v1(v1), derive_offsets(pif_factorize(v1)))
+    for compiles in (array, dualize(array), puncture(array), contract(array)):
+        assert compiles.plan
+    broken = dualize(puncture(array))
+    ids = set(broken.info_ids())
+    first = next(
+        (r, c)
+        for r, row in enumerate(broken.rows)
+        for c, cell in enumerate(row)
+        if not cell.vertex_set <= ids
+    )
+    message = rf"cell \({first[0]}, {first[1]}\) holds a bit that no info cell carries"
+    with pytest.raises(ValueError, match=message):
+        encode(broken, {v: 1 for v in ids})
+    grid = [[0] * broken.num_columns for _ in range(broken.num_rows)]
+    with pytest.raises(ValueError, match=message):
+        decode(broken, grid, ErasurePattern.of([]))
+
+
 def test_reencode_matches_original(k4a_array):
     bits = random_bits(k4a_array, 23)
     codeword = encode(k4a_array, bits)
@@ -489,10 +514,12 @@ def test_sweeps_match_a_full_rank_reference(v1):
             contracted = contract(array)
         except ContractShapeError:
             continue
-        pos = {v: i for i, v in enumerate(contracted.retained_ids())}
-        columns = [[cell_mask(cell, pos) for cell in col] for col in contracted.columns]
+        result = verify_mds(contracted)
+        witness = result.witness and set(result.witness.erased_columns)
+        columns = list(zip(*contracted.masks))
         pairs_of_contracted = itertools.combinations(range(len(columns)), 2)
-        expected = _reference_sweep(columns, len(pos), pairs_of_contracted)
+        expected = _reference_sweep(columns, len(contracted.info_ids()), pairs_of_contracted)
+        assert (result.is_mds, witness, result.patterns_checked) == expected
         assert verify_contracted_mds(contracted) == expected[0]
     assert True in verdicts and False in verdicts
 
@@ -541,13 +568,17 @@ def test_sweep_pairs_matches_the_residual_rank_sweep(v1):
             contracted = contract(build_code_array(params, vector))
         except ContractShapeError:
             continue
-        pos = {v: i for i, v in enumerate(contracted.retained_ids())}
-        columns = [[cell_mask(cell, pos) for cell in col] for col in contracted.columns]
-        kinds["contracted"].append((list(itertools.zip_longest(*columns, fillvalue=0)), len(pos)))
+        # The residual-rank sweep needs the ids renumbered 0 .. nvars - 1.
+        pos = {v: i for i, v in enumerate(contracted.info_ids())}
+        nvars = len(pos)
+        columns = [
+            [sum(1 << pos[v] for v in bits_of(m)) for m in col] for col in zip(*contracted.masks)
+        ]
+        kinds["contracted"].append((list(zip(*columns)), nvars))
         a, b = rng.randint(len(columns)), rng.randint(len(columns))
         for changed in (columns[a][:-1], columns[a] + columns[b][:1]):
             ragged = columns[:a] + [changed] + columns[a + 1:]
-            kinds["padded"].append((list(itertools.zip_longest(*ragged, fillvalue=0)), len(pos)))
+            kinds["padded"].append((list(itertools.zip_longest(*ragged, fillvalue=0)), nvars))
     for kind, corpus in kinds.items():
         verdicts = set()
         for grid, nvars in corpus:

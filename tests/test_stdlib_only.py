@@ -1,5 +1,5 @@
-"""The library imports nothing outside the standard library, and no module of
-it imports a private name from another."""
+"""The library imports nothing outside the standard library, no module of it
+imports a private name from another, and only layout.py makes Cells."""
 
 from __future__ import annotations
 
@@ -10,14 +10,20 @@ import sys
 PACKAGE_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "cgrcode"
 
 
-def _imports():
-    """(file name, node) for every import statement in the package."""
+def _nodes():
+    """(file name, node) for every syntax node in the package."""
     sources = sorted(PACKAGE_DIR.glob("*.py"))
     assert sources
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                yield path.name, node
+            yield path.name, node
+
+
+def _imports():
+    """(file name, node) for every import statement in the package."""
+    for name, node in _nodes():
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield name, node
 
 
 def test_runtime_imports_are_stdlib_only():
@@ -46,3 +52,23 @@ def test_no_module_imports_a_private_name_from_another():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+
+def _callee(func) -> str | None:
+    """The name a call goes through: f for f(...), C for C.m(...)."""
+    if isinstance(func, ast.Attribute):
+        func = func.value
+    return func.id if isinstance(func, ast.Name) else None
+
+
+def test_only_layout_makes_cells():
+    # A code array is its mask grid and cells are a view of it: CodeArray.rows
+    # is the one place masks become Cells, so no other module calls Cell or
+    # one of its constructors (Cell.info, Cell.from_mask, ...).
+    calls = [
+        f"{name}:{node.lineno}"
+        for name, node in _nodes()
+        if name != "layout.py" and isinstance(node, ast.Call) and _callee(node.func) == "Cell"
+    ]
+    assert calls == []

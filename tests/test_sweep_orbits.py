@@ -23,7 +23,7 @@ from cgrcode import (
 )
 from cgrcode.cli import main
 from cgrcode.code import _rotates, sweep_pairs
-from cgrcode.layout import cell_mask, map_unshifted, rotate_rows
+from cgrcode.layout import map_unshifted, rotate_rows
 from cgrcode.rng import Lcg
 from cgrcode.search import _place
 from test_code import _reference_sweep
@@ -53,11 +53,8 @@ def test_pairs_swept_counts_the_pairs_reduced():
     # A contracted grid (v1 + 1 columns over v1 variables) fails the
     # rotation check, so every pair covered is a pair reduced.
     contracted = contract(array)
-    pos = {v: i for i, v in enumerate(contracted.retained_ids())}
-    columns = [[cell_mask(cell, pos) for cell in col] for col in contracted.columns]
-    grid = list(zip(*columns))
-    assert not _rotates(grid, len(columns), len(pos))
-    result = sweep_pairs(grid, len(pos))
+    assert not _rotates(contracted.masks, contracted.num_columns, len(contracted.info_ids()))
+    result = verify_mds(contracted)
     assert result.is_mds and result.pairs_swept == result.patterns_checked == 171
     # On a failure, (0, d*) is both the d*-th pair covered and the d*-th swept.
     params = CgrParams.from_v1(4)
