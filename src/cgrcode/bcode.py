@@ -23,7 +23,8 @@ def puncture(array: CodeArray) -> CodeArray:
     require_cgr_layout(array, "puncture")
     if array.is_dual():
         raise ValueError("puncture expects a primal array")
-    outside = ~sum(1 << (j * array.params.v2) for j in range(array.params.v1))
+    first = sum(1 << (j * array.params.v2) for j in range(array.params.v1))
+    outside = ((1 << array.params.num_vertices) - 1) ^ first
     masks = tuple(tuple(0 if m & outside else m for m in row) for row in array.masks)
     return CodeArray(array.params, array.offsets, masks)
 

@@ -301,7 +301,7 @@ def cmd_contract(args) -> int:
                 "v2": contracted.params.v2,
                 "source_columns": list(contracted.source_columns),
                 "mds": ok,
-                "columns": [list(map(codespec.cell_record, col)) for col in zip(*contracted.rows)],
+                "columns": codespec.mask_records(zip(*contracted.masks), contracted.params.v2),
             },
             args.output,
         )

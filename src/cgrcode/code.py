@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from . import gf2
 from .graph import CgrParams
-from .layout import CodeArray, bits_of, map_unshifted, require_cgr_layout, rotate_rows
+from .layout import CodeArray, map_unshifted, require_cgr_layout, rotate_rows
 
 
 class UnrecoverableError(Exception):
@@ -346,21 +346,24 @@ def dualize(array: CodeArray) -> CodeArray:
     array's offsets, with the array's empty cells kept empty. Edge variable
     (r - v1)*v2 + c, its index in CgrGraph.edge_list, sits at unshifted
     parity position (r, c), and a dual vertex cell is the OR of the bits of
-    its v1 + 1 incident edges. Applying dualize twice restores the array.
-    Raises ValueError on a contracted array.
+    its v1 + 1 incident edges: cell (j, k) is pairs[j] << k, pairs[j] being
+    ring j's inter-ring edge bits at column 0, plus ring j's edges k - 1 and
+    k. Applying dualize twice restores the array. Raises ValueError on a
+    contracted array.
     """
     require_cgr_layout(array, "dualize")
     params = array.params
     v1, v2 = params.v1, params.v2
-    other = map_unshifted(params).masks
-    if not array.is_dual():
-        edges = list(itertools.chain.from_iterable(other[v1:]))
-        incident = [0] * params.num_vertices
-        for e, m in enumerate(edges):
-            for v in bits_of(m):
-                incident[v] |= 1 << e
-        other = [incident[k:k + v2] for k in range(0, len(incident), v2)]
-        other += [[1 << e for e in range(k, k + v2)] for k in range(0, len(edges), v2)]
+    if array.is_dual():
+        other = map_unshifted(params).masks
+    else:
+        ring = [1 << j * v2 for j in range(v1)]  # edge 0 of ring j
+        pairs = [0] * v1
+        for t, (i, j) in enumerate(itertools.combinations(range(v1), 2), v1):
+            pairs[i] |= 1 << t * v2
+            pairs[j] |= 1 << t * v2
+        other = [[(p | f) << k | f << (k - 1) % v2 for k in range(v2)] for p, f in zip(pairs, ring)]
+        other += [[1 << r * v2 + k for k in range(v2)] for r in range(params.num_rows - v1)]
     masks = tuple(
         tuple(n if m else 0 for m, n in zip(row, new))
         for row, new in zip(array.masks, rotate_rows(other, array.offsets))

@@ -12,14 +12,16 @@ import json
 
 from .code import dualize
 from .graph import CgrParams
-from .layout import Cell, CodeArray, OffsetVector, build_code_array
+from .layout import KINDS, PARITY, CodeArray, OffsetVector, build_code_array, cell_members
 
 FORMAT_VERSION = "1"
 
 
-def cell_record(cell: Cell) -> dict:
-    """The JSON record of one cell: {"kind": ..., "vertices": [...]}."""
-    return {"kind": cell.kind, "vertices": list(cell.vertices)}
+def mask_records(grid, v2: int) -> list[list[dict]]:
+    """The JSON records of a mask grid's rows, or of its columns given
+    zip(*masks): {"kind": ..., "vertices": cell_members(mask, v2)} per cell."""
+    members = [[cell_members(m, v2) for m in line] for line in grid]
+    return [[{"kind": KINDS[min(len(ms), 2)], "vertices": ms} for ms in line] for line in members]
 
 
 def to_obj(array: CodeArray) -> dict:
@@ -28,7 +30,7 @@ def to_obj(array: CodeArray) -> dict:
         "v1": array.params.v1,
         "v2": array.params.v2,
         "offset_vector": list(array.offsets),
-        "rows": [list(map(cell_record, row)) for row in array.rows],
+        "rows": mask_records(array.masks, array.params.v2),
     }
 
 
@@ -36,21 +38,12 @@ def to_json(array: CodeArray) -> str:
     """The text of json.dumps(to_obj(array), indent=2) + "\\n", joined by
     hand: the document holds only ints and the fixed kind strings, and the
     pure-Python indent encoder spent most of the time."""
-    rows = [
-        _array(
-            [
-                '{\n        "kind": "' + cell.kind + '",\n        "vertices": '
-                + _array([str(v) for v in cell.vertices], 4) + "\n      }"
-                for cell in row
-            ],
-            2,
-        )
-        for row in array.rows
-    ]
+    v2 = array.params.v2
+    rows = [_array([_record_text(cell_members(m, v2)) for m in row], 2) for row in array.masks]
     return (
         '{\n  "version": "' + FORMAT_VERSION + '",\n'
         f'  "v1": {array.params.v1},\n'
-        f'  "v2": {array.params.v2},\n'
+        f'  "v2": {v2},\n'
         f'  "offset_vector": {_array([str(a) for a in array.offsets], 1)},\n'
         f'  "rows": {_array(rows, 1)}\n'
         "}\n"
@@ -64,6 +57,17 @@ def _array(items: list[str], depth: int) -> str:
         return "[]"
     pad = "\n" + "  " * (depth + 1)
     return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
+# A cell record inside rows, and its %-templates for zero, one and two members.
+_RECORD = '{\n        "kind": "%s",\n        "vertices": %s\n      }'
+_TEMPLATES = tuple(_RECORD % (kind, _array(["%d"] * n, 4)) for n, kind in enumerate(KINDS))
+
+
+def _record_text(members: list[int]) -> str:
+    if len(members) < 3:
+        return _TEMPLATES[len(members)] % tuple(members)
+    return _RECORD % (PARITY, _array(list(map(str, members)), 4))
 
 
 def from_obj(obj: dict) -> CodeArray:
@@ -90,7 +94,7 @@ def from_obj(obj: dict) -> CodeArray:
         dual = False  # malformed: the comparison below rejects it
     if dual:
         array = dualize(array)
-    if rows != [list(map(cell_record, row)) for row in array.rows]:
+    if rows != mask_records(array.masks, params.v2):
         raise ValueError(f"rows match neither the v1={params.v1} offset_vector array nor its dual")
     return array
 

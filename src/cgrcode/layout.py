@@ -19,6 +19,7 @@ from .graph import NEG_INF, POS_INF, CgrParams, Factorization
 INFO = "info"
 PARITY = "parity"
 EMPTY = "empty"
+KINDS = (EMPTY, INFO, PARITY)  # by member count, capped at 2
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,7 @@ class Cell:
 
     The kind follows from the member count: none is empty, one is an info
     bit, two or more a parity. Members are kept in construction order (see
-    from_mask for the order a code array shows); use vertex_set for
+    cell_members for the order a code array shows); use vertex_set for
     order-free comparisons.
     """
 
@@ -49,17 +50,11 @@ class Cell:
 
     @classmethod
     def from_mask(cls, mask: int, v2: int) -> Cell:
-        """The cell of a mask: its bits ascending, except a ring's wrap-around
-        edge (two bits v2 - 1 apart), which lists as (largest, smallest), the
-        order build_cgr gives it."""
-        members = bits_of(mask)
-        if len(members) == 2 and members[1] - members[0] == v2 - 1:
-            members.reverse()
-        return cls(tuple(members))
+        return cls(tuple(cell_members(mask, v2)))
 
     @property
     def kind(self) -> str:
-        return (EMPTY, INFO, PARITY)[min(len(self.vertices), 2)]
+        return KINDS[min(len(self.vertices), 2)]
 
     @property
     def is_info(self) -> bool:
@@ -121,6 +116,18 @@ def bits_of(mask: int) -> list[int]:
         bits.append(low.bit_length() - 1)
         mask ^= low
     return bits
+
+
+def cell_members(mask: int, v2: int) -> list[int]:
+    """A mask's cell members: its bits ascending, except a ring's wrap-around
+    edge (bits v2 - 1 apart), listed (largest, smallest) as build_cgr has it."""
+    rest = mask & (mask - 1)
+    if not rest:
+        return [mask.bit_length() - 1] if mask else []
+    if rest & (rest - 1):
+        return bits_of(mask)
+    p, q = (mask ^ rest).bit_length() - 1, rest.bit_length() - 1
+    return [q, p] if q - p == v2 - 1 else [p, q]
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,22 @@ from cgrcode import (
     BUILTIN_VECTORS,
     CgrParams,
     build_code_array,
+    contract,
     derive_offsets,
     dualize,
     pif_factorize,
     puncture,
 )
-from cgrcode.codespec import FORMAT_VERSION, dump, from_json, from_obj, load, to_json, to_obj
+from cgrcode.codespec import (
+    FORMAT_VERSION,
+    dump,
+    from_json,
+    from_obj,
+    load,
+    mask_records,
+    to_json,
+    to_obj,
+)
 from conftest import builtin_array
 
 
@@ -115,11 +125,27 @@ def _mutated(k2_array, mutate):
         lambda o: o.update(v2=5.0),
         lambda o: o["offset_vector"].__setitem__(4, 4.9),
         lambda o: o["offset_vector"].__setitem__(0, False),
+        # Right members in the wrong order: the wrap-around edge is [4, 0].
+        lambda o: o["rows"][2][2].update(vertices=[0, 4]),
     ],
 )
 def test_validation_rejects_malformed_objects(k2_array, mutate):
     with pytest.raises(ValueError):
         from_obj(_mutated(k2_array, mutate))
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda o: o["rows"][0][0]["vertices"].reverse(),
+        lambda o: o["rows"][1][3]["vertices"].append(o["rows"][1][3]["vertices"].pop(0)),
+    ],
+    ids=["reversed", "rotated"],
+)
+def test_validation_rejects_a_dual_parity_in_the_wrong_order(k2_array, mutate):
+    obj = _mutated(dualize(k2_array), mutate)
+    with pytest.raises(ValueError):
+        from_obj(obj)
 
 
 @pytest.mark.parametrize("text", ["[]", "{", "[" * 100_000], ids=["array", "truncated", "deep"])
@@ -137,3 +163,16 @@ def test_to_json_writes_the_indent_encoder_bytes():
         # puncture blanks cells to kind "empty" with no vertices.
         for form in (array, dualize(array), puncture(array)):
             assert to_json(form) == json.dumps(to_obj(form), indent=2) + "\n", form.params
+
+
+def test_mask_records_match_the_cell_view():
+    arrays = [builtin_array(name) for name in BUILTIN_VECTORS] + [
+        build_code_array(CgrParams.from_v1(v1), derive_offsets(pif_factorize(v1)))
+        for v1 in range(2, 25, 2)
+    ]
+    for array in arrays:
+        for form in (array, dualize(array), puncture(array), contract(array)):
+            view = [[{"kind": c.kind, "vertices": list(c.vertices)} for c in row] for row in form.rows]
+            if form.source_columns is None:
+                assert to_obj(form)["rows"] == view, form.params
+            assert mask_records(form.masks, form.params.v2) == view, form.params

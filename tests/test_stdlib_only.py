@@ -1,5 +1,6 @@
 """The library imports nothing outside the standard library, no module of it
-imports a private name from another, and only layout.py makes Cells."""
+imports a private name from another, only layout.py makes Cells, and the
+JSON format and dualize never read the Cell view."""
 
 from __future__ import annotations
 
@@ -72,3 +73,22 @@ def test_only_layout_makes_cells():
         if name != "layout.py" and isinstance(node, ast.Call) and _callee(node.func) == "Cell"
     ]
     assert calls == []
+
+
+def test_codespec_and_dualize_read_no_cell_view():
+    # The JSON writer, its loader and dualize work on CodeArray.masks; the
+    # rows view of Cells is for text rendering, and it builds one Cell per cell.
+    scopes = [
+        node
+        for name, node in _nodes()
+        if (name == "codespec.py" and isinstance(node, ast.Module))
+        or (name == "code.py" and isinstance(node, ast.FunctionDef) and node.name == "dualize")
+    ]
+    assert len(scopes) == 2
+    reads = [
+        node.lineno
+        for scope in scopes
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Attribute) and node.attr == "rows"
+    ]
+    assert reads == []
