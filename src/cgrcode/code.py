@@ -26,11 +26,9 @@ the primal's orthogonal complement.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import gf2
-from .graph import CgrParams
+from .graph import CgrParams, Value
 from .layout import CodeArray, map_unshifted, require_cgr_layout, rotate_rows
 
 
@@ -47,11 +45,11 @@ class UnrecoverableError(Exception):
         self.nvars = nvars
 
 
-@dataclass(frozen=True)
-class ErasurePattern:
+class ErasurePattern(Value):
     """The set of simultaneously lost columns."""
 
-    erased_columns: frozenset[int]
+    def __init__(self, erased_columns: frozenset[int]) -> None:
+        object.__setattr__(self, "erased_columns", erased_columns)
 
     @classmethod
     def of(cls, columns) -> ErasurePattern:
@@ -70,16 +68,15 @@ class ErasurePattern:
         return [c for c in range(num_columns) if c not in self.erased_columns]
 
 
-@dataclass(frozen=True)
-class Codeword:
+class Codeword(Value):
     """A code array together with concrete bit values for every cell."""
 
-    array: CodeArray
-    cell_values: tuple[tuple[int, ...], ...]
+    def __init__(self, array: CodeArray, cell_values: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "array", array)
+        object.__setattr__(self, "cell_values", cell_values)
 
 
-@dataclass
-class DecodeReport:
+class DecodeReport(Value):
     """Decode outcome: recovered values plus operation accounting.
 
     xor_count covers chain decoding: one XOR per value peeled from a two-bit
@@ -89,17 +86,21 @@ class DecodeReport:
     Peeling sweeps the surviving two-bit cells in row-major order and
     elimination enters the surviving cells in row-major order; both counts,
     and which cell a value comes from when cells disagree, follow from that
-    order.
+    order. Unlike the other value types it is mutable, and so unhashable.
     """
 
-    recovered: dict[int, int]
-    peeling_sufficed: bool
-    xor_count: int
-    elimination_xor_count: int = 0
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self, recovered: dict, peeling_sufficed: bool, xor_count: int, elimination_xor_count=0
+    ) -> None:
+        self.recovered, self.peeling_sufficed = recovered, peeling_sufficed
+        self.xor_count, self.elimination_xor_count = xor_count, elimination_xor_count
 
 
-@dataclass(frozen=True)
-class MdsResult:
+class MdsResult(Value):
     """Verdict of an erasure sweep, with a counterexample if any.
 
     patterns_checked counts the patterns covered, in lexicographic order up
@@ -108,10 +109,13 @@ class MdsResult:
     left out of comparisons, so results compare by outcome.
     """
 
-    is_mds: bool
-    witness: ErasurePattern | None
-    patterns_checked: int
-    pairs_swept: int = field(default=0, compare=False)
+    _compared = ("is_mds", "witness", "patterns_checked")
+
+    def __init__(self, is_mds: bool, witness, patterns_checked: int, pairs_swept: int = 0) -> None:
+        object.__setattr__(self, "is_mds", is_mds)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "patterns_checked", patterns_checked)
+        object.__setattr__(self, "pairs_swept", pairs_swept)
 
     def __bool__(self) -> bool:
         return self.is_mds
@@ -374,12 +378,14 @@ def dualize(array: CodeArray) -> CodeArray:
 def update_complexity(params: CgrParams) -> Fraction:
     """Parity cells touched per single info-bit update, averaged: each bit
     feeds v1+1 parities out of v1*v2 info bits."""
+    from fractions import Fraction  # here, not at the top: it imports decimal
     return Fraction(params.v1 + 1, params.v1 * params.v2)
 
 
 def decode_complexity(report: DecodeReport, params: CgrParams, pattern: ErasurePattern) -> Fraction:
     """Chain-decoding XORs per erased symbol, normalized by the v1*v2-bit
     payload; 0 when nothing was erased."""
+    from fractions import Fraction
     erased = len(pattern.erased_columns)
     if erased == 0:
         return Fraction(0)

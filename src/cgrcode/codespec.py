@@ -72,7 +72,8 @@ def _record_text(members: list[int]) -> str:
 
 def from_obj(obj: dict) -> CodeArray:
     """Parse a code object; its rows must be the array that v1 and
-    offset_vector build, or that array's dual."""
+    offset_vector build, or that array's dual. A bool member is refused
+    (from_json refuses floats as it parses)."""
     if not isinstance(obj, dict):
         raise ValueError("code file must be a JSON object")
     version = obj.get("version")
@@ -96,12 +97,23 @@ def from_obj(obj: dict) -> CodeArray:
         array = dualize(array)
     if rows != mask_records(array.masks, params.v2):
         raise ValueError(f"rows match neither the v1={params.v1} offset_vector array nor its dual")
+    # Equal records still let a bool pass where it equals an id, 0 or 1. Both
+    # lie in ring 0's block, ids 0..v2-1, and each row of a built array or its
+    # dual holds bits of that block in every cell or in none.
+    block = (1 << params.v2) - 1
+    for r, row in enumerate(array.masks):
+        if row[0] & block and any(type(v) is not int for cell in rows[r] for v in cell["vertices"]):
+            raise ValueError(f"rows[{r}] holds a vertex id that is not an int")
     return array
+
+
+def _refuse_float(text: str):
+    raise ValueError(f"code files hold integers only, got {text}")
 
 
 def from_json(text: str) -> CodeArray:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_float=_refuse_float)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"invalid JSON: {exc}") from None
     return from_obj(obj)

@@ -12,8 +12,6 @@ run time: the tests check perfectness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
@@ -21,20 +19,60 @@ Label = int | float
 Pair = tuple[Label, Label]
 
 
-@dataclass(frozen=True)
-class CgrParams:
+class Value:
+    """Base of the library's value types: plain classes, because dataclasses
+    import inspect and ast and build each class with exec, a cost every CLI
+    command paid at start-up.
+
+    A value's fields are its __init__'s parameters, in order. __init__
+    stores them with object.__setattr__, as a frozen dataclass does, and
+    setting or deleting an attribute later raises AttributeError. (Storing
+    through self.__dict__ builds faster, but an instance whose __dict__ has
+    been read loses CPython 3.11's and 3.12's fast attribute reads: each
+    read took about 4x as long.) Values of one class compare and hash by the
+    fields in _compared (default: all of them) and show as a dataclass does.
+    """
+
+    _compared: tuple[str, ...] | None = None
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared or self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+
+class CgrParams(Value):
     """Size parameters: v1 rings (even, >= 2) of length v2 = v1 + 3."""
 
-    v1: int
-    v2: int
-
-    def __post_init__(self) -> None:
-        if type(self.v1) is not int or type(self.v2) is not int:  # rejects bools too
-            raise ValueError(f"v1 and v2 must be ints, got v1={self.v1!r}, v2={self.v2!r}")
-        if self.v1 < 2 or self.v1 % 2 != 0:
-            raise ValueError(f"v1 must be even and >= 2, got {self.v1}")
-        if self.v2 != self.v1 + 3:
-            raise ValueError(f"v2 must equal v1 + 3, got v1={self.v1}, v2={self.v2}")
+    def __init__(self, v1: int, v2: int) -> None:
+        if type(v1) is not int or type(v2) is not int:  # rejects bools too
+            raise ValueError(f"v1 and v2 must be ints, got v1={v1!r}, v2={v2!r}")
+        if v1 < 2 or v1 % 2 != 0:
+            raise ValueError(f"v1 must be even and >= 2, got {v1}")
+        if v2 != v1 + 3:
+            raise ValueError(f"v2 must equal v1 + 3, got v1={v1}, v2={v2}")
+        object.__setattr__(self, "v1", v1)
+        object.__setattr__(self, "v2", v2)
 
     @classmethod
     def from_v1(cls, v1: int) -> CgrParams:
@@ -49,20 +87,20 @@ class CgrParams:
         return self.v1 * self.v2 // 2
 
 
-@dataclass(frozen=True)
-class CgrGraph:
+class CgrGraph(Value):
     """Labeled CGR graph: per-ring vertex sets, ring edges, inter-ring edges.
 
     Ring j owns vertices j*v2 .. (j+1)*v2 - 1. Ring edges run between
     consecutive vertices with the wrap-around edge (largest, smallest) last.
     Inter-ring edges for ring pair (i, j) join equal ring positions, in
-    ascending position order.
+    ascending position order. It is unhashable, as inter_ring_edges is a dict.
     """
 
-    params: CgrParams
-    vertex_sets: tuple[tuple[int, ...], ...]
-    ring_edges: tuple[tuple[tuple[int, int], ...], ...]
-    inter_ring_edges: dict[tuple[int, int], tuple[tuple[int, int], ...]]
+    def __init__(self, params: CgrParams, vertex_sets, ring_edges, inter_ring_edges) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "vertex_sets", vertex_sets)
+        object.__setattr__(self, "ring_edges", ring_edges)
+        object.__setattr__(self, "inter_ring_edges", inter_ring_edges)
 
     def edge_list(self) -> list[tuple[int, int]]:
         """All edges in canonical order: ring edge sets first, then inter-ring
@@ -91,8 +129,7 @@ def build_cgr(params: CgrParams) -> CgrGraph:
     return CgrGraph(params, vertex_sets, ring_edges, inter)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Value):
     """One-factorization of K_{v1+2} over labels {NEG_INF, 0..v1-1, POS_INF}.
 
     factors[p] lists the edges of factor p, center edge (NEG_INF, x) first:
@@ -100,7 +137,8 @@ class Factorization:
     the union of any two factors is a single Hamiltonian cycle.
     """
 
-    factors: tuple[tuple[Pair, ...], ...]
+    def __init__(self, factors: tuple[tuple[Pair, ...], ...]) -> None:
+        object.__setattr__(self, "factors", factors)
 
     @property
     def order(self) -> int:

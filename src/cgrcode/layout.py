@@ -10,11 +10,10 @@ A contracted array (bcode.contract) is a narrower grid of the same type.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
-from .graph import NEG_INF, POS_INF, CgrParams, Factorization
+from .graph import NEG_INF, POS_INF, CgrParams, Factorization, Value
 
 INFO = "info"
 PARITY = "parity"
@@ -22,8 +21,7 @@ EMPTY = "empty"
 KINDS = (EMPTY, INFO, PARITY)  # by member count, capped at 2
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(Value):
     """One grid entry: an info bit, a parity over several bits, or empty.
 
     The kind follows from the member count: none is empty, one is an info
@@ -32,7 +30,8 @@ class Cell:
     order-free comparisons.
     """
 
-    vertices: tuple[int, ...]
+    def __init__(self, vertices: tuple[int, ...]) -> None:
+        object.__setattr__(self, "vertices", vertices)
 
     @classmethod
     def info(cls, vertex: int) -> Cell:
@@ -92,7 +91,9 @@ class OffsetVector(tuple):
         return cls((0,) * params.num_rows)
 
 
-class CodecPlan(NamedTuple):  # not a frozen dataclass, whose creation adds 0.5 ms to import
+# collections.namedtuple, not typing.NamedTuple: typing would add to every
+# CLI command's start-up, as a frozen dataclass would.
+class CodecPlan(namedtuple("CodecPlan", "units pairs wides rebuild")):
     """An array's nonempty cells sorted by width, each list in row-major order.
 
     units holds (row, col, id) for single-bit cells, pairs (row, col, p, q)
@@ -102,10 +103,7 @@ class CodecPlan(NamedTuple):  # not a frozen dataclass, whose creation adds 0.5 
     over its cells.
     """
 
-    units: tuple[tuple[int, int, int], ...]
-    pairs: tuple[tuple[int, int, int, int], ...]
-    wides: tuple[tuple[int, int, tuple[int, ...]], ...]
-    rebuild: tuple[int, ...]
+    __slots__ = ()
 
 
 def bits_of(mask: int) -> list[int]:
@@ -130,8 +128,7 @@ def cell_members(mask: int, v2: int) -> list[int]:
     return [q, p] if q - p == v2 - 1 else [p, q]
 
 
-@dataclass(frozen=True)
-class CodeArray:
+class CodeArray(Value):
     """The code definition: a GF(2) mask grid plus the offsets that shaped it.
 
     Bit i of masks[r][c] is set when variable i is in cell (r, c). Ids are
@@ -142,10 +139,11 @@ class CodeArray:
     (None for every other array).
     """
 
-    params: CgrParams
-    offsets: OffsetVector
-    masks: tuple[tuple[int, ...], ...]
-    source_columns: tuple[int, ...] | None = None
+    def __init__(self, params: CgrParams, offsets, masks, source_columns=None) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "source_columns", source_columns)
 
     @property
     def num_rows(self) -> int:

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from . import gf2
 from .code import MdsResult, verify_mds
 from .fixtures import BUILTIN_VECTORS
-from .graph import CgrParams
+from .graph import CgrParams, Value
 from .layout import OffsetVector, build_code_array, canonical_prefix, map_unshifted
 from .rng import Lcg
 
@@ -19,8 +18,7 @@ class BudgetExceededError(Exception):
     """Exhaustive space larger than the configured budget of candidates."""
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(Value):
     """What to search: code size, free entries, strategy, and limits.
 
     fix_prefix holds layout.canonical_prefix (0..v1-1, then v1 repeated) fixed
@@ -31,16 +29,18 @@ class SearchSpec:
     vectors are collected into the result list.
     """
 
-    params: CgrParams
-    fix_prefix: bool = True
-    strategy: str = "exhaustive"
-    seed: int = 0
-    max_trials: int = 0
-    stop_after: int | None = None
+    def __init__(
+        self, params, fix_prefix=True, strategy="exhaustive", seed=0, max_trials=0, stop_after=None
+    ) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "fix_prefix", fix_prefix)
+        object.__setattr__(self, "strategy", strategy)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "max_trials", max_trials)
+        object.__setattr__(self, "stop_after", stop_after)
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(Value):
     """trials = candidates covered (for exhaustive runs, pruned ones
     included); hits = valid vectors seen (for exhaustive runs this is the
     exact count in the whole space); space = size of the enumerated space
@@ -48,10 +48,13 @@ class SearchStats:
     nodes visited for exhaustive runs, candidates swept for random ones.
     nodes is left out of comparisons, so stats compare by outcome."""
 
-    trials: int
-    hits: int
-    space: int | None
-    nodes: int = field(default=0, compare=False)
+    _compared = ("trials", "hits", "space")
+
+    def __init__(self, trials: int, hits: int, space: int | None, nodes: int = 0) -> None:
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "hits", hits)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "nodes", nodes)
 
 
 def params_for_offset_length(n: int) -> CgrParams:

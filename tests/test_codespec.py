@@ -127,11 +127,37 @@ def _mutated(k2_array, mutate):
         lambda o: o["offset_vector"].__setitem__(0, False),
         # Right members in the wrong order: the wrap-around edge is [4, 0].
         lambda o: o["rows"][2][2].update(vertices=[0, 4]),
+        # Bools where they equal the id: rows[0] holds [0] and [1], rows[2][2] [4, 0].
+        lambda o: o["rows"][0][1].update(vertices=[True]),
+        lambda o: o["rows"][0][0].update(vertices=[False]),
+        lambda o: o["rows"][2][2].update(vertices=[4, False]),
     ],
 )
 def test_validation_rejects_malformed_objects(k2_array, mutate):
     with pytest.raises(ValueError):
         from_obj(_mutated(k2_array, mutate))
+
+
+def test_a_bool_is_refused_wherever_it_equals_an_id():
+    # Records compare equal with a bool in place of id 0 or 1, so from_obj
+    # checks member types in the rows that hold those ids.
+    for name in BUILTIN_VECTORS:
+        for form in (builtin_array(name), dualize(builtin_array(name))):
+            text = to_json(form)
+            spots = [
+                (r, c, i)
+                for r, row in enumerate(json.loads(text)["rows"])
+                for c, cell in enumerate(row)
+                for i, v in enumerate(cell["vertices"])
+                if v in (0, 1)
+            ]
+            assert len(spots) >= 4
+            for r, c, i in spots:
+                obj = json.loads(text)
+                members = obj["rows"][r][c]["vertices"]
+                members[i] = bool(members[i])
+                with pytest.raises(ValueError):
+                    from_obj(obj)
 
 
 @pytest.mark.parametrize(
@@ -148,7 +174,22 @@ def test_validation_rejects_a_dual_parity_in_the_wrong_order(k2_array, mutate):
         from_obj(obj)
 
 
-@pytest.mark.parametrize("text", ["[]", "{", "[" * 100_000], ids=["array", "truncated", "deep"])
+_K2_TEXT = to_json(builtin_array("k2_c5"))
+_FIRST_ID_0 = '"vertices": [\n          0\n'  # rows[0][0]
+_FIRST_ID_1 = '"vertices": [\n          1\n'  # rows[0][1]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]",
+        "{",
+        "[" * 100_000,
+        _K2_TEXT.replace(_FIRST_ID_1, _FIRST_ID_1.replace("1", "true"), 1),
+        _K2_TEXT.replace(_FIRST_ID_0, _FIRST_ID_0.replace("0", "0.0"), 1),
+    ],
+    ids=["array", "truncated", "deep", "true", "0.0"],
+)
 def test_from_json_rejects_non_objects_bad_text_and_deep_nesting(text):
     with pytest.raises(ValueError):
         from_json(text)

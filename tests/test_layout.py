@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from cgrcode import (
@@ -37,7 +35,7 @@ def test_cell_constructors():
 
 
 def test_value_types_hold_only_their_data():
-    assert [f.name for f in dataclasses.fields(Cell)] == ["vertices"]
+    assert list(vars(Cell((3, 4)))) == ["vertices"]
     kinds = [Cell(members).kind for members in [(), (3,), (3, 4), (1, 2, 3)]]
     assert kinds == ["empty", "info", "parity", "parity"]
     vector = OffsetVector((0, 1, 2, 2, 4))

@@ -1,11 +1,13 @@
-"""The library imports nothing outside the standard library, no module of it
-imports a private name from another, only layout.py makes Cells, and the
-JSON format and dualize never read the Cell view."""
+"""The library imports nothing outside the standard library, its CLI starts
+without the heavy stdlib modules, no module of it imports a private name
+from another, only layout.py makes Cells, and the JSON format and dualize
+never read the Cell view."""
 
 from __future__ import annotations
 
 import ast
 import pathlib
+import subprocess
 import sys
 
 PACKAGE_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "cgrcode"
@@ -41,6 +43,22 @@ def test_runtime_imports_are_stdlib_only():
             if top != "cgrcode" and top not in sys.stdlib_module_names:
                 foreign.append(f"{name}: {module}")
     assert foreign == []
+
+
+def test_cli_imports_none_of_the_heavy_stdlib_modules():
+    # Every CLI command pays for what importing cgrcode.cli loads. -S keeps
+    # site (which may preload typing) out of the child, so only the package
+    # and what it imports can bring these in.
+    heavy = ["dataclasses", "inspect", "typing", "fractions", "decimal"]
+    script = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE_DIR.parent)!r}); import cgrcode.cli; "
+        f"print(' '.join(m for m in {heavy!r} if m in sys.modules))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == []
 
 
 def test_no_module_imports_a_private_name_from_another():
