@@ -4,23 +4,23 @@ Encoding, decoding and verification read only the array's GF(2) mask grid
 (CodeArray.masks, whose bit positions are the variable ids). Cell values are
 XORs of info values, which may be ints of any width: each bit plane is coded
 independently. The codec replays the grid's plan (CodeArray.plan), compiled
-once per array: its single-bit, two-bit and wider cells, each kind in
-row-major order, and each column's rebuild XOR count. Encoding fills the
-cells kind by kind. Decoding seeds known values from the surviving
-single-bit cells and peels the surviving two-bit cells with one unknown,
-sweeping them in row-major order; when peeling stalls it falls back to
-Gaussian elimination over every surviving cell of the mask grid, entered
-in row-major order. Verification (sweep_pairs) checks that every pair of
-surviving columns spans the full variable space: each column is reduced
-once to a GF(2) basis, which every pair it leads shares, and the pair's
-other column extends a copy of it until the dependent cells exceed what
-full rank allows. Rotating every ring by one position moves each row of a
-built array, primal or dual, one cell to the side, so when a grid passes
-that check only the pairs (0, d) for d <= v2 // 2 are swept (see
-sweep_pairs). Search sweeps no columns: both its strategies place rows
-onto one basis per pair (0, d), by the argument stated in search.search.
-The dual's verdict is read off the same primal sweep, since the dual is
-the primal's orthogonal complement.
+once per array. Encoding fills its single-bit, two-bit and wider cells kind
+by kind. Decoding reads the plan's rows of single-bit and two-bit cells over
+the surviving columns only: it seeds known values from the single-bit cells
+and peels each two-bit cell with one unknown as it reads it, then sweeps the
+rest in row-major order; when peeling stalls it falls back to Gaussian
+elimination over every surviving cell, entered in row-major order.
+Verification (sweep_pairs) checks that every pair of surviving columns
+spans the full variable space: each column is reduced once to a GF(2)
+basis, which every pair it leads shares, and the pair's other column
+extends a copy of it until the dependent cells exceed what full rank
+allows. Rotating every ring by one position moves each row of a built
+array, primal or dual, one cell to the side, so when a grid passes that
+check only the pairs (0, d) for d <= v2 // 2 are swept (see sweep_pairs).
+Search sweeps no columns: both its strategies place rows onto one basis
+per pair (0, d), by the argument stated in search.search. The dual's
+verdict is read off the same primal sweep, since the dual is the primal's
+orthogonal complement.
 """
 
 from __future__ import annotations
@@ -174,14 +174,16 @@ def decode(
 
     values is a full grid of cell values, num_rows rows of num_columns;
     erased columns are never read. Raises ValueError on a grid of another
-    shape or an array whose plan does not compile (see CodeArray.plan), and
-    UnrecoverableError when the surviving system is rank-deficient.
+    shape, an array whose plan does not compile (see CodeArray.plan), or a
+    value used that is not an int (naming the first surviving cell, in
+    row-major order, that holds none), and UnrecoverableError when the
+    surviving system is rank-deficient.
 
     This is an erasure decoder, not an error detector: surviving cells are
-    trusted. Peeling never reads the surviving cells it does not need, so a
-    corrupted one can come back as wrong data with peeling_sufficed=True;
-    forced elimination enters every surviving cell and raises ValueError
-    when they disagree.
+    trusted. Peeling never checks a surviving cell against values already
+    known, so a corrupted one can come back as wrong data with
+    peeling_sufficed=True; forced elimination enters every surviving cell
+    and raises ValueError when they disagree.
 
     On a primal array (cells of one or two bits) peeling is complete: in
     the graph of the surviving two-bit cells, flipping every variable of a
@@ -196,53 +198,79 @@ def decode(
         raise ValueError(f"decode expects a grid of {array.num_rows} rows of {width} cells")
     ids = array.info_ids()
     nvars = len(ids)
-    erased = pattern.erased_columns
+    survivors = pattern.survivors(width)
     plan = array.plan
 
-    # known maps id (bit position) -> value. Surviving single-bit cells seed it;
-    # surviving two-bit cells are peeled, in row-major order, until none has
-    # exactly one unknown left. Forced elimination skips all of it.
+    # known maps id (bit position) -> value, seeded from the surviving single-bit
+    # cells. The first peel sweep runs as the surviving two-bit cells are read and
+    # queues only those left with two unknowns. Forced elimination skips it all.
     xor_count = 0
     peeling_sufficed = False
-    if not force_elimination:
-        known = {p: values[r][c] for r, c, p in plan.units if c not in erased}
-        seeded = len(known)
-        pending = [(p, q, values[r][c]) for r, c, p, q in plan.pairs if c not in erased]
-        while pending:
-            remaining = []
-            for p, q, value in pending:
-                if p in known:
-                    if q not in known:
-                        known[q] = value ^ known[p]
-                elif q in known:
-                    known[p] = value ^ known[q]
-                else:
-                    remaining.append((p, q, value))
-            if len(remaining) == len(pending):
-                break
-            pending = remaining
-        xor_count = len(known) - seeded  # one XOR per peeled value
-        peeling_sufficed = len(known) == nvars
+    try:
+        if not force_elimination:
+            known = {
+                p: values[r][c]
+                for r, cells in plan.unit_rows
+                for c in survivors
+                if (p := cells[c]) is not None
+            }
+            seeded = len(known)
+            pending = []
+            for r, cells in plan.pair_rows:
+                row = values[r]
+                for c in survivors:
+                    if (pq := cells[c]) is not None:
+                        p, q = pq
+                        if p in known:
+                            if q not in known:
+                                known[q] = row[c] ^ known[p]
+                        elif q in known:
+                            known[p] = row[c] ^ known[q]
+                        else:
+                            pending.append((p, q, row[c]))
+            while pending:
+                remaining = []
+                for p, q, value in pending:
+                    if p in known:
+                        if q not in known:
+                            known[q] = value ^ known[p]
+                    elif q in known:
+                        known[p] = value ^ known[q]
+                    else:
+                        remaining.append((p, q, value))
+                if len(remaining) == len(pending):
+                    break
+                pending = remaining
+            xor_count = len(known) - seeded  # one XOR per peeled value
+            peeling_sufficed = len(known) == nvars
 
-    elimination_ops = 0
-    if not peeling_sufficed:
-        surviving = pattern.survivors(width)
-        equations = [
-            (mask, values[r][c])
-            for r, row in enumerate(array.masks)
-            for c in surviving
-            if (mask := row[c])
-        ]
-        solved = gf2.solve_unique(equations, nvars)
-        if solved is None:
-            deficit = gf2.rank([m for m, _ in equations])
-            raise UnrecoverableError(pattern, deficit, nvars)
-        known, elimination_ops = solved
+        elimination_ops = 0
+        if not peeling_sufficed:
+            equations = [
+                (mask, values[r][c])
+                for r, row in enumerate(array.masks)
+                for c in survivors
+                if (mask := row[c])
+            ]
+            solved = gf2.solve_unique(equations, nvars)
+            if solved is None:
+                deficit = gf2.rank([m for m, _ in equations])
+                raise UnrecoverableError(pattern, deficit, nvars)
+            known, elimination_ops = solved
+
+        recovered = {v: known[v] for v in ids}
+        if not all(map(isinstance, recovered.values(), itertools.repeat(int))):
+            raise TypeError("a recovered value is not an int")
+    except TypeError:
+        for r, row in enumerate(array.masks):
+            for c in survivors:
+                if row[c] and not isinstance(values[r][c], int):
+                    kind = type(values[r][c]).__name__
+                    raise ValueError(f"surviving cell ({r}, {c}) holds {kind}, not int") from None
+        raise
 
     # Rebuilding each erased cell from recovered values costs popcount-1 XORs.
-    xor_count += sum(plan.rebuild[c] for c in erased)
-
-    recovered = {v: known[v] for v in ids}
+    xor_count += sum(plan.rebuild[c] for c in pattern.erased_columns)
     return DecodeReport(recovered, peeling_sufficed, xor_count, elimination_ops)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from functools import cached_property
 
 from .graph import NEG_INF, POS_INF, CgrParams, Factorization, Value
 
@@ -93,14 +92,16 @@ class OffsetVector(tuple):
 
 # collections.namedtuple, not typing.NamedTuple: typing would add to every
 # CLI command's start-up, as a frozen dataclass would.
-class CodecPlan(namedtuple("CodecPlan", "units pairs wides rebuild")):
+class CodecPlan(namedtuple("CodecPlan", "units pairs wides rebuild unit_rows pair_rows")):
     """An array's nonempty cells sorted by width, each list in row-major order.
 
     units holds (row, col, id) for single-bit cells, pairs (row, col, p, q)
     for two-bit cells with ids p < q, and wides (row, col, ids) for wider
     cells (dual parities), ids ascending. rebuild[c] is the number of
     XORs that rebuild column c from the variables: the sum of popcount - 1
-    over its cells.
+    over its cells. unit_rows and pair_rows hold (row, cells) for each row
+    with a single-bit, resp. two-bit, cell: cells[c] is the id, resp. the
+    (p, q) pair, at column c, and None where column c holds another kind.
     """
 
     __slots__ = ()
@@ -126,6 +127,22 @@ def cell_members(mask: int, v2: int) -> list[int]:
         return bits_of(mask)
     p, q = (mask ^ rest).bit_length() - 1, rest.bit_length() - 1
     return [q, p] if q - p == v2 - 1 else [p, q]
+
+
+class computed_once:
+    """functools.cached_property without its instance __dict__ store, which
+    costs CPython's fast attribute reads (see graph.Value): the first read
+    runs the method and stores the result with object.__setattr__."""
+
+    def __init__(self, method) -> None:
+        self.method, self.__doc__ = method, method.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.method(instance)
+        object.__setattr__(instance, self.method.__name__, value)
+        return value
 
 
 class CodeArray(Value):
@@ -156,43 +173,50 @@ class CodeArray(Value):
     def column(self, c: int) -> list[Cell]:
         return [row[c] for row in self.rows]
 
-    @cached_property
+    @computed_once
     def rows(self) -> tuple[tuple[Cell, ...], ...]:
         """The grid as Cells (see Cell.from_mask), built once from masks."""
         v2 = self.params.v2
         return tuple(tuple(Cell.from_mask(m, v2) for m in row) for row in self.masks)
 
-    @cached_property
+    @computed_once
     def plan(self) -> CodecPlan:
         """The mask grid compiled for the codec, in one pass over masks.
         Raises ValueError at the first cell, in row-major order, that holds
         a bit no info cell carries."""
         ids = sum(1 << i for i in self._ids)
-        units, pairs, wides = [], [], []
-        rebuild = [0] * self.num_columns
+        units, pairs, wides, unit_rows, pair_rows = [], [], [], [], []
+        width = self.num_columns
+        rebuild, empty = [0] * width, [None] * width
         for r, row in enumerate(self.masks):
+            unit_row, pair_row = [None] * width, [None] * width
             for c, m in enumerate(row):
                 rest = m & (m - 1)
                 if not rest:
                     if m:
-                        units.append((r, c, m.bit_length() - 1))
+                        unit_row[c] = p = m.bit_length() - 1
+                        units.append((r, c, p))
                     continue
                 if m & ids != m:
                     raise ValueError(f"cell ({r}, {c}) holds a bit that no info cell carries")
                 if rest & (rest - 1):
                     wides.append((r, c, tuple(bits_of(m))))
                 else:
-                    pairs.append((r, c, (m ^ rest).bit_length() - 1, rest.bit_length() - 1))
+                    p, q = pair_row[c] = (m ^ rest).bit_length() - 1, rest.bit_length() - 1
+                    pairs.append((r, c, p, q))
                 rebuild[c] += m.bit_count() - 1
-        return CodecPlan(tuple(units), tuple(pairs), tuple(wides), tuple(rebuild))
+            for grouped, cells in ((unit_rows, unit_row), (pair_rows, pair_row)):
+                if cells != empty:
+                    grouped.append((r, tuple(cells)))
+        return CodecPlan(*map(tuple, (units, pairs, wides, rebuild, unit_rows, pair_rows)))
 
     def info_ids(self) -> list[int]:
         """All variable ids carried by info cells, ascending."""
         return list(self._ids)
 
-    @cached_property
+    @computed_once
     def _ids(self) -> tuple[int, ...]:
-        singles = (m for row in self.masks for m in row if m and not m & (m - 1))
+        singles = {m for row in self.masks for m in row if m and not m & (m - 1)}
         return tuple(sorted(m.bit_length() - 1 for m in singles))
 
     def is_dual(self) -> bool:

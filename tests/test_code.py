@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from cgrcode import (
     CgrParams,
+    CodeArray,
     Codeword,
     ContractShapeError,
     DecodeReport,
@@ -248,7 +249,7 @@ def _reference_decode(array, values, pattern, force_elimination=False):
     """Decode read off the mask grid cell by cell: every surviving cell
     becomes one (mask, value) equation in row-major order."""
     nvars = len(array.info_ids())
-    surviving = pattern.survivors(array.params.v2)
+    surviving = pattern.survivors(array.num_columns)
     equations = [
         (mask, values[r][c])
         for r, row in enumerate(array.masks)
@@ -346,6 +347,80 @@ def test_codec_matches_the_cell_by_cell_reference(v1):
     assert raised
 
 
+def _compare_with_reference(array, payload, patterns, rng):
+    """Decode each pattern's grid, as erased and with one surviving cell
+    XOR-corrupted, peeled and forced, with the codec and the reference;
+    return how many outcomes were raised errors."""
+    codeword = encode(array, payload)
+    assert codeword == _reference_encode(array, payload)
+    cells = [(r, c) for r, row in enumerate(array.masks) for c, m in enumerate(row) if m]
+    raised = 0
+    for columns in patterns:
+        pattern = ErasurePattern.of(columns)
+        grid = erase(codeword, pattern)
+        grids = [grid]
+        survivors = [(r, c) for r, c in cells if c not in pattern.erased_columns]
+        if survivors:
+            r, c = survivors[rng.randint(len(survivors))]
+            corrupted = [list(row) for row in grid]
+            corrupted[r][c] ^= 1 << rng.randint(8)
+            grids.append(corrupted)
+        for values in grids:
+            for force in (False, True):
+                outcome = _decode_outcome(decode, array, values, pattern, force)
+                assert outcome == _decode_outcome(_reference_decode, array, values, pattern, force)
+                raised += not isinstance(outcome, DecodeReport)
+    return raised
+
+
+@pytest.mark.parametrize("v1", [2, 4, 6, 8])
+def test_codec_matches_the_reference_on_punctured_and_contracted_arrays(v1):
+    # Their rows mix empty, single-bit and two-bit cells, which the plan's
+    # row groups must skip and keep apart. Every erasure subset is decoded.
+    array = build_code_array(CgrParams.from_v1(v1), derive_offsets(pif_factorize(v1)))
+    rng = Lcg(400 + v1)
+    raised = 0
+    for view in (puncture(array), contract(array)):
+        payload = {v: rng.next_u64() for v in view.info_ids()}
+        width = view.num_columns
+        patterns = [c for k in range(width + 1) for c in itertools.combinations(range(width), k)]
+        raised += _compare_with_reference(view, payload, patterns, rng)
+    assert raised
+
+
+@st.composite
+def _mixed_grids(draw):
+    """A hand-built grid of empty, single-bit and two-bit masks over up to
+    five sparse ids, each id in at least one single-bit cell and possibly in
+    several; two-bit cells join two of those ids."""
+    ids = sorted(draw(st.sets(st.integers(0, 9), min_size=1, max_size=5), label="ids"))
+    rows = draw(st.integers(1, 5), label="rows")
+    width = draw(st.integers(max(1, -(-len(ids) // rows)), 5), label="width")
+    kinds = st.one_of(
+        st.just(0),
+        st.sampled_from([1 << i for i in ids]),
+        st.sampled_from([1 << i | 1 << j for i, j in itertools.combinations(ids, 2)] or [0]),
+    )
+    grid = [[draw(kinds, label="cell") for _ in range(width)] for _ in range(rows)]
+    slots = draw(st.permutations([(r, c) for r in range(rows) for c in range(width)]), label="slots")
+    for i, (r, c) in zip(ids, slots):
+        grid[r][c] = 1 << i
+    return CodeArray(CgrParams.from_v1(2), None, tuple(map(tuple, grid)))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(array=_mixed_grids(), seed=st.integers(0, 2**32 - 1))
+def test_codec_matches_the_reference_on_hand_built_grids(array, seed):
+    # Repeated info cells make corrupted grids disagree on a variable's
+    # value: the codec must keep the reference's choice (the last surviving
+    # single-bit cell in row-major order seeds it).
+    rng = Lcg(seed)
+    payload = {v: rng.randint(256) for v in array.info_ids()}
+    width = array.num_columns
+    patterns = [[c for c in range(width) if rng.bit()] for _ in range(4)]
+    _compare_with_reference(array, payload, patterns, rng)
+
+
 @pytest.mark.parametrize("v1", [2, 4, 6])
 def test_primal_peeling_is_complete(v1):
     # decode's docstring argues that a stalled peel on a primal array is
@@ -418,6 +493,48 @@ def test_cells_over_bits_that_are_not_variables_fail_fast(v1):
     grid = [[0] * broken.num_columns for _ in range(broken.num_rows)]
     with pytest.raises(ValueError, match=message):
         decode(broken, grid, ErasurePattern.of([]))
+
+
+@pytest.mark.parametrize(
+    "columns, force, cell",
+    [([], False, 0), ([0], False, 1), ([2], False, 0), ([], True, 0), ([0], True, 1), ([2], True, 0)],
+)
+def test_decode_names_a_surviving_cell_that_holds_no_int(columns, force, cell):
+    # The grid has columns 0 and 1 blanked to None, but the pattern says
+    # fewer were lost: seeding would hand None back as recovered data, and
+    # an XOR with it would fail inside the peel or the elimination.
+    array = build_code_array(CgrParams.from_v1(4), derive_offsets(pif_factorize(4)))
+    payload = random_bits(array, 9)
+    grid = erase(encode(array, payload), ErasurePattern.of({0, 1}))
+    with pytest.raises(ValueError, match=rf"^surviving cell \(0, {cell}\) holds NoneType, not int$"):
+        decode(array, grid, ErasurePattern.of(columns), force_elimination=force)
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_decode_names_a_two_bit_or_wide_cell_that_holds_no_int(dual):
+    # One surviving parity cell at a time holds a str. Decoding either
+    # never uses it and returns the payload, or names that cell.
+    primal = build_code_array(CgrParams.from_v1(2), derive_offsets(pif_factorize(2)))
+    array = dualize(primal) if dual else primal
+    payload = {v: 5 * v + 3 for v in array.info_ids()}
+    codeword = encode(array, payload)
+    pattern = ErasurePattern.of([0])
+    grid = erase(codeword, pattern)
+    named = 0
+    for r, row in enumerate(array.masks):
+        for c in pattern.survivors(array.num_columns):
+            if row[c] & (row[c] - 1):
+                bad = [list(line) for line in grid]
+                bad[r][c] = "x"
+                for force in (False, True):
+                    try:
+                        report = decode(array, bad, pattern, force_elimination=force)
+                    except ValueError as exc:
+                        assert str(exc) == f"surviving cell ({r}, {c}) holds str, not int"
+                        named += 1
+                    else:
+                        assert not force and report.recovered == payload
+    assert named
 
 
 def test_reencode_matches_original(k4a_array):

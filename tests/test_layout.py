@@ -9,15 +9,18 @@ from cgrcode import (
     POS_INF,
     Cell,
     CgrParams,
+    CodeArray,
     Factorization,
     OffsetVector,
     apply_offsets,
     build_cgr,
     build_code_array,
+    contract,
     derive_offsets,
     dualize,
     map_unshifted,
     pif_factorize,
+    puncture,
 )
 from cgrcode.layout import canonical_prefix
 from conftest import placements_and_pis
@@ -41,6 +44,40 @@ def test_value_types_hold_only_their_data():
     vector = OffsetVector((0, 1, 2, 2, 4))
     assert isinstance(vector, tuple) and not hasattr(vector, "offsets")
     assert vector == (0, 1, 2, 2, 4) and repr(vector) == "(0, 1, 2, 2, 4)"
+
+
+def test_lazy_views_are_computed_once_and_change_no_comparison():
+    # rows, plan and the info ids are computed on first read and stored on
+    # the instance; reading them leaves ==, hash and repr as they were.
+    array = build_code_array(CgrParams.from_v1(4), derive_offsets(pif_factorize(4)))
+    twin = CodeArray(array.params, array.offsets, array.masks)
+    before = (repr(array), hash(array))
+    assert array.plan is array.plan and array.rows is array.rows
+    assert array.info_ids() == list(range(28)) and array.info_ids() is not array.info_ids()
+    assert (repr(array), hash(array)) == before == (repr(twin), hash(twin))
+    assert array == twin and twin == array
+    assert CodeArray.plan.__doc__.startswith("The mask grid compiled for the codec")
+
+
+@pytest.mark.parametrize("v1", [2, 4, 6])
+def test_plan_row_groups_hold_the_single_and_two_bit_cells(v1):
+    array = build_code_array(CgrParams.from_v1(v1), derive_offsets(pif_factorize(v1)))
+    for view in (array, dualize(array), puncture(array), contract(array)):
+        plan = view.plan
+        units = [(r, c, p) for r, cells in plan.unit_rows for c, p in enumerate(cells) if p is not None]
+        pairs = [(r, c, *pq) for r, cells in plan.pair_rows for c, pq in enumerate(cells) if pq]
+        assert units == list(plan.units) and pairs == list(plan.pairs)
+        for _, cells in plan.unit_rows + plan.pair_rows:
+            assert len(cells) == view.num_columns and cells.count(None) < len(cells)
+        assert [r for r, _ in plan.pair_rows] == sorted({r for r, *_ in plan.pairs})
+
+
+def test_repeated_info_cells_count_once():
+    # A hand-built grid may carry one variable in several single-bit cells.
+    grid = CodeArray(CgrParams.from_v1(2), None, ((1, 2, 1), (4, 3, 2), (4, 0, 5)))
+    assert grid.info_ids() == [0, 1, 2]
+    assert grid.plan.unit_rows == ((0, (0, 1, 0)), (1, (2, None, 1)), (2, (2, None, None)))
+    assert grid.plan.pair_rows == ((1, (None, (0, 1), None)), (2, (None, None, (0, 2))))
 
 
 def test_unshifted_two_ring_layout():
