@@ -284,6 +284,9 @@ def cmd_dual(args) -> int:
     return _emit_array(dualize(codespec.load(args.file)), args)
 
 
+CONTRACT_FORMAT_VERSION = "1"  # not a code file: codespec cannot load it
+
+
 def cmd_contract(args) -> int:
     array = _load_primal(args.file)
     order = _csv_ints(args.order) if args.order is not None else None
@@ -296,7 +299,7 @@ def cmd_contract(args) -> int:
     else:
         _emit_json(
             {
-                "version": codespec.FORMAT_VERSION,
+                "version": CONTRACT_FORMAT_VERSION,
                 "v1": contracted.params.v1,
                 "v2": contracted.params.v2,
                 "source_columns": list(contracted.source_columns),

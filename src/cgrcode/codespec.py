@@ -1,9 +1,12 @@
 """Canonical JSON interchange for code arrays.
 
-The format is integers-only with a fixed field order (version, v1, v2,
-offset_vector, rows); serializing a deserialized document reproduces it
-byte for byte. Cell records are {"kind": "info"|"parity"|"empty",
-"vertices": [...]}; dual arrays use the same shape with edge-variable ids.
+A code file is a header: {"version": "2", "v1", "v2", "dual",
+"offset_vector"}, in that order, written as json.dumps(obj, indent=2) + "\\n".
+A CGR array is fixed by v1 and its offset vector, so loading builds it
+(build_code_array) and dualizes it when dual is true. Version "1" files,
+whose "rows" hold every cell as {"kind": "info"|"parity"|"empty",
+"vertices": [...]}, still load: their rows must be the array the header
+builds, or its dual, record for record. Only integers are read.
 """
 
 from __future__ import annotations
@@ -12,9 +15,10 @@ import json
 
 from .code import dualize
 from .graph import CgrParams
-from .layout import KINDS, PARITY, CodeArray, OffsetVector, build_code_array, cell_members
+from .layout import KINDS, CodeArray, OffsetVector, build_code_array, cell_members
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
+_HEADER = ("version", "v1", "v2", "dual", "offset_vector")  # a version 2 file, in order
 
 
 def mask_records(grid, v2: int) -> list[list[dict]]:
@@ -25,60 +29,34 @@ def mask_records(grid, v2: int) -> list[list[dict]]:
 
 
 def to_obj(array: CodeArray) -> dict:
-    return {
-        "version": FORMAT_VERSION,
-        "v1": array.params.v1,
-        "v2": array.params.v2,
-        "offset_vector": list(array.offsets),
-        "rows": mask_records(array.masks, array.params.v2),
-    }
+    """The header of a built array or its dual. Any other grid (punctured,
+    contracted, or built by hand) raises ValueError: no header describes it."""
+    params, offsets = array.params, array.offsets
+    if array.source_columns is None:
+        dual = array.is_dual()
+        built = build_code_array(params, offsets)
+        if (dualize(built) if dual else built).masks == array.masks:
+            return dict(zip(_HEADER, (FORMAT_VERSION, params.v1, params.v2, dual, list(offsets))))
+    raise ValueError("only a built array or its dual can be saved as a code file")
 
 
 def to_json(array: CodeArray) -> str:
-    """The text of json.dumps(to_obj(array), indent=2) + "\\n", joined by
-    hand: the document holds only ints and the fixed kind strings, and the
-    pure-Python indent encoder spent most of the time."""
-    v2 = array.params.v2
-    rows = [_array([_record_text(cell_members(m, v2)) for m in row], 2) for row in array.masks]
-    return (
-        '{\n  "version": "' + FORMAT_VERSION + '",\n'
-        f'  "v1": {array.params.v1},\n'
-        f'  "v2": {v2},\n'
-        f'  "offset_vector": {_array([str(a) for a in array.offsets], 1)},\n'
-        f'  "rows": {_array(rows, 1)}\n'
-        "}\n"
-    )
-
-
-def _array(items: list[str], depth: int) -> str:
-    """A JSON array of encoded items, laid out as indent=2 lays it out at
-    nesting depth."""
-    if not items:
-        return "[]"
-    pad = "\n" + "  " * (depth + 1)
-    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
-
-
-# A cell record inside rows, and its %-templates for zero, one and two members.
-_RECORD = '{\n        "kind": "%s",\n        "vertices": %s\n      }'
-_TEMPLATES = tuple(_RECORD % (kind, _array(["%d"] * n, 4)) for n, kind in enumerate(KINDS))
-
-
-def _record_text(members: list[int]) -> str:
-    if len(members) < 3:
-        return _TEMPLATES[len(members)] % tuple(members)
-    return _RECORD % (PARITY, _array(list(map(str, members)), 4))
+    """The code file of a built array or its dual. Hand-built grids cannot
+    be saved, in this version or in version 1: to_obj raises ValueError."""
+    return json.dumps(to_obj(array), indent=2) + "\n"
 
 
 def from_obj(obj: dict) -> CodeArray:
-    """Parse a code object; its rows must be the array that v1 and
-    offset_vector build, or that array's dual. A bool member is refused
-    (from_json refuses floats as it parses)."""
+    """Parse a code object of version 2 (the header alone) or 1 (the header
+    and rows that must be the array it builds, or that array's dual)."""
     if not isinstance(obj, dict):
         raise ValueError("code file must be a JSON object")
     version = obj.get("version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported format version {version!r} (expected {FORMAT_VERSION!r})")
+    if version not in ("1", FORMAT_VERSION):
+        raise ValueError(f"unsupported format version {version!r} (expected '1' or '2')")
+    if version == FORMAT_VERSION and obj.keys() != set(_HEADER):
+        fields = ", ".join(map(str, obj))
+        raise ValueError(f"a version 2 code file holds exactly {', '.join(_HEADER)}; got {fields}")
     try:
         params = CgrParams(obj["v1"], obj["v2"])
         offsets = OffsetVector(obj.get("offset_vector", ()))
@@ -88,7 +66,17 @@ def from_obj(obj: dict) -> CodeArray:
         raise ValueError(f"bad header field: {exc}") from None
     offsets.validate_for(params)  # before building, so a huge v1 fails fast
     array = build_code_array(params, offsets)
-    rows = obj.get("rows")
+    if version == "1":
+        return _check_rows(array, obj.get("rows"))
+    if type(obj["dual"]) is not bool:
+        raise ValueError(f"dual must be true or false, got {obj['dual']!r}")
+    return dualize(array) if obj["dual"] else array
+
+
+def _check_rows(array: CodeArray, rows) -> CodeArray:
+    """The built array or its dual, whichever a version 1 file's rows are.
+    A bool member is refused (from_json refuses floats as it parses)."""
+    params = array.params
     try:  # a dual's first cell is a parity over v1 + 1 edges, a primal's an info cell
         dual = len(rows[0][0]["vertices"]) > 2
     except (TypeError, LookupError):
@@ -125,5 +113,6 @@ def load(path: str) -> CodeArray:
 
 
 def dump(array: CodeArray, path: str) -> None:
+    text = to_json(array)  # first, so an array that cannot be saved leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json(array))
+        fh.write(text)

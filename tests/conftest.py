@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from cgrcode import BUILTIN_VECTORS, POS_INF, CgrParams, CodeArray, build_code_array
+from cgrcode.codespec import mask_records
 from cgrcode.rng import Lcg
 from cgrcode.search import params_for_offset_length
 
@@ -12,6 +16,65 @@ from cgrcode.search import params_for_offset_length
 def builtin_array(name: str) -> CodeArray:
     vector = BUILTIN_VECTORS[name]
     return build_code_array(params_for_offset_length(len(vector)), vector)
+
+
+# Version 1 code files, written by the version 1 writer: k2_c5 and the
+# canonical v1 = 8 array (derive_offsets(pif_factorize(8))), each as primal
+# and as dual.
+DATA = Path(__file__).parent / "data"
+V1_FILES = ("k2_c5_v1.json", "k2_c5_dual_v1.json", "v8_v1.json", "v8_dual_v1.json")
+
+
+def _v1_text(array: CodeArray) -> str:
+    """The text of array's version 1 code file: the header and every cell's
+    record, as the version 1 writer laid them out."""
+    obj = {
+        "version": "1",
+        "v1": array.params.v1,
+        "v2": array.params.v2,
+        "offset_vector": list(array.offsets),
+        "rows": mask_records(array.masks, array.params.v2),
+    }
+    return json.dumps(obj, indent=2) + "\n"
+
+
+# Mutations of a version 2 header (to_obj of k2_c5) that the loader refuses.
+V2_MUTATIONS = [
+    # The key set must be exactly the five header fields.
+    lambda o: o.update(rows=[]),
+    lambda o: o.update(extra=0),
+    lambda o: o.pop("dual"),
+    lambda o: o.pop("offset_vector"),
+    lambda o: o.pop("v2"),
+    # dual is a JSON bool.
+    lambda o: o.update(dual=0),
+    lambda o: o.update(dual=1),
+    lambda o: o.update(dual="true"),
+    lambda o: o.update(dual=None),
+    # v1 and v2 are ints that fit each other; a float or a bool is refused.
+    lambda o: o.update(v1=2.0),
+    lambda o: o.update(v1=True),
+    lambda o: o.update(v1="2"),
+    lambda o: o.update(v2=5.0),
+    lambda o: o.update(v1=4),
+    lambda o: o.update(v2=6),
+    lambda o: o.update(v1=3, v2=6),
+    # The offset vector must pass validate_for.
+    lambda o: o["offset_vector"].pop(),
+    lambda o: o["offset_vector"].append(0),
+    lambda o: o["offset_vector"].__setitem__(0, 5),
+    lambda o: o["offset_vector"].__setitem__(0, -1),
+    lambda o: o["offset_vector"].__setitem__(0, False),
+    lambda o: o["offset_vector"].__setitem__(4, 4.0),
+    lambda o: o.update(offset_vector=None),
+    lambda o: o.update(offset_vector="01224"),
+    lambda o: o.update(offset_vector=7),
+    # A version 1 object must carry rows; an unknown version is refused.
+    lambda o: o.update(version="1"),
+    lambda o: o.update(version="3"),
+    lambda o: o.update(version=2),
+    lambda o: o.pop("version"),
+]
 
 
 def random_bits(array: CodeArray, seed: int) -> dict[int, int]:

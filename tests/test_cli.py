@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from cgrcode import codespec, verify_dual_mds
+from cgrcode import codespec, dualize, verify_dual_mds
 from cgrcode.cli import main
+from conftest import DATA, V1_FILES, V2_MUTATIONS
 
 K2_TEXT = (
     "offset vector: 0,1,2,2,4\n"
@@ -156,8 +157,8 @@ def test_roundtrip_bad_data_spec(k2_file):
     assert main(["roundtrip", k2_file, "--data", "decimal:5"]) == 2
 
 
-def test_roundtrip_rejects_corrupt_parity_cell(k2_file, tmp_path, capsys):
-    with open(k2_file, encoding="utf-8") as fh:
+def test_roundtrip_rejects_corrupt_parity_cell(tmp_path, capsys):
+    with open(DATA / "k2_c5_v1.json", encoding="utf-8") as fh:
         obj = json.load(fh)
     obj["rows"][2][0]["vertices"] = [0, 0]
     corrupt = tmp_path / "corrupt.json"
@@ -268,6 +269,32 @@ def test_dual_round_trips_through_cli(k2_file, tmp_path, capsys):
     restored = capsys.readouterr().out
     with open(k2_file, encoding="utf-8") as fh:
         assert restored == fh.read()
+
+
+@pytest.mark.parametrize("mutate", V2_MUTATIONS)
+def test_bad_version_2_header_is_a_usage_error(mutate, k2_file, tmp_path, capsys):
+    with open(k2_file, encoding="utf-8") as fh:
+        obj = json.load(fh)
+    mutate(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["dual", str(path)]) == 2  # dual takes a primal or a dual file
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", V1_FILES)
+def test_version_1_files_work_in_every_command(name, tmp_path):
+    path = str(DATA / name)
+    if "dual" not in name:  # verify, roundtrip and contract take a primal array
+        for argv in (["verify", path], ["roundtrip", path, "--erase", "0,1"], ["contract", path]):
+            assert main(argv) == 0, argv
+    out = tmp_path / "d.json"
+    assert main(["dual", path, "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["version"] == "2"
+    assert codespec.load(str(out)) == dualize(codespec.load(path))
 
 
 def test_dual_text(k2_file, capsys):

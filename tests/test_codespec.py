@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cgrcode import (
     BUILTIN_VECTORS,
     CgrParams,
+    CodeArray,
     build_code_array,
     contract,
     derive_offsets,
@@ -28,17 +29,101 @@ from cgrcode.codespec import (
     to_json,
     to_obj,
 )
-from conftest import builtin_array
+from conftest import DATA, V1_FILES, V2_MUTATIONS, _v1_text, builtin_array
 
 
 def test_object_shape(k2_array):
     obj = to_obj(k2_array)
-    assert list(obj) == ["version", "v1", "v2", "offset_vector", "rows"]
-    assert obj["version"] == FORMAT_VERSION == "1"
-    assert obj["v1"] == 2 and obj["v2"] == 5
+    assert list(obj) == ["version", "v1", "v2", "dual", "offset_vector"]
+    assert obj["version"] == FORMAT_VERSION == "2"
+    assert obj["v1"] == 2 and obj["v2"] == 5 and obj["dual"] is False
     assert obj["offset_vector"] == [0, 1, 2, 2, 4]
-    assert obj["rows"][0][0] == {"kind": "info", "vertices": [0]}
-    assert obj["rows"][2][2] == {"kind": "parity", "vertices": [4, 0]}
+    assert to_obj(dualize(k2_array)) == dict(obj, dual=True)
+    v1_obj = json.loads(_v1_text(k2_array))
+    assert list(v1_obj) == ["version", "v1", "v2", "offset_vector", "rows"]
+    assert v1_obj["rows"][0][0] == {"kind": "info", "vertices": [0]}
+    assert v1_obj["rows"][2][2] == {"kind": "parity", "vertices": [4, 0]}
+
+
+# k2_c5 and its dual as version 2 code files, byte for byte.
+K2_V2_TEXT = """\
+{
+  "version": "2",
+  "v1": 2,
+  "v2": 5,
+  "dual": false,
+  "offset_vector": [
+    0,
+    1,
+    2,
+    2,
+    4
+  ]
+}
+"""
+K2_DUAL_V2_TEXT = K2_V2_TEXT.replace('"dual": false', '"dual": true')
+
+
+def test_version_2_texts_are_pinned(k2_array):
+    assert to_json(k2_array) == K2_V2_TEXT
+    assert to_json(dualize(k2_array)) == K2_DUAL_V2_TEXT
+    assert from_json(K2_V2_TEXT) == k2_array
+    assert from_json(K2_DUAL_V2_TEXT) == dualize(k2_array)
+
+
+def _canonical(v1: int):
+    return build_code_array(CgrParams.from_v1(v1), derive_offsets(pif_factorize(v1)))
+
+
+@pytest.mark.parametrize("v1", range(2, 25, 2))
+def test_header_round_trips_primal_and_dual_at_every_size(v1):
+    primal = _canonical(v1)
+    for form in (primal, dualize(primal)):
+        text = to_json(form)
+        assert from_json(text) == form
+        assert to_json(from_json(text)) == text
+
+
+def _committed_v1_arrays():
+    k2, v8 = builtin_array("k2_c5"), _canonical(8)
+    return dict(zip(V1_FILES, (k2, dualize(k2), v8, dualize(v8))))
+
+
+@pytest.mark.parametrize("name", V1_FILES)
+def test_committed_version_1_files_load_and_are_reproduced(name):
+    # _v1_text stands for the version 1 writer: it must give the committed
+    # files byte for byte, and each file must load to the array it describes.
+    array = _committed_v1_arrays()[name]
+    text = (DATA / name).read_text(encoding="utf-8")
+    assert _v1_text(array) == text
+    loaded = load(DATA / name)
+    assert loaded == array and loaded.is_dual() == ("dual" in name)
+
+
+@pytest.mark.parametrize("mutate", V2_MUTATIONS)
+def test_version_2_validation_rejects_malformed_headers(k2_array, mutate):
+    obj = to_obj(k2_array)
+    mutate(obj)
+    with pytest.raises(ValueError):
+        from_obj(obj)
+
+
+@pytest.mark.parametrize("version", ["3", "0", 2, None])
+def test_an_unknown_version_names_both_accepted_versions(k2_array, version):
+    with pytest.raises(ValueError, match="expected '1' or '2'"):
+        from_obj(dict(to_obj(k2_array), version=version))
+
+
+def test_to_json_refuses_arrays_no_header_describes(k2_array, tmp_path):
+    flipped = [list(row) for row in k2_array.masks]
+    flipped[2][0] ^= 1 << 9
+    hand_built = CodeArray(k2_array.params, k2_array.offsets, tuple(map(tuple, flipped)))
+    for array in (puncture(k2_array), contract(k2_array), hand_built):
+        with pytest.raises(ValueError, match="only a built array or its dual"):
+            to_json(array)
+        with pytest.raises(ValueError):
+            dump(array, tmp_path / "code.json")
+    assert not (tmp_path / "code.json").exists()
 
 
 def test_json_round_trip_is_byte_stable(k2_array):
@@ -92,7 +177,7 @@ def test_file_round_trip(tmp_path, k2_array):
 
 
 def _mutated(k2_array, mutate):
-    obj = json.loads(to_json(k2_array))
+    obj = json.loads(_v1_text(k2_array))
     mutate(obj)
     return obj
 
@@ -143,7 +228,7 @@ def test_a_bool_is_refused_wherever_it_equals_an_id():
     # checks member types in the rows that hold those ids.
     for name in BUILTIN_VECTORS:
         for form in (builtin_array(name), dualize(builtin_array(name))):
-            text = to_json(form)
+            text = _v1_text(form)
             spots = [
                 (r, c, i)
                 for r, row in enumerate(json.loads(text)["rows"])
@@ -174,7 +259,7 @@ def test_validation_rejects_a_dual_parity_in_the_wrong_order(k2_array, mutate):
         from_obj(obj)
 
 
-_K2_TEXT = to_json(builtin_array("k2_c5"))
+_K2_TEXT = _v1_text(builtin_array("k2_c5"))
 _FIRST_ID_0 = '"vertices": [\n          0\n'  # rows[0][0]
 _FIRST_ID_1 = '"vertices": [\n          1\n'  # rows[0][1]
 
@@ -197,23 +282,21 @@ def test_from_json_rejects_non_objects_bad_text_and_deep_nesting(text):
 
 def test_to_json_writes_the_indent_encoder_bytes():
     arrays = [builtin_array(name) for name in BUILTIN_VECTORS] + [
-        build_code_array(CgrParams.from_v1(v1), derive_offsets(pif_factorize(v1)))
-        for v1 in range(2, 25, 2)
+        _canonical(v1) for v1 in range(2, 25, 2)
     ]
     for array in arrays:
-        # puncture blanks cells to kind "empty" with no vertices.
-        for form in (array, dualize(array), puncture(array)):
+        for form in (array, dualize(array)):
             assert to_json(form) == json.dumps(to_obj(form), indent=2) + "\n", form.params
+        with pytest.raises(ValueError):  # no header describes a punctured array
+            to_json(puncture(array))
 
 
 def test_mask_records_match_the_cell_view():
     arrays = [builtin_array(name) for name in BUILTIN_VECTORS] + [
-        build_code_array(CgrParams.from_v1(v1), derive_offsets(pif_factorize(v1)))
-        for v1 in range(2, 25, 2)
+        _canonical(v1) for v1 in range(2, 25, 2)
     ]
     for array in arrays:
+        # puncture blanks cells to kind "empty" with no vertices.
         for form in (array, dualize(array), puncture(array), contract(array)):
             view = [[{"kind": c.kind, "vertices": list(c.vertices)} for c in row] for row in form.rows]
-            if form.source_columns is None:
-                assert to_obj(form)["rows"] == view, form.params
             assert mask_records(form.masks, form.params.v2) == view, form.params

@@ -1,8 +1,11 @@
-"""Outputs pinned byte for byte: JSON and text of built and dual arrays, the
-contract, verify and search commands, and how punctured arrays behave.
+"""Outputs pinned byte for byte: the version 1 JSON and the text of built and
+dual arrays, the contract, verify and search commands, and how punctured
+arrays behave.
 
 The digests were taken from the cell-grid implementation that the mask grid
-replaced; any change to them is a change in behaviour, not in layout.
+replaced; any change to them is a change in behaviour, not in layout. The
+array digests hash each array's version 1 code file (conftest._v1_text,
+which reproduces the committed version 1 files) and its text grid.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from cgrcode import (
 )
 from cgrcode.cli import main, render_array_text
 from cgrcode.codespec import to_json
+from conftest import _v1_text
 
 ARRAY_DIGESTS = {
     2: "d8e690f1e89973a81728f4f2590034beebb6f466658891962389321561662723",
@@ -68,7 +72,7 @@ def _canonical(v1: int):
 def test_primal_and_dual_json_and_text_are_pinned(v1):
     primal = _canonical(v1)
     dual = dualize(primal)
-    text = "".join(to_json(a) + render_array_text(a) for a in (primal, dual))
+    text = "".join(_v1_text(a) + render_array_text(a) for a in (primal, dual))
     assert _sha256(text) == ARRAY_DIGESTS[v1]
 
 
