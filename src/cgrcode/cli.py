@@ -28,7 +28,7 @@ from .code import (
 )
 from .fixtures import BUILTIN_VECTORS
 from .graph import POS_INF, CgrParams, pif_factorize
-from .layout import Cell, CodeArray, build_code_array, derive_offsets
+from .layout import CodeArray, build_code_array, cell_members, derive_offsets
 from .rng import Lcg
 from .search import (
     DEFAULT_BUDGET,
@@ -39,12 +39,9 @@ from .search import (
 )
 
 
-def render_cell(cell: Cell) -> str:
-    if cell.is_empty:
-        return "-"
-    if cell.is_info:
-        return str(cell.vertices[0])
-    return " ⊕ ".join(str(v) for v in cell.vertices)
+def render_cell(members) -> str:
+    """A cell's members joined by ⊕, or - for an empty cell."""
+    return " ⊕ ".join(map(str, members)) or "-"
 
 
 def render_array_text(array: CodeArray) -> str:
@@ -54,7 +51,8 @@ def render_array_text(array: CodeArray) -> str:
         lines = ["offset vector: " + ",".join(map(str, array.offsets))]
     else:
         lines = ["source columns: " + ",".join(map(str, array.source_columns))]
-    lines += ["\t".join(map(render_cell, row)) for row in array.rows]
+    v2 = array.params.v2
+    lines += ["\t".join(render_cell(cell_members(m, v2)) for m in row) for row in array.masks]
     return "\n".join(lines) + "\n"
 
 
@@ -82,9 +80,9 @@ def _parse_data_spec(text: str) -> tuple[str, int]:
     text = text.strip()
     if text.startswith("hex:"):
         return "hex", int(text[4:] or "0", 16)
-    match = re.fullmatch(r"random(?::|\()(-?\d+)\)?", text)
+    match = re.fullmatch(r"random(?::(-?\d+)|\((-?\d+)\))", text)
     if match:
-        return "random", int(match.group(1))
+        return "random", int(match.group(1) or match.group(2))
     raise ValueError(f"bad --data {text!r}; use hex:<digits> or random:<seed>")
 
 

@@ -85,12 +85,9 @@ def _check_rows(array: CodeArray, rows) -> CodeArray:
         array = dualize(array)
     if rows != mask_records(array.masks, params.v2):
         raise ValueError(f"rows match neither the v1={params.v1} offset_vector array nor its dual")
-    # Equal records still let a bool pass where it equals an id, 0 or 1. Both
-    # lie in ring 0's block, ids 0..v2-1, and each row of a built array or its
-    # dual holds bits of that block in every cell or in none.
-    block = (1 << params.v2) - 1
-    for r, row in enumerate(array.masks):
-        if row[0] & block and any(type(v) is not int for cell in rows[r] for v in cell["vertices"]):
+    # Equal records still let a bool pass where it equals an id, 0 or 1.
+    for r, row in enumerate(rows):
+        if any(type(v) is not int for cell in row for v in cell["vertices"]):
             raise ValueError(f"rows[{r}] holds a vertex id that is not an int")
     return array
 

@@ -14,10 +14,7 @@ from collections import namedtuple
 
 from .graph import NEG_INF, POS_INF, CgrParams, Factorization, Value
 
-INFO = "info"
-PARITY = "parity"
-EMPTY = "empty"
-KINDS = (EMPTY, INFO, PARITY)  # by member count, capped at 2
+KINDS = ("empty", "info", "parity")  # by member count, capped at 2
 
 
 class Cell(Value):
@@ -31,24 +28,6 @@ class Cell(Value):
 
     def __init__(self, vertices: tuple[int, ...]) -> None:
         object.__setattr__(self, "vertices", vertices)
-
-    @classmethod
-    def info(cls, vertex: int) -> Cell:
-        return cls((vertex,))
-
-    @classmethod
-    def parity(cls, vertices: tuple[int, ...]) -> Cell:
-        if len(vertices) < 2:
-            raise ValueError("parity cell needs at least 2 members")
-        return cls(tuple(vertices))
-
-    @classmethod
-    def empty(cls) -> Cell:
-        return cls(())
-
-    @classmethod
-    def from_mask(cls, mask: int, v2: int) -> Cell:
-        return cls(tuple(cell_members(mask, v2)))
 
     @property
     def kind(self) -> str:
@@ -170,14 +149,12 @@ class CodeArray(Value):
     def num_columns(self) -> int:
         return len(self.masks[0])
 
-    def column(self, c: int) -> list[Cell]:
-        return [row[c] for row in self.rows]
-
     @computed_once
     def rows(self) -> tuple[tuple[Cell, ...], ...]:
-        """The grid as Cells (see Cell.from_mask), built once from masks."""
+        """The grid as Cells of cell_members, built once from masks: the
+        public view, which no library code reads."""
         v2 = self.params.v2
-        return tuple(tuple(Cell.from_mask(m, v2) for m in row) for row in self.masks)
+        return tuple(tuple(Cell(tuple(cell_members(m, v2))) for m in row) for row in self.masks)
 
     @computed_once
     def plan(self) -> CodecPlan:

@@ -77,9 +77,13 @@ def search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> tuple[list[OffsetV
     v2 = params.v2
     prefix = canonical_prefix(params.v1) if spec.fix_prefix else ()
     nfree = params.num_rows - len(prefix)
-    space = v2**nfree if spec.strategy == "exhaustive" else None
-    if space is not None and space > budget:
-        raise BudgetExceededError(f"exhaustive space {v2}^{nfree} exceeds budget {budget}")
+    space = None
+    if spec.strategy == "exhaustive":
+        space = 1
+        for _ in range(nfree):  # only up to the budget: v2**nfree can be huge
+            space *= v2
+            if space > budget:
+                raise BudgetExceededError(f"exhaustive space {v2}^{nfree} exceeds budget {budget}")
 
     # Rotating a row moves its cells but not the variables they hold, so a
     # candidate's mask grid is the unshifted one with each row rotated, over
@@ -93,16 +97,18 @@ def search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> tuple[list[OffsetV
     # rows places (see _place) onto one echelon basis per pair (0, d). Each
     # row is kept twice over, so column c of a row rotated left by k is
     # doubled_row[c + k]. The prefix rows are placed once, here, for both
-    # strategies.
+    # strategies, and they always place. Prefix row j, of either kind, holds
+    # bits of ring j only: in columns 0 and d, ring positions j and j + d
+    # (vertex row) and edges {v1, v1 + 1} and {v1 + d, v1 + d + 1} (ring-edge
+    # row), mod v2 = v1 + 3. As j < v1 and 1 <= d <= v2 // 2, neither edge is
+    # {j, j + d}, and the edges XOR to four bits, or to {v1, v1 + 2} when
+    # d = 1: no XOR of the four masks is 0.
     doubled = [row + row for row in map_unshifted(params).masks]
     distances = range(1, v2 // 2 + 1)
     bases = [{} for _ in distances]
     for row, k in zip(doubled, prefix):
-        if bases is not None:
-            bases = _place(bases, row, k, distances)
+        bases = _place(bases, row, k, distances)
     if spec.strategy == "exhaustive":
-        if bases is None:
-            return [], SearchStats(space, 0, space)
         return _exhaustive(doubled, bases, prefix, v2, space, spec.stop_after)
     free_rows = doubled[len(prefix):]
     rng = Lcg(spec.seed)

@@ -141,7 +141,7 @@ def test_06_contraction_reproduces_compact_code():
     array = build_code_array(CgrParams.from_v1(4), VECTOR_A)
     punctured = puncture(array)
     survivors = {
-        (r, c): render_cell(cell)
+        (r, c): render_cell(cell.vertices)
         for r, row in enumerate(punctured.rows)
         for c, cell in enumerate(row)
         if not cell.is_empty

@@ -34,7 +34,7 @@ def test_puncture_two_ring_array(k2_array):
     punctured = puncture(k2_array)
     assert punctured.num_rows == 5 and punctured.num_columns == 5
     survivors = {
-        (r, c): render_cell(cell)
+        (r, c): render_cell(cell.vertices)
         for r, row in enumerate(punctured.rows)
         for c, cell in enumerate(row)
         if not cell.is_empty
@@ -116,7 +116,7 @@ def test_contract_matches_the_reference_on_builtins_and_zero_offsets(k2_params):
 def test_contract_two_ring_array(k2_array):
     contracted = contract(k2_array)
     assert contracted.source_columns == (0, 1, 4)
-    assert [[render_cell(cell) for cell in col] for col in zip(*contracted.rows)] == [
+    assert [[render_cell(cell.vertices) for cell in col] for col in zip(*contracted.rows)] == [
         ["0"],
         ["0 ⊕ 5"],
         ["5"],
@@ -128,7 +128,7 @@ def test_contract_two_ring_array(k2_array):
 def test_contract_explicit_column_order(k2_array):
     contracted = contract(k2_array, (4, 0, 1))
     assert contracted.source_columns == (4, 0, 1)
-    assert [render_cell(col[0]) for col in zip(*contracted.rows)] == ["5", "0", "0 ⊕ 5"]
+    assert [render_cell(col[0].vertices) for col in zip(*contracted.rows)] == ["5", "0", "0 ⊕ 5"]
 
 
 def test_contract_validates_column_order(k2_array):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -153,8 +154,16 @@ def test_roundtrip_over_erasure(k2_file, capsys):
     assert "leaves rank" in capsys.readouterr().err
 
 
-def test_roundtrip_bad_data_spec(k2_file):
-    assert main(["roundtrip", k2_file, "--data", "decimal:5"]) == 2
+def test_roundtrip_bad_data_spec(k2_file, capsys):
+    for spec in ["decimal:5", "random(5", "random:5)"]:
+        assert main(["roundtrip", k2_file, "--data", spec]) == 2, spec
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, spec
+
+
+def test_roundtrip_reads_both_seed_forms(k2_file):
+    for spec in ["random:5", "random(5)", "random:-5", "random(-5)"]:
+        assert main(["roundtrip", k2_file, "--data", spec]) == 0, spec
 
 
 def test_roundtrip_rejects_corrupt_parity_cell(tmp_path, capsys):
@@ -367,6 +376,14 @@ def test_search_checks_the_budget_before_laying_out_the_code(capsys):
     assert main(["search", "--v1", "80"]) == 2
     err = capsys.readouterr().err
     assert err == "error: exhaustive space 83^3160 exceeds budget 10000000\n"
+
+
+def test_search_budget_fails_fast_on_a_huge_space(capsys):
+    start = time.perf_counter()
+    assert main(["search", "--v1", "3000"]) == 2
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_search_budget_option(capsys):

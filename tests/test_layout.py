@@ -27,14 +27,12 @@ from conftest import placements_and_pis
 
 
 def test_cell_constructors():
-    info = Cell.info(7)
+    info = Cell((7,))
     assert info.is_info and info.vertices == (7,)
-    parity = Cell.parity((4, 0))
+    parity = Cell((4, 0))
     assert parity.is_parity and parity.vertex_set == {0, 4}
-    empty = Cell.empty()
+    empty = Cell(())
     assert empty.is_empty and empty.vertices == ()
-    with pytest.raises(ValueError):
-        Cell.parity((3,))
 
 
 def test_value_types_hold_only_their_data():
@@ -158,7 +156,6 @@ def test_build_code_array_places_cells():
     assert [cell.vertices[0] for cell in array.rows[1]] == [6, 7, 8, 9, 5]
     assert array.rows[2][2].vertices == (4, 0)  # wrap edge keeps construction order
     assert [cell.vertices for cell in array.rows[4]] == [(4, 9), (0, 5), (1, 6), (2, 7), (3, 8)]
-    assert array.column(0) == [row[0] for row in array.rows]
 
 
 def test_derive_offsets_prefix_and_two_ring_vector():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import itertools
+import time
 
 import pytest
 
@@ -162,6 +163,14 @@ def test_budget_guard():
         search(spec)
     with pytest.raises(BudgetExceededError):
         search(SearchSpec(params=CgrParams.from_v1(2), fix_prefix=False), budget=100)
+
+
+def test_budget_guard_fails_fast_on_a_huge_space():
+    # 3003^4498500 candidates: the guard stops multiplying once past the budget.
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=r"3003\^4498500 exceeds budget 10000000"):
+        search(SearchSpec(CgrParams.from_v1(3000)))
+    assert time.perf_counter() - start < 2
 
 
 def test_validate_fixture_set_defaults():

@@ -1,7 +1,7 @@
 """The library imports nothing outside the standard library, its CLI starts
 without the heavy stdlib modules, no module of it imports a private name
-from another, only layout.py makes Cells, and the JSON format and dualize
-never read the Cell view."""
+from another, only layout.py makes Cells or reads the Cell view, and the
+JSON format and dualize never read it."""
 
 from __future__ import annotations
 
@@ -84,7 +84,7 @@ def _callee(func) -> str | None:
 def test_only_layout_makes_cells():
     # A code array is its mask grid and cells are a view of it: CodeArray.rows
     # is the one place masks become Cells, so no other module calls Cell or
-    # one of its constructors (Cell.info, Cell.from_mask, ...).
+    # a method of it.
     calls = [
         f"{name}:{node.lineno}"
         for name, node in _nodes()
@@ -95,7 +95,7 @@ def test_only_layout_makes_cells():
 
 def test_codespec_and_dualize_read_no_cell_view():
     # The JSON writer, its loader and dualize work on CodeArray.masks; the
-    # rows view of Cells is for text rendering, and it builds one Cell per cell.
+    # rows view of Cells is for library users, and it builds one Cell per cell.
     scopes = [
         node
         for name, node in _nodes()
@@ -110,3 +110,19 @@ def test_codespec_and_dualize_read_no_cell_view():
         if isinstance(node, ast.Attribute) and node.attr == "rows"
     ]
     assert reads == []
+
+
+def test_no_module_reads_the_cell_view():
+    # The text grid renders from layout.cell_members, so only layout.py, which
+    # defines it, names CodeArray.rows or Cell.
+    names = [
+        f"{name}:{node.lineno}"
+        for name, node in _nodes()
+        if name not in ("layout.py", "__init__.py")
+        and (
+            (isinstance(node, ast.Attribute) and node.attr == "rows")
+            or (isinstance(node, ast.Name) and node.id == "Cell")
+            or (isinstance(node, ast.alias) and node.name == "Cell")
+        )
+    ]
+    assert names == []

@@ -23,7 +23,7 @@ from cgrcode import (
 )
 from cgrcode.cli import main
 from cgrcode.code import _rotates, sweep_pairs
-from cgrcode.layout import map_unshifted, rotate_rows
+from cgrcode.layout import canonical_prefix, map_unshifted, rotate_rows
 from cgrcode.rng import Lcg
 from cgrcode.search import _place
 from test_code import _reference_sweep
@@ -143,3 +143,16 @@ def test_search_places_every_row_exactly_when_the_array_is_mds(v1):
         assert (bases is not None) == is_mds
         verdicts.add(is_mds)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("v1", range(2, 25, 2))
+def test_the_canonical_prefix_places_onto_every_pair_basis(v1):
+    # search places the prefix rows once and relies on them placing.
+    params = CgrParams.from_v1(v1)
+    doubled = [row + row for row in map_unshifted(params).masks]
+    distances = range(1, params.v2 // 2 + 1)
+    bases = [{} for _ in distances]
+    for row, k in zip(doubled, canonical_prefix(v1)):
+        bases = _place(bases, row, k, distances)
+        assert bases is not None
+    assert [len(basis) for basis in bases] == [4 * v1] * len(distances)
