@@ -15,8 +15,9 @@ spans the full variable space: each column is reduced once to a GF(2)
 basis, which every pair it leads shares, and the pair's other column
 extends a copy of it until the dependent cells exceed what full rank
 allows. Rotating every ring by one position moves each row of a built
-array, primal or dual, one cell to the side, so when a grid passes that
-check only the pairs (0, d) for d <= v2 // 2 are swept (see sweep_pairs).
+array, primal or dual, one cell to the side, a fact it holds from
+construction (CodeArray.rotates), so only the pairs (0, d) for
+d <= v2 // 2 are swept (see sweep_pairs).
 Search sweeps no columns: both its strategies place rows onto one basis
 per pair (0, d), by the argument stated in search.search. The dual's
 verdict is read off the same primal sweep, since the dual is the primal's
@@ -29,7 +30,9 @@ import itertools
 
 from . import gf2
 from .graph import CgrParams, Value
-from .layout import CodeArray, map_unshifted, require_cgr_layout, rotate_rows
+from .layout import (
+    CodeArray, map_unshifted, mark_built, require_cgr_layout, rotate_rows, rotates_with_rings
+)
 
 
 class UnrecoverableError(Exception):
@@ -286,10 +289,11 @@ def sweep_pairs(masks, nvars: int) -> MdsResult:
     masks are dependent, so gf2.extend gets that slack and stops at the
     first dependent mask past it.
 
-    When every row passes _rotates, column c + 1 is column c relabelled by
-    a bit permutation, so the pair {a, b} has the rank of {0, d}, d the
-    circular distance between a and b, and only (0, 1) .. (0, v2 // 2) are
-    swept, over the first v2 // 2 + 1 columns. The first failing pair in
+    When every row passes rotates_with_rings (verify_mds reads
+    CodeArray.rotates), column c + 1 is column c relabelled by a bit
+    permutation, so the pair {a, b} has the rank of {0, d}, d the circular
+    distance between a and b, and only (0, 1) .. (0, v2 // 2) are swept,
+    over the first v2 // 2 + 1 columns. The first failing pair in
     lexicographic order is then (0, d*), d* the least failing distance, so
     the witness and patterns_checked (d* on a failure, C(v2, 2) on success:
     the pairs covered) are those of the full sweep. Any other grid,
@@ -297,7 +301,12 @@ def sweep_pairs(masks, nvars: int) -> MdsResult:
     reads.
     """
     v2 = len(masks[0]) if masks else 0
-    orbits = _rotates(masks, v2, nvars)
+    return _sweep(masks, nvars, rotates_with_rings(masks, v2, nvars))
+
+
+def _sweep(masks, nvars: int, orbits: bool) -> MdsResult:
+    """sweep_pairs, told whether the grid passes rotates_with_rings."""
+    v2 = len(masks[0]) if masks else 0
     read = itertools.islice(zip(*masks), v2 // 2 + 1 if orbits else None)
     columns = [[m for m in column if m] for column in read]
     if not orbits:
@@ -315,26 +324,6 @@ def sweep_pairs(masks, nvars: int) -> MdsResult:
     return MdsResult(True, None, v2 * (v2 - 1) // 2, pairs_swept=swept)
 
 
-def _rotates(masks, v2: int, nvars: int) -> bool:
-    """True when every row has length v2 and row[(c + 1) % v2] == sigma(row[c]),
-    where sigma moves bit j*v2 + k to j*v2 + (k + 1) % v2: the image, on the
-    mask grid, of rotating every ring of the graph by one position. sigma
-    permutes the bits of the blocks that cover nvars, and a grid that passes
-    holds only images of sigma, so it moves each column onto the next one
-    as a linear bijection."""
-    if not v2:
-        return False
-    unit = sum(1 << j for j in range(0, nvars, v2))
-    hi = unit << (v2 - 1)
-    keep = hi - unit
-    for row in masks:
-        if len(row) != v2:
-            return False
-        if [((m & keep) << 1) | ((m & hi) >> (v2 - 1)) for m in row] != [*row[1:], row[0]]:
-            return False
-    return True
-
-
 def verify_mds(array: CodeArray) -> MdsResult:
     """True iff any 2 surviving columns determine all vertex bits.
 
@@ -343,7 +332,7 @@ def verify_mds(array: CodeArray) -> MdsResult:
     """
     if array.is_dual():
         raise ValueError("verify_mds expects a primal array; use verify_dual_mds")
-    return sweep_pairs(array.masks, len(array.info_ids()))
+    return _sweep(array.masks, len(array.info_ids()), array.rotates)
 
 
 def verify_dual_mds(array: CodeArray) -> MdsResult:
@@ -356,8 +345,12 @@ def verify_dual_mds(array: CodeArray) -> MdsResult:
     v1*v2 cells, the primal dimension. So the dual fails on the erased pair
     E exactly when the primal fails on the survivor pair E: the verdict and
     patterns_checked are verify_mds's, and the witness is the primal's
-    failing survivor pair. A dual input is dualized back first.
+    failing survivor pair. A dual input is dualized back first. Raises
+    ValueError on a contracted grid or one with an empty cell (punctured).
     """
+    require_cgr_layout(array, "verify_dual_mds")
+    if not all(map(all, array.masks)):
+        raise ValueError("verify_dual_mds expects a grid with no empty cell, not a punctured one")
     primal = dualize(array) if array.is_dual() else array
     return dual_verdict(verify_mds(primal), array.num_columns)
 
@@ -381,13 +374,14 @@ def dualize(array: CodeArray) -> CodeArray:
     its v1 + 1 incident edges: cell (j, k) is pairs[j] << k, pairs[j] being
     ring j's inter-ring edge bits at column 0, plus ring j's edges k - 1 and
     k. Applying dualize twice restores the array. Raises ValueError on a
-    contracted array.
+    contracted array. A grid with no empty cell keeps none of its masks, so
+    the result is built, with its facts stored (see layout.mark_built).
     """
     require_cgr_layout(array, "dualize")
     params = array.params
     v1, v2 = params.v1, params.v2
     if array.is_dual():
-        other = map_unshifted(params).masks
+        other, nvars = map_unshifted(params).masks, v1 * v2
     else:
         ring = [1 << j * v2 for j in range(v1)]  # edge 0 of ring j
         pairs = [0] * v1
@@ -396,9 +390,12 @@ def dualize(array: CodeArray) -> CodeArray:
             pairs[j] |= 1 << t * v2
         other = [[(p | f) << k | f << (k - 1) % v2 for k in range(v2)] for p, f in zip(pairs, ring)]
         other += [[1 << r * v2 + k for k in range(v2)] for r in range(params.num_rows - v1)]
+        nvars = (params.num_rows - v1) * v2
+    rotated = rotate_rows(other, array.offsets)
+    if all(map(all, array.masks)):
+        return mark_built(CodeArray(params, array.offsets, tuple(map(tuple, rotated))), nvars)
     masks = tuple(
-        tuple(n if m else 0 for m, n in zip(row, new))
-        for row, new in zip(array.masks, rotate_rows(other, array.offsets))
+        tuple(n if m else 0 for m, n in zip(row, new)) for row, new in zip(array.masks, rotated)
     )
     return CodeArray(params, array.offsets, masks)
 

@@ -192,9 +192,15 @@ class CodeArray(Value):
         return list(self._ids)
 
     @computed_once
-    def _ids(self) -> tuple[int, ...]:
+    def _ids(self) -> tuple[int, ...] | range:
         singles = {m for row in self.masks for m in row if m and not m & (m - 1)}
         return tuple(sorted(m.bit_length() - 1 for m in singles))
+
+    @computed_once
+    def rotates(self) -> bool:
+        """Whether the grid passes rotates_with_rings: stored when a built
+        array is made (see mark_built), scanned on first read otherwise."""
+        return rotates_with_rings(self.masks, self.num_columns, len(self._ids))
 
     def is_dual(self) -> bool:
         """True when parity cells are wider than 2 (vertex/edge roles swapped),
@@ -213,7 +219,36 @@ def map_unshifted(params: CgrParams) -> CodeArray:
     rows = [[f << k for k in range(v2)] for f in first]
     rows += [[f << k | f << (k + 1) % v2 for k in range(v2)] for f in first]
     rows += [[(f | g) << k for k in range(v2)] for f, g in itertools.combinations(first, 2)]
-    return CodeArray(params, OffsetVector.zeros(params), tuple(map(tuple, rows)))
+    array = CodeArray(params, OffsetVector.zeros(params), tuple(map(tuple, rows)))
+    return mark_built(array, v1 * v2)
+
+
+def mark_built(array: CodeArray, nvars: int) -> CodeArray:
+    """Store on array, and return it, what a grid laid out from the graph
+    has by construction: it rotates, and its ids are 0..nvars-1."""
+    object.__setattr__(array, "rotates", True)
+    object.__setattr__(array, "_ids", range(nvars))
+    return array
+
+
+def rotates_with_rings(masks, v2: int, nvars: int) -> bool:
+    """True when every row has length v2 and row[(c + 1) % v2] == sigma(row[c]),
+    where sigma moves bit j*v2 + k to j*v2 + (k + 1) % v2: the image, on the
+    mask grid, of rotating every ring of the graph by one position. sigma
+    permutes the bits of the blocks that cover nvars, and a grid that passes
+    holds only images of sigma, so it moves each column onto the next one
+    as a linear bijection."""
+    if not v2:
+        return False
+    unit = sum(1 << j for j in range(0, nvars, v2))
+    hi = unit << (v2 - 1)
+    keep = hi - unit
+    for row in masks:
+        if len(row) != v2:
+            return False
+        if [((m & keep) << 1) | ((m & hi) >> (v2 - 1)) for m in row] != [*row[1:], row[0]]:
+            return False
+    return True
 
 
 def rotate_rows(rows, offsets) -> tuple:
@@ -229,13 +264,19 @@ def require_cgr_layout(array: CodeArray, name: str) -> None:
 
 def apply_offsets(array: CodeArray, offsets) -> CodeArray:
     """Rotate row r left by offsets[r]; composes additively mod v2. Raises
-    ValueError on a contracted array."""
+    ValueError on a contracted array. A row rotation keeps rotates and the
+    ids, so the result carries those the input has stored (read through
+    vars(), which costs the input its fast attribute reads: graph.Value)."""
     require_cgr_layout(array, "apply_offsets")
     off = OffsetVector(offsets)
     off.validate_for(array.params)
     v2 = array.params.v2
     combined = OffsetVector((a + b) % v2 for a, b in zip(array.offsets, off))
-    return CodeArray(array.params, combined, rotate_rows(array.masks, off))
+    rotated = CodeArray(array.params, combined, rotate_rows(array.masks, off))
+    stored = vars(array)
+    for name in stored.keys() & {"rotates", "_ids"}:
+        object.__setattr__(rotated, name, stored[name])
+    return rotated
 
 
 def build_code_array(params: CgrParams, offsets) -> CodeArray:

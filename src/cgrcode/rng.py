@@ -38,3 +38,11 @@ class Lcg:
         items = list(range(n))
         self.shuffle(items)
         return tuple(items)
+
+
+def jump(steps: int) -> tuple[int, int]:
+    """(a, c) such that steps next_u64 calls take a state s to (a*s + c) & MASK64."""
+    a, c = 1, 0
+    for _ in range(steps):
+        a, c = a * MULTIPLIER & MASK64, (c * MULTIPLIER + INCREMENT) & MASK64
+    return a, c

@@ -9,9 +9,10 @@ from .code import MdsResult, verify_mds
 from .fixtures import BUILTIN_VECTORS
 from .graph import CgrParams, Value
 from .layout import OffsetVector, build_code_array, canonical_prefix, map_unshifted
-from .rng import Lcg
+from .rng import MASK64, Lcg, jump
 
 DEFAULT_BUDGET = 10**7
+MAX_GRID_BITS = 2**27  # search's doubled grid: 2*num_rows*v2*v1*v2, 11.3 M at v1 = 24
 
 
 class BudgetExceededError(Exception):
@@ -66,7 +67,8 @@ def params_for_offset_length(n: int) -> CgrParams:
 
 
 def search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> tuple[list[OffsetVector], SearchStats]:
-    """Run the search; every returned vector passes verify_mds."""
+    """Run the search; every returned vector passes verify_mds. Raises
+    ValueError, before any layout, on a size over MAX_GRID_BITS."""
     if spec.max_trials < 0:
         raise ValueError(f"max_trials must be >= 0, got {spec.max_trials}")
     if spec.stop_after is not None and spec.stop_after < 0:
@@ -84,6 +86,8 @@ def search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> tuple[list[OffsetV
             space *= v2
             if space > budget:
                 raise BudgetExceededError(f"exhaustive space {v2}^{nfree} exceeds budget {budget}")
+    if 2 * params.num_rows * v2 * params.num_vertices > MAX_GRID_BITS:
+        raise ValueError(f"search at v1 = {params.v1} lays out over {MAX_GRID_BITS} mask bits")
 
     # Rotating a row moves its cells but not the variables they hold, so a
     # candidate's mask grid is the unshifted one with each row rotated, over
@@ -110,23 +114,29 @@ def search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> tuple[list[OffsetV
         bases = _place(bases, row, k, distances)
     if spec.strategy == "exhaustive":
         return _exhaustive(doubled, bases, prefix, v2, space, spec.stop_after)
+    # A trial draws each offset as it places the row, up to the first that
+    # fails, then jumps to the state nfree draws leave: the same vectors.
     free_rows = doubled[len(prefix):]
     rng = Lcg(spec.seed)
+    multiplier, increment = jump(nfree)
     found: list[OffsetVector] = []
     trials = hits = 0
     while trials < spec.max_trials:
         if spec.stop_after is not None and len(found) >= spec.stop_after:
             break
         trials += 1
-        free = [rng.randint(v2) for _ in range(nfree)]
+        start = rng.state
+        free = []
         placed = bases
-        for row, k in zip(free_rows, free):
+        for row in free_rows:
+            free.append(rng.randint(v2))
+            placed = _place(placed, row, free[-1], distances)
             if placed is None:
                 break
-            placed = _place(placed, row, k, distances)
-        if placed is not None:
+        else:
             hits += 1
             found.append(OffsetVector(prefix + tuple(free)))
+        rng.state = (start * multiplier + increment) & MASK64
     return found, SearchStats(trials, hits, None, nodes=trials)
 
 

@@ -24,6 +24,7 @@ from cgrcode import (
     pif_factorize,
     puncture,
     verify_contracted_mds,
+    verify_dual_mds,
 )
 from cgrcode.cli import render_array_text, render_cell
 from cgrcode.rng import Lcg
@@ -169,13 +170,28 @@ def test_verify_contracted_needs_two_columns(k2_array):
 
 @pytest.mark.parametrize(
     "transform",
-    [lambda a: apply_offsets(a, (1,) * a.params.num_rows), dualize, puncture, contract],
-    ids=["apply_offsets", "dualize", "puncture", "contract"],
+    [
+        lambda a: apply_offsets(a, (1,) * a.params.num_rows),
+        dualize,
+        puncture,
+        contract,
+        verify_dual_mds,
+    ],
+    ids=["apply_offsets", "dualize", "puncture", "contract", "verify_dual_mds"],
 )
 def test_cgr_layout_transforms_reject_a_contracted_array(k4a_array, transform):
     # Each reads rows by the CGR layout, which a contracted grid has lost.
     with pytest.raises(ValueError, match="not a contracted one"):
         transform(contract(k4a_array))
+
+
+def test_verify_dual_mds_rejects_a_punctured_array(k4a_array):
+    # Its column pairs hold fewer than v1 * v2 cells, so the dual's verdict
+    # cannot be read off the primal's.
+    punctured = puncture(k4a_array)
+    for grid in (punctured, dualize(punctured)):
+        with pytest.raises(ValueError, match="no empty cell"):
+            verify_dual_mds(grid)
 
 
 @pytest.mark.parametrize("v1", range(2, 25, 2))

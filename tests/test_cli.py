@@ -386,6 +386,12 @@ def test_search_budget_fails_fast_on_a_huge_space(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_random_search_fails_fast_on_a_huge_size(capsys):
+    assert main(["search", "--v1", "3000", "--strategy", "random", "--max-trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_search_budget_option(capsys):
     assert main(["search", "--v1", "2", "--free-prefix", "--budget", "10"]) == 2
     assert "exceeds budget 10" in capsys.readouterr().err

@@ -19,7 +19,7 @@ from cgrcode import (
     validate_fixture_set,
     verify_mds,
 )
-from cgrcode.rng import Lcg
+from cgrcode.rng import MASK64, Lcg, jump
 from cgrcode.search import params_for_offset_length
 
 
@@ -117,11 +117,16 @@ def test_random_search_stop_after():
             max_trials=2000,
         ),
         SearchSpec(params=CgrParams.from_v1(4), strategy="random", seed=50, max_trials=1000),
+        SearchSpec(params=CgrParams.from_v1(6), strategy="random", seed=6, max_trials=300),
+        SearchSpec(
+            params=CgrParams.from_v1(4), strategy="random", seed=50, max_trials=1000, stop_after=1
+        ),
     ],
 )
 def test_search_matches_a_reference_scan(spec):
-    # The reference builds and verifies a full code array per candidate; seed
-    # 50 gives the v1 = 4 run one hit in its 1,000 draws.
+    # The reference builds and verifies a full code array per candidate, and
+    # a random trial draws all nfree offsets before it checks any; seed 50
+    # gives the v1 = 4 run one hit in its 1,000 draws.
     params = spec.params
     v2 = params.v2
     prefix = tuple(range(params.v1)) + (params.v1,) * params.v1 if spec.fix_prefix else ()
@@ -135,10 +140,30 @@ def test_search_matches_a_reference_scan(spec):
             prefix + tuple(rng.randint(v2) for _ in range(nfree)) for _ in range(spec.max_trials)
         ]
         space = None
-    valid = [vec for vec in candidates if verify_mds(build_code_array(params, vec))]
+    valid = []
+    trials = 0
+    for vec in candidates:
+        if spec.strategy == "random" and spec.stop_after is not None:
+            if len(valid) >= spec.stop_after:
+                break
+        trials += 1
+        if verify_mds(build_code_array(params, vec)):
+            valid.append(vec)
     vectors, stats = search(spec)
     assert [tuple(v) for v in vectors] == valid
-    assert stats == SearchStats(len(candidates), len(valid), space)
+    assert stats == SearchStats(trials, len(valid), space)
+    if spec.strategy == "random":
+        assert stats.nodes == trials
+
+
+@pytest.mark.parametrize("steps", range(9))
+def test_lcg_jump_equals_that_many_steps(steps):
+    for seed in (0, 1, 50, MASK64):
+        rng = Lcg(seed)
+        for _ in range(steps):
+            rng.next_u64()
+        multiplier, increment = jump(steps)
+        assert (seed * multiplier + increment) & MASK64 == rng.state
 
 
 @pytest.mark.parametrize("limits", [{"strategy": "random", "max_trials": -5}, {"stop_after": -1}])
@@ -163,6 +188,22 @@ def test_budget_guard():
         search(spec)
     with pytest.raises(BudgetExceededError):
         search(SearchSpec(params=CgrParams.from_v1(2), fix_prefix=False), budget=100)
+
+
+def test_search_refuses_a_grid_over_the_size_limit(monkeypatch):
+    def no_layout(params):
+        raise AssertionError("search laid out a grid over the size limit")
+
+    module = importlib.import_module("cgrcode.search")
+    monkeypatch.setattr(module, "map_unshifted", no_layout)
+    for v1 in (42, 3000):
+        spec = SearchSpec(CgrParams.from_v1(v1), strategy="random", max_trials=1)
+        with pytest.raises(ValueError, match=rf"search at v1 = {v1} lays out over \d+ mask bits"):
+            search(spec)
+    monkeypatch.undo()
+    # v1 = 24 stays under the limit.
+    _, stats = search(SearchSpec(CgrParams.from_v1(24), strategy="random", max_trials=1))
+    assert stats.trials == 1
 
 
 def test_budget_guard_fails_fast_on_a_huge_space():

@@ -13,17 +13,20 @@ from hypothesis import strategies as st
 from cgrcode import (
     BUILTIN_VECTORS,
     CgrParams,
+    CodeArray,
+    apply_offsets,
     build_code_array,
     contract,
     derive_offsets,
     dualize,
     pif_factorize,
+    puncture,
     verify_dual_mds,
     verify_mds,
 )
 from cgrcode.cli import main
-from cgrcode.code import _rotates, sweep_pairs
-from cgrcode.layout import canonical_prefix, map_unshifted, rotate_rows
+from cgrcode.code import sweep_pairs
+from cgrcode.layout import canonical_prefix, map_unshifted, rotate_rows, rotates_with_rings
 from cgrcode.rng import Lcg
 from cgrcode.search import _place
 from test_code import _reference_sweep
@@ -38,12 +41,44 @@ def _canonical(v1: int):
 @settings(derandomize=True, database=None, max_examples=4, deadline=None)
 @given(data=st.data())
 def test_built_and_dual_grids_rotate_with_the_rings(v1, data):
+    # A built array, its dual and double dual, and a built array rotated
+    # again store rotates and their ids from construction; each must equal
+    # what a fresh CodeArray of the same grid scans.
     params = CgrParams.from_v1(v1)
     n = params.num_rows
-    vector = data.draw(st.lists(st.integers(0, params.v2 - 1), min_size=n, max_size=n))
-    array = build_code_array(params, vector)
-    for grid in (array, dualize(array)):
-        assert _rotates(grid.masks, params.v2, len(grid.info_ids()))
+    vectors = st.lists(st.integers(0, params.v2 - 1), min_size=n, max_size=n)
+    array = build_code_array(params, data.draw(vectors))
+    dual = dualize(array)
+    for grid in (array, dual, dualize(dual), apply_offsets(array, data.draw(vectors))):
+        assert {"rotates", "_ids"} <= vars(grid).keys()
+        fresh = CodeArray(params, grid.offsets, grid.masks)
+        assert grid.rotates is fresh.rotates is True
+        assert grid.info_ids() == fresh.info_ids()
+
+
+@pytest.mark.parametrize("v1", [2, 4, 6])
+def test_other_grids_scan_for_the_symmetry(v1):
+    # Punctured, contracted and hand-built grids store no fact until read,
+    # and apply_offsets computes none just to carry it.
+    array = _canonical(v1)
+    flipped = [list(row) for row in array.masks]
+    flipped[-1][0] ^= 1
+    hand_built = CodeArray(array.params, array.offsets, array.masks)
+    punctured = puncture(array)
+    grids = {
+        "punctured": (punctured, False),
+        "dual of punctured": (dualize(punctured), False),
+        "contracted": (contract(array), False),
+        "hand-built": (hand_built, True),
+        "flipped": (CodeArray(array.params, array.offsets, tuple(map(tuple, flipped))), False),
+    }
+    for name, (grid, rotates) in grids.items():
+        assert "rotates" not in vars(grid), name
+        assert grid.rotates is rotates, name
+    ones = (1,) * array.params.num_rows
+    unread = CodeArray(array.params, array.offsets, array.masks)
+    assert not {"rotates", "_ids"} & vars(apply_offsets(unread, ones)).keys()
+    assert vars(apply_offsets(hand_built, ones))["rotates"] is True  # read above
 
 
 def test_pairs_swept_counts_the_pairs_reduced():
@@ -53,7 +88,7 @@ def test_pairs_swept_counts_the_pairs_reduced():
     # A contracted grid (v1 + 1 columns over v1 variables) fails the
     # rotation check, so every pair covered is a pair reduced.
     contracted = contract(array)
-    assert not _rotates(contracted.masks, contracted.num_columns, len(contracted.info_ids()))
+    assert not contracted.rotates
     result = verify_mds(contracted)
     assert result.is_mds and result.pairs_swept == result.patterns_checked == 171
     # On a failure, (0, d*) is both the d*-th pair covered and the d*-th swept.
@@ -98,7 +133,7 @@ def test_grids_without_the_symmetry_are_swept_in_full(v1):
         else:
             s = (r + 1 + rng.randint(len(grid) - 1)) % len(grid)
             grid[r][c], grid[s][c] = grid[s][c], grid[r][c]
-        assert not _rotates(grid, v2, nvars)
+        assert not rotates_with_rings(grid, v2, nvars)
         result = sweep_pairs(grid, nvars)
         witness = result.witness and set(result.witness.erased_columns)
         expected = _reference_sweep(list(zip(*grid)), nvars, pairs)
@@ -115,7 +150,7 @@ def test_a_ragged_grid_is_swept_as_zip_reads_it():
     array = _canonical(2)
     grid = [*array.masks, (0, 0, 0)]
     nvars = len(array.info_ids())
-    assert not _rotates(grid, 5, nvars)
+    assert not rotates_with_rings(grid, 5, nvars)
     result = sweep_pairs(grid, nvars)
     pairs = list(itertools.combinations(range(3), 2))
     assert (result.is_mds, result.witness, result.patterns_checked) == (True, None, 3)
