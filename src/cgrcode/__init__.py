@@ -2,11 +2,11 @@
 
 Pipeline: build_cgr labels the graph, pif_factorize + derive_offsets
 produce an offset vector, build_code_array lays the graph out as a GF(2)
-mask grid with its rows rotated (CodeArray.rows shows the cells), contract
-compacts it to the B-code's narrower grid, another CodeArray, encode/decode
-move bits through either grid, and verify_mds / verify_dual_mds /
-verify_contracted_mds check every legal erasure pattern (a built array's
-survivor pairs one per ring-rotation orbit, since rotation preserves rank).
+mask grid with its rows rotated and dualize lays out its dual (both in
+layout; CodeArray.rows shows the cells), contract compacts a primal to the
+B-code's narrower grid, encode/decode move bits through any grid, and
+verify_mds / verify_dual_mds / verify_contracted_mds check every legal
+erasure pattern (a built array's survivor pairs one per rotation orbit).
 """
 
 from .bcode import (
@@ -23,7 +23,6 @@ from .code import (
     UnrecoverableError,
     decode,
     decode_complexity,
-    dualize,
     encode,
     erase,
     update_complexity,
@@ -47,6 +46,7 @@ from .layout import (
     apply_offsets,
     build_code_array,
     derive_offsets,
+    dualize,
     map_unshifted,
 )
 from .rng import Lcg

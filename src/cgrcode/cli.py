@@ -20,7 +20,6 @@ from .code import (
     decode,
     decode_complexity,
     dual_verdict,
-    dualize,
     encode,
     erase,
     update_complexity,
@@ -28,7 +27,7 @@ from .code import (
 )
 from .fixtures import BUILTIN_VECTORS
 from .graph import POS_INF, CgrParams, pif_factorize
-from .layout import CodeArray, build_code_array, cell_members, derive_offsets
+from .layout import CodeArray, build_code_array, cell_members, derive_offsets, dualize, require_buildable
 from .rng import Lcg
 from .search import (
     DEFAULT_BUDGET,
@@ -145,6 +144,7 @@ def cmd_generate(args) -> int:
         if args.v1 is None:
             raise ValueError("--v1 is required")
         params = CgrParams.from_v1(args.v1)
+        require_buildable(params)  # before pif_factorize, so a huge v1 fails fast
         placement = _parse_placement(args.placement) if args.placement is not None else None
         pi = tuple(_csv_ints(args.pi)) if args.pi is not None else None
         vector = derive_offsets(pif_factorize(params.v1, placement), pi)
@@ -257,6 +257,7 @@ def cmd_metrics(args) -> int:
     rows = []
     for v1 in range(start, stop + 1, 2):
         params = CgrParams.from_v1(v1)
+        require_buildable(params)  # before pif_factorize, as generate does
         row = {
             "v1": v1,
             "v2": params.v2,

@@ -1,27 +1,21 @@
-"""Encoding, erasure decoding, MDS verification, duals, and complexity.
+"""Encoding, erasure decoding, primal and dual MDS verification, and complexity.
 
 Encoding, decoding and verification read only the array's GF(2) mask grid
 (CodeArray.masks, whose bit positions are the variable ids). Cell values are
 XORs of info values, which may be ints of any width: each bit plane is coded
 independently. The codec replays the grid's plan (CodeArray.plan), compiled
-once per array. Encoding fills its single-bit, two-bit and wider cells kind
-by kind. Decoding reads the plan's rows of single-bit and two-bit cells over
-the surviving columns only: it seeds known values from the single-bit cells
-and peels each two-bit cell with one unknown as it reads it, then sweeps the
-rest in row-major order; when peeling stalls it falls back to Gaussian
-elimination over every surviving cell, entered in row-major order.
-Verification (sweep_pairs) checks that every pair of surviving columns
-spans the full variable space: each column is reduced once to a GF(2)
-basis, which every pair it leads shares, and the pair's other column
-extends a copy of it until the dependent cells exceed what full rank
-allows. Rotating every ring by one position moves each row of a built
-array, primal or dual, one cell to the side, a fact it holds from
-construction (CodeArray.rotates), so only the pairs (0, d) for
-d <= v2 // 2 are swept (see sweep_pairs).
-Search sweeps no columns: both its strategies place rows onto one basis
-per pair (0, d), by the argument stated in search.search. The dual's
-verdict is read off the same primal sweep, since the dual is the primal's
-orthogonal complement.
+once per array: encoding fills its cells kind by kind; decoding seeds known
+values from the surviving single-bit cells, peels each surviving two-bit
+cell with one unknown as it reads it, sweeps the rest in row-major order,
+and falls back to Gaussian elimination over every surviving cell, entered
+in row-major order, when peeling stalls. Verification (sweep_pairs) checks
+that every pair of surviving columns spans the full variable space,
+reducing each column once to a GF(2) basis that every pair it leads
+extends. A built array, primal or dual, moves each row one cell to the side
+when every ring rotates by one position, a fact the builder stores
+(CodeArray.rotates), so only the pairs (0, d), d <= v2 // 2, are swept.
+The dual's verdict is read off the same primal sweep, since the dual
+(layout.dualize) is the primal's orthogonal complement.
 """
 
 from __future__ import annotations
@@ -30,9 +24,7 @@ import itertools
 
 from . import gf2
 from .graph import CgrParams, Value
-from .layout import (
-    CodeArray, map_unshifted, mark_built, require_cgr_layout, rotate_rows, rotates_with_rings
-)
+from .layout import CodeArray, dualize, require_cgr_layout, rotates_with_rings
 
 
 class UnrecoverableError(Exception):
@@ -345,12 +337,14 @@ def verify_dual_mds(array: CodeArray) -> MdsResult:
     v1*v2 cells, the primal dimension. So the dual fails on the erased pair
     E exactly when the primal fails on the survivor pair E: the verdict and
     patterns_checked are verify_mds's, and the witness is the primal's
-    failing survivor pair. A dual input is dualized back first. Raises
-    ValueError on a contracted grid or one with an empty cell (punctured).
+    failing survivor pair. A dual is dualized back first. Raises ValueError
+    on a grid that is contracted, punctured (an empty cell) or not rotating.
     """
     require_cgr_layout(array, "verify_dual_mds")
     if not all(map(all, array.masks)):
         raise ValueError("verify_dual_mds expects a grid with no empty cell, not a punctured one")
+    if not array.rotates:
+        raise ValueError("verify_dual_mds expects a CGR layout, not a full grid that does not rotate")
     primal = dualize(array) if array.is_dual() else array
     return dual_verdict(verify_mds(primal), array.num_columns)
 
@@ -361,43 +355,6 @@ def dual_verdict(primal: MdsResult, num_columns: int) -> MdsResult:
         return primal
     witness = ErasurePattern.of(primal.witness.survivors(num_columns))
     return MdsResult(False, witness, primal.patterns_checked, pairs_swept=primal.pairs_swept)
-
-
-def dualize(array: CodeArray) -> CodeArray:
-    """Swap vertex and edge roles on the same grid.
-
-    Each nonempty cell becomes the other code's cell at its unshifted
-    position: the result is the other code's unshifted grid rotated by the
-    array's offsets, with the array's empty cells kept empty. Edge variable
-    (r - v1)*v2 + c, its index in CgrGraph.edge_list, sits at unshifted
-    parity position (r, c), and a dual vertex cell is the OR of the bits of
-    its v1 + 1 incident edges: cell (j, k) is pairs[j] << k, pairs[j] being
-    ring j's inter-ring edge bits at column 0, plus ring j's edges k - 1 and
-    k. Applying dualize twice restores the array. Raises ValueError on a
-    contracted array. A grid with no empty cell keeps none of its masks, so
-    the result is built, with its facts stored (see layout.mark_built).
-    """
-    require_cgr_layout(array, "dualize")
-    params = array.params
-    v1, v2 = params.v1, params.v2
-    if array.is_dual():
-        other, nvars = map_unshifted(params).masks, v1 * v2
-    else:
-        ring = [1 << j * v2 for j in range(v1)]  # edge 0 of ring j
-        pairs = [0] * v1
-        for t, (i, j) in enumerate(itertools.combinations(range(v1), 2), v1):
-            pairs[i] |= 1 << t * v2
-            pairs[j] |= 1 << t * v2
-        other = [[(p | f) << k | f << (k - 1) % v2 for k in range(v2)] for p, f in zip(pairs, ring)]
-        other += [[1 << r * v2 + k for k in range(v2)] for r in range(params.num_rows - v1)]
-        nvars = (params.num_rows - v1) * v2
-    rotated = rotate_rows(other, array.offsets)
-    if all(map(all, array.masks)):
-        return mark_built(CodeArray(params, array.offsets, tuple(map(tuple, rotated))), nvars)
-    masks = tuple(
-        tuple(n if m else 0 for m, n in zip(row, new)) for row, new in zip(array.masks, rotated)
-    )
-    return CodeArray(params, array.offsets, masks)
 
 
 def update_complexity(params: CgrParams) -> Fraction:

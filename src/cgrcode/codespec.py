@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import json
 
-from .code import dualize
 from .graph import CgrParams
-from .layout import KINDS, CodeArray, OffsetVector, build_code_array, cell_members
+from .layout import KINDS, CodeArray, OffsetVector, build_code_array, cell_members, dualize
 
 FORMAT_VERSION = "2"
 _HEADER = ("version", "v1", "v2", "dual", "offset_vector")  # a version 2 file, in order
@@ -58,14 +57,12 @@ def from_obj(obj: dict) -> CodeArray:
         fields = ", ".join(map(str, obj))
         raise ValueError(f"a version 2 code file holds exactly {', '.join(_HEADER)}; got {fields}")
     try:
-        params = CgrParams(obj["v1"], obj["v2"])
-        offsets = OffsetVector(obj.get("offset_vector", ()))
+        params, offsets = CgrParams(obj["v1"], obj["v2"]), OffsetVector(obj.get("offset_vector", ()))
     except KeyError as missing:
         raise ValueError(f"missing field {missing}") from None
     except TypeError as exc:
         raise ValueError(f"bad header field: {exc}") from None
-    offsets.validate_for(params)  # before building, so a huge v1 fails fast
-    array = build_code_array(params, offsets)
+    array = build_code_array(params, offsets)  # checks offsets before any layout
     if version == "1":
         return _check_rows(array, obj.get("rows"))
     if type(obj["dual"]) is not bool:

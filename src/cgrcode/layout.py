@@ -2,9 +2,10 @@
 
 A cell is an int mask over the variables it XORs (0 when empty), so a
 variable's id is its bit position. The unshifted grid stacks the vertex,
-ring-edge and inter-ring edge rows of the CGR graph; the offset vector
-rotates each row left by its entry. CodeArray.rows shows the grid as Cells.
-A contracted array (bcode.contract) is a narrower grid of the same type.
+ring-edge and inter-ring edge rows of the CGR graph, dualize swaps it for
+the dual's, and the offset vector rotates each row left by its entry; only
+_built stores what a built grid has by construction. CodeArray.rows shows
+the grid as Cells. A contracted array (bcode.contract) is a narrower one.
 """
 
 from __future__ import annotations
@@ -198,8 +199,7 @@ class CodeArray(Value):
 
     @computed_once
     def rotates(self) -> bool:
-        """Whether the grid passes rotates_with_rings: stored when a built
-        array is made (see mark_built), scanned on first read otherwise."""
+        """Whether the grid passes rotates_with_rings: stored by _built, else scanned."""
         return rotates_with_rings(self.masks, self.num_columns, len(self._ids))
 
     def is_dual(self) -> bool:
@@ -208,24 +208,79 @@ class CodeArray(Value):
         return any(m.bit_count() > 2 for m in self.masks[0])
 
 
+MAX_LAYOUT_BITS = 12 * 10**9
+
+
+def require_buildable(params: CgrParams) -> None:
+    """Raise ValueError when the grid, num_rows * v2 masks of v1 * v2 bits, would exceed
+    MAX_LAYOUT_BITS; v1 = 116, the largest size under it, builds at 1 GB peak RSS."""
+    if params.num_rows * params.v2 * params.num_vertices > MAX_LAYOUT_BITS:
+        raise ValueError(f"a v1 = {params.v1} array lays out over {MAX_LAYOUT_BITS} mask bits")
+
+
 def map_unshifted(params: CgrParams) -> CodeArray:
     """Lay CGR(K_v1, C_v2) out with zero shifts, labelled as build_cgr labels
     it: the V_j rows, then the edge list cut into rows of v2 (each ring and
     each ring pair has exactly v2 edges), so the parity rows are the E_j
     rows, then the inter-ring rows lexicographically. Ring j's vertex k is
     bit j*v2 + k, so each row is its first cell's mask shifted along."""
+    require_buildable(params)
     v1, v2 = params.v1, params.v2
     first = [1 << (j * v2) for j in range(v1)]  # vertex 0 of each ring
     rows = [[f << k for k in range(v2)] for f in first]
     rows += [[f << k | f << (k + 1) % v2 for k in range(v2)] for f in first]
     rows += [[(f | g) << k for k in range(v2)] for f, g in itertools.combinations(first, 2)]
-    array = CodeArray(params, OffsetVector.zeros(params), tuple(map(tuple, rows)))
-    return mark_built(array, v1 * v2)
+    return CodeArray(params, OffsetVector.zeros(params), tuple(map(tuple, rows)))
 
 
-def mark_built(array: CodeArray, nvars: int) -> CodeArray:
-    """Store on array, and return it, what a grid laid out from the graph
-    has by construction: it rotates, and its ids are 0..nvars-1."""
+def dualize(array: CodeArray) -> CodeArray:
+    """Swap vertex and edge roles on the same grid.
+
+    Each nonempty cell becomes the other code's cell at its unshifted
+    position: the result is the other code's unshifted grid rotated by the
+    array's offsets, with the array's empty cells kept empty. Edge variable
+    (r - v1)*v2 + c, its index in CgrGraph.edge_list, sits at unshifted
+    parity position (r, c), and a dual vertex cell is the OR of the bits of
+    its v1 + 1 incident edges: cell (j, k) is pairs[j] << k, pairs[j] being
+    ring j's inter-ring edge bits at column 0, plus ring j's edges k - 1 and
+    k. Applying dualize twice restores the array. Raises ValueError on a
+    contracted array and on a full grid (no empty cell) that does not
+    rotate. A full grid's masks go unread: it is read by its header.
+    """
+    require_cgr_layout(array, "dualize")
+    full = all(map(all, array.masks))
+    if full and not array.rotates:
+        raise ValueError("dualize expects a CGR layout, not a full grid that does not rotate")
+    params, v1, v2 = array.params, array.params.v1, array.params.v2
+    if array.is_dual():
+        other, nvars = map_unshifted(params).masks, v1 * v2
+    else:
+        ring = [1 << j * v2 for j in range(v1)]  # edge 0 of ring j
+        pairs = [0] * v1
+        for t, (i, j) in enumerate(itertools.combinations(range(v1), 2), v1):
+            pairs[i] |= 1 << t * v2
+            pairs[j] |= 1 << t * v2
+        other = [[(p | f) << k | f << (k - 1) % v2 for k in range(v2)] for p, f in zip(pairs, ring)]
+        other += [[1 << r * v2 + k for k in range(v2)] for r in range(params.num_rows - v1)]
+        nvars = (params.num_rows - v1) * v2
+    if full:
+        return _built(params, array.offsets, other, nvars)
+    rotated = zip(array.masks, rotate_rows(other, array.offsets))
+    masks = tuple(tuple(n if m else 0 for m, n in zip(row, new)) for row, new in rotated)
+    return CodeArray(params, array.offsets, masks)
+
+
+def build_code_array(params: CgrParams, offsets) -> CodeArray:
+    """The graph laid out and row r rotated left by offsets[r], offsets checked first."""
+    offsets = OffsetVector(offsets)
+    offsets.validate_for(params)
+    return _built(params, offsets, map_unshifted(params).masks, params.num_vertices)
+
+
+def _built(params: CgrParams, offsets: OffsetVector, unshifted, nvars: int) -> CodeArray:
+    """Either code's unshifted rows rotated by offsets, with what the result
+    has by construction stored: it rotates, and its ids are 0..nvars-1."""
+    array = CodeArray(params, offsets, tuple(map(tuple, rotate_rows(unshifted, offsets))))
     object.__setattr__(array, "rotates", True)
     object.__setattr__(array, "_ids", range(nvars))
     return array
@@ -264,24 +319,13 @@ def require_cgr_layout(array: CodeArray, name: str) -> None:
 
 def apply_offsets(array: CodeArray, offsets) -> CodeArray:
     """Rotate row r left by offsets[r]; composes additively mod v2. Raises
-    ValueError on a contracted array. A row rotation keeps rotates and the
-    ids, so the result carries those the input has stored (read through
-    vars(), which costs the input its fast attribute reads: graph.Value)."""
+    ValueError on a contracted array. Not a builder: the result scans
+    rotates and its ids on first read."""
     require_cgr_layout(array, "apply_offsets")
     off = OffsetVector(offsets)
     off.validate_for(array.params)
-    v2 = array.params.v2
-    combined = OffsetVector((a + b) % v2 for a, b in zip(array.offsets, off))
-    rotated = CodeArray(array.params, combined, rotate_rows(array.masks, off))
-    stored = vars(array)
-    for name in stored.keys() & {"rotates", "_ids"}:
-        object.__setattr__(rotated, name, stored[name])
-    return rotated
-
-
-def build_code_array(params: CgrParams, offsets) -> CodeArray:
-    """Full pipeline: lay the graph out, then apply the offset vector."""
-    return apply_offsets(map_unshifted(params), offsets)
+    combined = OffsetVector((a + b) % array.params.v2 for a, b in zip(array.offsets, off))
+    return CodeArray(array.params, combined, rotate_rows(array.masks, off))
 
 
 def canonical_prefix(v1: int) -> tuple[int, ...]:

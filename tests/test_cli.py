@@ -392,6 +392,31 @@ def test_random_search_fails_fast_on_a_huge_size(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--v1", "196", "--offsets", "0"],
+        ["generate", "--v1", "196"],
+        ["generate", "--v1", "3000"],
+        ["metrics", "--v1-range", "196:196"],
+        ["verify", "HEADER"],
+    ],
+)
+def test_oversize_grids_fail_fast(argv, tmp_path, capsys):
+    # Each would lay out a grid of about 19 GB (v1 = 196) or far more.
+    if argv[-1] == "HEADER":
+        path = tmp_path / "big.json"
+        header = {"version": "2", "v1": 196, "v2": 199, "dual": False, "offset_vector": [0] * 19502}
+        path.write_text(json.dumps(header), encoding="utf-8")
+        argv = ["verify", str(path)]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_search_budget_option(capsys):
     assert main(["search", "--v1", "2", "--free-prefix", "--budget", "10"]) == 2
     assert "exceeds budget 10" in capsys.readouterr().err

@@ -587,6 +587,26 @@ def test_verify_dual_mds(k2_array):
     assert verify_dual_mds(dualize(k2_array)).is_mds
 
 
+def test_dualize_and_verify_dual_mds_refuse_a_full_grid_that_does_not_rotate():
+    # The v1 = 4 canonical array with bit 5 of cell (10, 0) flipped has no
+    # empty cell, so dualize reads none of its masks: without the rotation
+    # check it would return the built dual, which verifies where the grid fails.
+    params = CgrParams.from_v1(4)
+    array = build_code_array(params, derive_offsets(pif_factorize(4)))
+    dual = dualize(array)
+    for source in (array, dual):
+        masks = [list(row) for row in source.masks]
+        masks[10][0] ^= 1 << 5
+        grid = CodeArray(params, source.offsets, tuple(map(tuple, masks)))
+        assert all(map(all, grid.masks)) and not grid.rotates
+        for check in (dualize, verify_dual_mds):
+            with pytest.raises(ValueError, match="not a full grid that does not rotate"):
+                check(grid)
+    # A hand-built grid that does rotate is read by its header.
+    copy = CodeArray(params, array.offsets, array.masks)
+    assert dualize(copy) == dual and verify_dual_mds(copy) == verify_dual_mds(array)
+
+
 def _reference_sweep(columns, nvars, survivor_sets):
     """(is_mds, erased witness, patterns checked) from the rank of every cell
     mask of each survivor set, stopping at the first rank-deficient set."""

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgrcode import (
     NEG_INF,
@@ -22,7 +27,7 @@ from cgrcode import (
     pif_factorize,
     puncture,
 )
-from cgrcode.layout import canonical_prefix
+from cgrcode.layout import MAX_LAYOUT_BITS, canonical_prefix, require_buildable
 from conftest import placements_and_pis
 
 
@@ -135,6 +140,46 @@ def test_apply_offsets_composes_additively():
     once = apply_offsets(apply_offsets(base, (0, 1, 2, 2, 4)), (1, 1, 1, 1, 1))
     combined = apply_offsets(base, (1, 2, 3, 3, 0))
     assert once == combined
+
+
+@pytest.mark.parametrize("v1", [2, 4, 6])
+@settings(derandomize=True, database=None, max_examples=10, deadline=None)
+@given(data=st.data())
+def test_apply_offsets_to_a_built_array_is_the_array_built_at_the_sum(v1, data):
+    params = CgrParams.from_v1(v1)
+    n = params.num_rows
+    vectors = st.lists(st.integers(0, params.v2 - 1), min_size=n, max_size=n)
+    built = build_code_array(params, data.draw(vectors))
+    rotated = apply_offsets(built, data.draw(vectors))
+    rebuilt = build_code_array(params, rotated.offsets)
+    assert rotated.masks == rebuilt.masks
+    assert rotated.rotates is rebuilt.rotates is True
+    assert rotated.info_ids() == rebuilt.info_ids()
+
+
+def test_build_code_array_checks_the_vector_before_any_layout(monkeypatch):
+    def no_layout(params):
+        raise AssertionError("build_code_array laid out a grid for a vector it rejects")
+
+    # A v1 = 196 grid would take about 19 GB.
+    monkeypatch.setattr(importlib.import_module("cgrcode.layout"), "map_unshifted", no_layout)
+    with pytest.raises(ValueError, match="offset vector length 1 != row count 19502"):
+        build_code_array(CgrParams.from_v1(196), (0,))
+
+
+def test_oversize_grids_are_refused_before_any_layout():
+    # v1 = 116 builds in about 1 s at 1 GB peak RSS; v1 = 118 is over the bound.
+    require_buildable(CgrParams.from_v1(116))
+    start = time.perf_counter()
+    for v1 in (118, 196, 3000):
+        params = CgrParams.from_v1(v1)
+        assert params.num_rows * params.v2 * params.num_vertices > MAX_LAYOUT_BITS
+        with pytest.raises(ValueError, match=rf"a v1 = {v1} array lays out over \d+ mask bits"):
+            map_unshifted(params)
+    params = CgrParams.from_v1(196)
+    with pytest.raises(ValueError, match="lays out over"):
+        build_code_array(params, OffsetVector.zeros(params))
+    assert time.perf_counter() - start < 2
 
 
 def test_offset_vector_validation():

@@ -100,7 +100,7 @@ def test_codespec_and_dualize_read_no_cell_view():
         node
         for name, node in _nodes()
         if (name == "codespec.py" and isinstance(node, ast.Module))
-        or (name == "code.py" and isinstance(node, ast.FunctionDef) and node.name == "dualize")
+        or (name == "layout.py" and isinstance(node, ast.FunctionDef) and node.name == "dualize")
     ]
     assert len(scopes) == 2
     reads = [

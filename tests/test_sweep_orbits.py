@@ -41,16 +41,19 @@ def _canonical(v1: int):
 @settings(derandomize=True, database=None, max_examples=4, deadline=None)
 @given(data=st.data())
 def test_built_and_dual_grids_rotate_with_the_rings(v1, data):
-    # A built array, its dual and double dual, and a built array rotated
-    # again store rotates and their ids from construction; each must equal
-    # what a fresh CodeArray of the same grid scans.
+    # A built array, its dual and double dual store rotates and their ids
+    # from construction, and a built array rotated again scans them; each
+    # must equal what a fresh CodeArray of the same grid scans.
     params = CgrParams.from_v1(v1)
     n = params.num_rows
     vectors = st.lists(st.integers(0, params.v2 - 1), min_size=n, max_size=n)
     array = build_code_array(params, data.draw(vectors))
     dual = dualize(array)
-    for grid in (array, dual, dualize(dual), apply_offsets(array, data.draw(vectors))):
-        assert {"rotates", "_ids"} <= vars(grid).keys()
+    built = (array, dual, dualize(dual))
+    rotated = apply_offsets(array, data.draw(vectors))
+    assert all({"rotates", "_ids"} <= vars(grid).keys() for grid in built)
+    assert not {"rotates", "_ids"} & vars(rotated).keys()
+    for grid in (*built, rotated):
         fresh = CodeArray(params, grid.offsets, grid.masks)
         assert grid.rotates is fresh.rotates is True
         assert grid.info_ids() == fresh.info_ids()
@@ -59,7 +62,7 @@ def test_built_and_dual_grids_rotate_with_the_rings(v1, data):
 @pytest.mark.parametrize("v1", [2, 4, 6])
 def test_other_grids_scan_for_the_symmetry(v1):
     # Punctured, contracted and hand-built grids store no fact until read,
-    # and apply_offsets computes none just to carry it.
+    # and apply_offsets stores none, whatever its input has stored.
     array = _canonical(v1)
     flipped = [list(row) for row in array.masks]
     flipped[-1][0] ^= 1
@@ -77,8 +80,11 @@ def test_other_grids_scan_for_the_symmetry(v1):
         assert grid.rotates is rotates, name
     ones = (1,) * array.params.num_rows
     unread = CodeArray(array.params, array.offsets, array.masks)
-    assert not {"rotates", "_ids"} & vars(apply_offsets(unread, ones)).keys()
-    assert vars(apply_offsets(hand_built, ones))["rotates"] is True  # read above
+    built = build_code_array(array.params, array.offsets)
+    for source in (unread, hand_built, built):  # hand_built's rotates was read above
+        rotated = apply_offsets(source, ones)
+        assert not {"rotates", "_ids"} & vars(rotated).keys()
+        assert rotated.rotates is True
 
 
 def test_pairs_swept_counts_the_pairs_reduced():
