@@ -3,10 +3,11 @@
 A code file is a header: {"version": "2", "v1", "v2", "dual",
 "offset_vector"}, in that order, written as json.dumps(obj, indent=2) + "\\n".
 A CGR array is fixed by v1 and its offset vector, so loading builds it
-(build_code_array) and dualizes it when dual is true. Version "1" files,
-whose "rows" hold every cell as {"kind": "info"|"parity"|"empty",
-"vertices": [...]}, still load: their rows must be the array the header
-builds, or its dual, record for record. Only integers are read.
+(build_code_array) and dualizes it when dual is true; writing reads
+CodeArray.built, which a built array stores, so it lays nothing out.
+Version "1" files, whose "rows" hold every cell as {"kind": "info"|"parity"|
+"empty", "vertices": [...]}, still load: their rows must be the array the
+header builds, or its dual, record for record. Only integers are read.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 
 from .graph import CgrParams
-from .layout import KINDS, CodeArray, OffsetVector, build_code_array, cell_members, dualize
+from .layout import KINDS, CodeArray, OffsetVector, build_code_array, cell_members, dualize, require_buildable
 
 FORMAT_VERSION = "2"
 _HEADER = ("version", "v1", "v2", "dual", "offset_vector")  # a version 2 file, in order
@@ -28,15 +29,12 @@ def mask_records(grid, v2: int) -> list[list[dict]]:
 
 
 def to_obj(array: CodeArray) -> dict:
-    """The header of a built array or its dual. Any other grid (punctured,
-    contracted, or built by hand) raises ValueError: no header describes it."""
-    params, offsets = array.params, array.offsets
-    if array.source_columns is None:
-        dual = array.is_dual()
-        built = build_code_array(params, offsets)
-        if (dualize(built) if dual else built).masks == array.masks:
-            return dict(zip(_HEADER, (FORMAT_VERSION, params.v1, params.v2, dual, list(offsets))))
-    raise ValueError("only a built array or its dual can be saved as a code file")
+    """The header of a built array or its dual (CodeArray.built). Any other grid
+    (punctured, contracted, or built by hand) raises ValueError: no header describes it."""
+    if not array.built:
+        raise ValueError("only a built array or its dual can be saved as a code file")
+    params, dual = array.params, array.is_dual()
+    return dict(zip(_HEADER, (FORMAT_VERSION, params.v1, params.v2, dual, list(array.offsets))))
 
 
 def to_json(array: CodeArray) -> str:
@@ -62,11 +60,13 @@ def from_obj(obj: dict) -> CodeArray:
         raise ValueError(f"missing field {missing}") from None
     except TypeError as exc:
         raise ValueError(f"bad header field: {exc}") from None
+    if version == FORMAT_VERSION and type(obj["dual"]) is not bool:
+        raise ValueError(f"dual must be true or false, got {obj['dual']!r}")
+    if version == FORMAT_VERSION and obj["dual"]:
+        require_buildable(params, dual=True)  # before the primal is built
     array = build_code_array(params, offsets)  # checks offsets before any layout
     if version == "1":
         return _check_rows(array, obj.get("rows"))
-    if type(obj["dual"]) is not bool:
-        raise ValueError(f"dual must be true or false, got {obj['dual']!r}")
     return dualize(array) if obj["dual"] else array
 
 

@@ -3,9 +3,10 @@
 A cell is an int mask over the variables it XORs (0 when empty), so a
 variable's id is its bit position. The unshifted grid stacks the vertex,
 ring-edge and inter-ring edge rows of the CGR graph, dualize swaps it for
-the dual's, and the offset vector rotates each row left by its entry; only
-_built stores what a built grid has by construction. CodeArray.rows shows
-the grid as Cells. A contracted array (bcode.contract) is a narrower one.
+the dual's (both from bit_rows), and the offset vector rotates each row left
+by its entry; only _built stores what a built grid has by construction.
+CodeArray.rows shows the grid as Cells. A contracted array (bcode.contract)
+is a narrower one.
 """
 
 from __future__ import annotations
@@ -202,6 +203,18 @@ class CodeArray(Value):
         """Whether the grid passes rotates_with_rings: stored by _built, else scanned."""
         return rotates_with_rings(self.masks, self.num_columns, len(self._ids))
 
+    @computed_once
+    def built(self) -> bool:
+        """Whether the grid is build_code_array(params, offsets) or its dual, which
+        a header describes: stored by _built, else checked (a field-equal copy reads True)."""
+        if self.source_columns is not None:
+            return False
+        try:
+            primal = build_code_array(self.params, self.offsets)
+        except (TypeError, ValueError):  # offsets that are no vector for params
+            return False
+        return self.masks == (dualize(primal) if self.is_dual() else primal).masks
+
     def is_dual(self) -> bool:
         """True when parity cells are wider than 2 (vertex/edge roles swapped),
         read off vertex row 0, where a dual holds its (v1+1)-bit parities."""
@@ -211,11 +224,20 @@ class CodeArray(Value):
 MAX_LAYOUT_BITS = 12 * 10**9
 
 
-def require_buildable(params: CgrParams) -> None:
-    """Raise ValueError when the grid, num_rows * v2 masks of v1 * v2 bits, would exceed
-    MAX_LAYOUT_BITS; v1 = 116, the largest size under it, builds at 1 GB peak RSS."""
-    if params.num_rows * params.v2 * params.num_vertices > MAX_LAYOUT_BITS:
-        raise ValueError(f"a v1 = {params.v1} array lays out over {MAX_LAYOUT_BITS} mask bits")
+def require_buildable(params: CgrParams, dual: bool = False) -> None:
+    """Raise ValueError when the grid, num_rows * v2 masks of v1 * v2 bits, or of
+    (num_rows - v1) * v2 in a dual, would exceed MAX_LAYOUT_BITS; v1 = 116, the largest
+    size under it, builds at 1 GB peak RSS, and v1 = 58 is the largest dual under it."""
+    nvars = (params.num_rows - params.v1) * params.v2 if dual else params.num_vertices
+    if params.num_rows * params.v2 * nvars > MAX_LAYOUT_BITS:
+        grid = "dual" if dual else "array"
+        raise ValueError(f"a v1 = {params.v1} {grid} lays out over {MAX_LAYOUT_BITS} mask bits")
+
+
+def bit_rows(nbits: int, v2: int) -> list[list[int]]:
+    """The masks 1 << i, i < nbits, in rows of v2: slices of one table, so a grid shares them."""
+    bit = [1 << i for i in range(nbits)]
+    return [bit[t : t + v2] for t in range(0, nbits, v2)]
 
 
 def map_unshifted(params: CgrParams) -> CodeArray:
@@ -223,13 +245,12 @@ def map_unshifted(params: CgrParams) -> CodeArray:
     it: the V_j rows, then the edge list cut into rows of v2 (each ring and
     each ring pair has exactly v2 edges), so the parity rows are the E_j
     rows, then the inter-ring rows lexicographically. Ring j's vertex k is
-    bit j*v2 + k, so each row is its first cell's mask shifted along."""
+    bit j*v2 + k: the vertex rows are bit_rows, and a parity cell the OR of
+    two of their entries."""
     require_buildable(params)
-    v1, v2 = params.v1, params.v2
-    first = [1 << (j * v2) for j in range(v1)]  # vertex 0 of each ring
-    rows = [[f << k for k in range(v2)] for f in first]
-    rows += [[f << k | f << (k + 1) % v2 for k in range(v2)] for f in first]
-    rows += [[(f | g) << k for k in range(v2)] for f, g in itertools.combinations(first, 2)]
+    vertex = bit_rows(params.num_vertices, params.v2)
+    rows = vertex + [[a | b for a, b in zip(row, row[1:] + row[:1])] for row in vertex]
+    rows += [[a | b for a, b in zip(x, y)] for x, y in itertools.combinations(vertex, 2)]
     return CodeArray(params, OffsetVector.zeros(params), tuple(map(tuple, rows)))
 
 
@@ -240,12 +261,13 @@ def dualize(array: CodeArray) -> CodeArray:
     position: the result is the other code's unshifted grid rotated by the
     array's offsets, with the array's empty cells kept empty. Edge variable
     (r - v1)*v2 + c, its index in CgrGraph.edge_list, sits at unshifted
-    parity position (r, c), and a dual vertex cell is the OR of the bits of
-    its v1 + 1 incident edges: cell (j, k) is pairs[j] << k, pairs[j] being
-    ring j's inter-ring edge bits at column 0, plus ring j's edges k - 1 and
-    k. Applying dualize twice restores the array. Raises ValueError on a
-    contracted array and on a full grid (no empty cell) that does not
-    rotate. A full grid's masks go unread: it is read by its header.
+    parity position (r, c), so the edge rows are bit_rows, and a dual vertex
+    cell is the OR of the bits of its v1 + 1 incident edges: cell (j, k) is
+    pairs[j] << k, pairs[j] being ring j's inter-ring edge bits at column 0,
+    plus ring j's edges k - 1 and k. Applying dualize twice restores the
+    array. Raises ValueError on a contracted array, on a full grid (no empty
+    cell) that does not rotate, and, before any layout, on a dual over
+    MAX_LAYOUT_BITS. A full grid's masks go unread: it is read by its header.
     """
     require_cgr_layout(array, "dualize")
     full = all(map(all, array.masks))
@@ -255,14 +277,15 @@ def dualize(array: CodeArray) -> CodeArray:
     if array.is_dual():
         other, nvars = map_unshifted(params).masks, v1 * v2
     else:
-        ring = [1 << j * v2 for j in range(v1)]  # edge 0 of ring j
+        require_buildable(params, dual=True)
+        nvars = (params.num_rows - v1) * v2
+        edges = bit_rows(nvars, v2)  # unshifted row v1 + t holds edges[t], ring t's for t < v1
         pairs = [0] * v1
         for t, (i, j) in enumerate(itertools.combinations(range(v1), 2), v1):
-            pairs[i] |= 1 << t * v2
-            pairs[j] |= 1 << t * v2
-        other = [[(p | f) << k | f << (k - 1) % v2 for k in range(v2)] for p, f in zip(pairs, ring)]
-        other += [[1 << r * v2 + k for k in range(v2)] for r in range(params.num_rows - v1)]
-        nvars = (params.num_rows - v1) * v2
+            pairs[i] |= edges[t][0]
+            pairs[j] |= edges[t][0]
+        other = [[p << k | e[k] | e[k - 1] for k in range(v2)] for p, e in zip(pairs, edges)]
+        other += edges
     if full:
         return _built(params, array.offsets, other, nvars)
     rotated = zip(array.masks, rotate_rows(other, array.offsets))
@@ -279,9 +302,10 @@ def build_code_array(params: CgrParams, offsets) -> CodeArray:
 
 def _built(params: CgrParams, offsets: OffsetVector, unshifted, nvars: int) -> CodeArray:
     """Either code's unshifted rows rotated by offsets, with what the result
-    has by construction stored: it rotates, and its ids are 0..nvars-1."""
+    has by construction stored: it rotates, is built, and its ids are 0..nvars-1."""
     array = CodeArray(params, offsets, tuple(map(tuple, rotate_rows(unshifted, offsets))))
     object.__setattr__(array, "rotates", True)
+    object.__setattr__(array, "built", True)
     object.__setattr__(array, "_ids", range(nvars))
     return array
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import subprocess
 import sys
@@ -415,6 +416,29 @@ def test_oversize_grids_fail_fast(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_oversize_duals_fail_fast(monkeypatch, tmp_path, capsys):
+    # v1 = 60 builds, but its dual is over MAX_LAYOUT_BITS: dual of the primal
+    # file and verify of a dual header are refused before the dual's layout.
+    primal, dual = tmp_path / "p60.json", tmp_path / "d60.json"
+    assert main(["generate", "--v1", "60", "--output", str(primal)]) == 0
+    dual.write_text(json.dumps(dict(json.loads(primal.read_text()), dual=True)), encoding="utf-8")
+    layout = importlib.import_module("cgrcode.layout")
+    primal_rows = layout.bit_rows
+
+    def primal_layout_only(nbits, v2):
+        assert nbits <= 60 * 63, "laid out a dual over the bound"
+        return primal_rows(nbits, v2)
+
+    monkeypatch.setattr(layout, "bit_rows", primal_layout_only)
+    for argv in (["dual", str(primal)], ["verify", str(dual)]):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a v1 = 60 dual lays out over 12000000000 mask bits\n"
 
 
 def test_search_budget_option(capsys):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +126,42 @@ def test_to_json_refuses_arrays_no_header_describes(k2_array, tmp_path):
         with pytest.raises(ValueError):
             dump(array, tmp_path / "code.json")
     assert not (tmp_path / "code.json").exists()
+
+
+def test_to_json_refuses_offsets_that_are_no_vector_for_the_params(k2_array):
+    # Such a grid is no built array: the one "only a built array" error, not
+    # a TypeError from iterating None or the offset-length error.
+    for offsets in (None, k2_array.offsets[:-1]):
+        grid = CodeArray(k2_array.params, offsets, k2_array.masks)
+        with pytest.raises(ValueError, match="only a built array or its dual"):
+            to_json(grid)
+
+
+def _peak_bytes(make):
+    tracemalloc.start()
+    try:
+        result = make()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_to_json_of_a_built_array_lays_nothing_out(monkeypatch):
+    # A built array stores that it is one, so writing it builds no second
+    # grid: to_json peaks far below build_code_array at v1 = 24.
+    params = CgrParams.from_v1(24)
+    offsets = derive_offsets(pif_factorize(24))
+    array, build_peak = _peak_bytes(lambda: build_code_array(params, offsets))
+    text, write_peak = _peak_bytes(lambda: to_json(array))
+    assert write_peak < build_peak / 10, (write_peak, build_peak)
+    dual = dualize(array)
+
+    def no_layout(params):
+        raise AssertionError("to_json laid out a grid for a built array")
+
+    monkeypatch.setattr(importlib.import_module("cgrcode.layout"), "map_unshifted", no_layout)
+    assert to_json(array) == text
+    assert json.loads(to_json(dual)) == dict(json.loads(text), dual=True)
 
 
 def test_json_round_trip_is_byte_stable(k2_array):

@@ -27,6 +27,7 @@ from cgrcode import (
     pif_factorize,
     puncture,
 )
+from cgrcode.codespec import from_json, from_obj, to_json
 from cgrcode.layout import MAX_LAYOUT_BITS, canonical_prefix, require_buildable
 from conftest import placements_and_pis
 
@@ -52,7 +53,8 @@ def test_value_types_hold_only_their_data():
 def test_lazy_views_are_computed_once_and_change_no_comparison():
     # rows, plan and the info ids are computed on first read and stored on
     # the instance; reading them leaves ==, hash and repr as they were.
-    array = build_code_array(CgrParams.from_v1(4), derive_offsets(pif_factorize(4)))
+    params = CgrParams.from_v1(4)
+    array = build_code_array(params, derive_offsets(pif_factorize(4)))
     twin = CodeArray(array.params, array.offsets, array.masks)
     before = (repr(array), hash(array))
     assert array.plan is array.plan and array.rows is array.rows
@@ -60,6 +62,24 @@ def test_lazy_views_are_computed_once_and_change_no_comparison():
     assert (repr(array), hash(array)) == before == (repr(twin), hash(twin))
     assert array == twin and twin == array
     assert CodeArray.plan.__doc__.startswith("The mask grid compiled for the codec")
+    # built: stored by build_code_array, dualize and from_json; any other
+    # grid checks it on first read, so a field-equal copy reads True.
+    dual = dualize(array)
+    for stored in (array, dual, dualize(dual), from_json(to_json(array)), from_json(to_json(dual))):
+        assert vars(stored)["built"] is True
+    dual_twin = CodeArray(params, dual.offsets, dual.masks)
+    flipped = [list(row) for row in array.masks]
+    flipped[2][0] ^= 1 << 9  # as in test_to_json_refuses_arrays_no_header_describes
+    hand_built = CodeArray(params, array.offsets, tuple(map(tuple, flipped)))
+    expected = [(twin, True), (dual_twin, True), (apply_offsets(array, [1] * params.num_rows), True)]
+    expected += [(hand_built, False), (puncture(array), False), (contract(array), False)]
+    for grid, built in expected:
+        assert "built" not in vars(grid)
+        before = (repr(grid), hash(grid))
+        assert grid.built is built and vars(grid)["built"] is built
+        assert (repr(grid), hash(grid)) == before
+    assert twin == array and hash(twin) == hash(array) and dual_twin == dual and hand_built != array
+    assert to_json(twin) == to_json(array) and to_json(dual_twin) == to_json(dual)
 
 
 @pytest.mark.parametrize("v1", [2, 4, 6])
@@ -179,6 +199,27 @@ def test_oversize_grids_are_refused_before_any_layout():
     params = CgrParams.from_v1(196)
     with pytest.raises(ValueError, match="lays out over"):
         build_code_array(params, OffsetVector.zeros(params))
+    assert time.perf_counter() - start < 2
+
+
+def test_oversize_duals_are_refused_before_any_layout(monkeypatch):
+    # A dual is num_rows * v2 masks of (num_rows - v1) * v2 bits: v1 = 58 is
+    # the largest size under the bound, and v1 = 60 the first over it.
+    require_buildable(CgrParams.from_v1(58), dual=True)
+    params = CgrParams.from_v1(60)
+    primal = build_code_array(params, OffsetVector.zeros(params))
+    header = {"version": "2", "v1": 60, "v2": 63, "dual": True, "offset_vector": list(primal.offsets)}
+    layout = importlib.import_module("cgrcode.layout")
+
+    def no_layout(*args):
+        raise AssertionError("laid out a grid for a dual over the bound")
+
+    monkeypatch.setattr(layout, "bit_rows", no_layout)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"a v1 = 60 dual lays out over \d+ mask bits"):
+        dualize(primal)
+    with pytest.raises(ValueError, match=r"a v1 = 60 dual lays out over \d+ mask bits"):
+        from_obj(header)  # before it builds the primal
     assert time.perf_counter() - start < 2
 
 
