@@ -1,9 +1,10 @@
 """XOR-based MDS array erasure codes built from complete graphs of rings.
 
 Pipeline: build_cgr labels the graph, pif_factorize + derive_offsets
-produce an offset vector, build_code_array lays the graph out as a GF(2)
-mask grid with its rows rotated and dualize lays out its dual (both in
-layout; CodeArray.rows shows the cells), contract compacts a primal to the
+produce an offset vector, build_code_array and dualize return the code or
+its dual as its header, whose GF(2) mask grid (the graph laid out, rows
+rotated) is made on the first read of CodeArray.masks (both in layout;
+CodeArray.rows shows the cells), contract compacts a primal to the
 B-code's narrower grid, encode/decode move bits through any grid, and
 verify_mds / verify_dual_mds / verify_contracted_mds check every legal
 erasure pattern (a built array's survivor pairs one per rotation orbit).

@@ -232,17 +232,17 @@ def cmd_roundtrip(args) -> int:
 
 
 def _measured_decode_complexity(params: CgrParams):
-    """Worst single-column decode on the canonical construction for v1."""
+    """Worst single-column decode on the canonical construction for v1,
+    read off column 0 alone. The built array rotates (CodeArray.rotates):
+    column c + 1 is column c with every ring turned one position, so the
+    erasure of any column is that of column 0 relabelled. It seeds as many
+    values, peels as many (peeling stops at the same closure in any order)
+    and rebuilds as many cells, so every column gives the same xor_count."""
     array = build_code_array(params, derive_offsets(pif_factorize(params.v1)))
-    bits = {v: 0 for v in array.info_ids()}
-    codeword = encode(array, bits)
-    worst = None
-    for c in range(params.v2):
-        pattern = ErasurePattern.of([c])
-        report = decode(array, erase(codeword, pattern), pattern)
-        ratio = decode_complexity(report, params, pattern)
-        worst = ratio if worst is None or ratio > worst else worst
-    return worst
+    codeword = encode(array, {v: 0 for v in array.info_ids()})
+    pattern = ErasurePattern.of([0])
+    report = decode(array, erase(codeword, pattern), pattern)
+    return decode_complexity(report, params, pattern)
 
 
 def cmd_metrics(args) -> int:

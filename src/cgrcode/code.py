@@ -1,21 +1,24 @@
 """Encoding, erasure decoding, primal and dual MDS verification, and complexity.
 
 Encoding, decoding and verification read only the array's GF(2) mask grid
-(CodeArray.masks, whose bit positions are the variable ids). Cell values are
-XORs of info values, which may be ints of any width: each bit plane is coded
-independently. The codec replays the grid's plan (CodeArray.plan), compiled
-once per array: encoding fills its cells kind by kind; decoding seeds known
-values from the surviving single-bit cells, peels each surviving two-bit
-cell with one unknown as it reads it, sweeps the rest in row-major order,
-and falls back to Gaussian elimination over every surviving cell, entered
-in row-major order, when peeling stalls. Verification (sweep_pairs) checks
-that every pair of surviving columns spans the full variable space,
-reducing each column once to a GF(2) basis that every pair it leads
-extends. A built array, primal or dual, moves each row one cell to the side
-when every ring rotates by one position, a fact the builder stores
-(CodeArray.rotates), so only the pairs (0, d), d <= v2 // 2, are swept.
-The dual's verdict is read off the same primal sweep, since the dual
-(layout.dualize) is the primal's orthogonal complement.
+(CodeArray.masks, whose bit positions are the variable ids); a built array
+lays its grid out on the first of these reads, not when it is built, and
+whether it is the dual, full or rotating is read off its header. Cell
+values are XORs of info values, which may be ints of any width: each bit
+plane is coded independently. The codec replays the grid's plan
+(CodeArray.plan), compiled once per array: encoding fills its cells kind by
+kind; decoding seeds known values from the surviving single-bit cells,
+peels each surviving two-bit cell with one unknown as it reads it, sweeps
+the rest in row-major order, and falls back to Gaussian elimination over
+every surviving cell, entered in row-major order, when peeling stalls.
+Verification (sweep_pairs) checks that every pair of surviving columns
+spans the full variable space, reducing each column once to a GF(2) basis
+that every pair it leads extends. A built array, primal or dual, moves each
+row one cell to the side when every ring rotates by one position, a fact
+the builder stores (CodeArray.rotates), so only the pairs (0, d),
+d <= v2 // 2, are swept. The dual's verdict is read off the same primal
+sweep, since the dual (layout.dualize) is the primal's orthogonal
+complement.
 """
 
 from __future__ import annotations
@@ -337,11 +340,12 @@ def verify_dual_mds(array: CodeArray) -> MdsResult:
     v1*v2 cells, the primal dimension. So the dual fails on the erased pair
     E exactly when the primal fails on the survivor pair E: the verdict and
     patterns_checked are verify_mds's, and the witness is the primal's
-    failing survivor pair. A dual is dualized back first. Raises ValueError
-    on a grid that is contracted, punctured (an empty cell) or not rotating.
+    failing survivor pair. A dual is dualized back first, which for a built
+    dual lays out only the primal. Raises ValueError on a grid that is
+    contracted, punctured (an empty cell) or not rotating.
     """
     require_cgr_layout(array, "verify_dual_mds")
-    if not all(map(all, array.masks)):
+    if not array.full:
         raise ValueError("verify_dual_mds expects a grid with no empty cell, not a punctured one")
     if not array.rotates:
         raise ValueError("verify_dual_mds expects a CGR layout, not a full grid that does not rotate")

@@ -3,8 +3,11 @@
 A code file is a header: {"version": "2", "v1", "v2", "dual",
 "offset_vector"}, in that order, written as json.dumps(obj, indent=2) + "\\n".
 A CGR array is fixed by v1 and its offset vector, so loading builds it
-(build_code_array) and dualizes it when dual is true; writing reads
-CodeArray.built, which a built array stores, so it lays nothing out.
+(build_code_array) and dualizes it when dual is true, both of which return
+the header-only built array, and writing reads CodeArray.built and
+is_dual(), which a built array stores: a version 2 file loads and writes
+without laying out a grid, which is laid out only when CodeArray.masks is
+first read.
 Version "1" files, whose "rows" hold every cell as {"kind": "info"|"parity"|
 "empty", "vertices": [...]}, still load: their rows must be the array the
 header builds, or its dual, record for record. Only integers are read.

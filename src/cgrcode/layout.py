@@ -2,11 +2,13 @@
 
 A cell is an int mask over the variables it XORs (0 when empty), so a
 variable's id is its bit position. The unshifted grid stacks the vertex,
-ring-edge and inter-ring edge rows of the CGR graph, dualize swaps it for
-the dual's (both from bit_rows), and the offset vector rotates each row left
-by its entry; only _built stores what a built grid has by construction.
-CodeArray.rows shows the grid as Cells. A contracted array (bcode.contract)
-is a narrower one.
+ring-edge and inter-ring edge rows of the CGR graph (map_unshifted), the
+dual's swaps vertex and edge roles (dual_unshifted; both from bit_rows), and
+the offset vector rotates each row left by its entry. A built array, from
+build_code_array or dualize, is its header: params, offsets and whether it
+is the dual, with what it has by construction stored (_built). Its grid is
+laid out on first read of CodeArray.masks, once. CodeArray.rows shows the
+grid as Cells. A contracted array (bcode.contract) is a narrower one.
 """
 
 from __future__ import annotations
@@ -135,7 +137,15 @@ class CodeArray(Value):
     The column count is the grid's: v2 for a built array, v1 + 1 for a
     contracted one, whose source_columns gives each column's parent column
     (None for every other array).
+
+    A built array (_built) holds no grid until masks is first read: its
+    shape, is_dual() and equality with another built array come from its
+    header, params, offsets and _dual. Arrays compare by their masks
+    otherwise, and hash by the rest of their fields, which equal masks imply
+    for built arrays: a built array equals its field-equal hand-built copy.
     """
+
+    _dual: bool | None = None  # stored by _built; None on any other grid
 
     def __init__(self, params: CgrParams, offsets, masks, source_columns=None) -> None:
         object.__setattr__(self, "params", params)
@@ -143,13 +153,31 @@ class CodeArray(Value):
         object.__setattr__(self, "masks", masks)
         object.__setattr__(self, "source_columns", source_columns)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.params != other.params or self.offsets != other.offsets:
+            return False
+        if self._dual is not None and other._dual is not None:
+            return self._dual == other._dual
+        return self.source_columns == other.source_columns and self.masks == other.masks
+
+    def __hash__(self):
+        return hash((self.params, self.offsets, self.source_columns))
+
+    @computed_once
+    def masks(self) -> tuple[tuple[int, ...], ...]:
+        """A built array's grid: its code's unshifted rows rotated by its offsets."""
+        unshifted = dual_unshifted(self.params) if self._dual else map_unshifted(self.params).masks
+        return tuple(map(tuple, rotate_rows(unshifted, self.offsets)))
+
     @property
     def num_rows(self) -> int:
-        return len(self.masks)
+        return len(self.masks) if self._dual is None else self.params.num_rows
 
     @property
     def num_columns(self) -> int:
-        return len(self.masks[0])
+        return len(self.masks[0]) if self._dual is None else self.params.v2
 
     @computed_once
     def rows(self) -> tuple[tuple[Cell, ...], ...]:
@@ -204,6 +232,11 @@ class CodeArray(Value):
         return rotates_with_rings(self.masks, self.num_columns, len(self._ids))
 
     @computed_once
+    def full(self) -> bool:
+        """Whether no cell is empty: stored by _built, else scanned."""
+        return all(map(all, self.masks))
+
+    @computed_once
     def built(self) -> bool:
         """Whether the grid is build_code_array(params, offsets) or its dual, which
         a header describes: stored by _built, else checked (a field-equal copy reads True)."""
@@ -216,8 +249,11 @@ class CodeArray(Value):
         return self.masks == (dualize(primal) if self.is_dual() else primal).masks
 
     def is_dual(self) -> bool:
-        """True when parity cells are wider than 2 (vertex/edge roles swapped),
-        read off vertex row 0, where a dual holds its (v1+1)-bit parities."""
+        """True when parity cells are wider than 2 (vertex/edge roles swapped):
+        a built array's stored flag, else read off vertex row 0, where a dual
+        holds its (v1+1)-bit parities."""
+        if self._dual is not None:
+            return self._dual
         return any(m.bit_count() > 2 for m in self.masks[0])
 
 
@@ -254,59 +290,70 @@ def map_unshifted(params: CgrParams) -> CodeArray:
     return CodeArray(params, OffsetVector.zeros(params), tuple(map(tuple, rows)))
 
 
+def dual_unshifted(params: CgrParams) -> list[list[int]]:
+    """The dual's unshifted rows, vertex and edge roles swapped on the grid
+    map_unshifted lays out. Edge variable (r - v1)*v2 + c, its index in
+    CgrGraph.edge_list, sits at unshifted parity position (r, c), so the
+    edge rows are bit_rows, and a dual vertex cell is the OR of the bits of
+    its v1 + 1 incident edges: cell (j, k) is pairs[j] << k, pairs[j] being
+    ring j's inter-ring edge bits at column 0, plus ring j's edges k - 1
+    and k. Raises ValueError, before any layout, over MAX_LAYOUT_BITS."""
+    require_buildable(params, dual=True)
+    v1, v2 = params.v1, params.v2
+    edges = bit_rows((params.num_rows - v1) * v2, v2)  # row v1 + t is edges[t], ring t's for t < v1
+    pairs = [0] * v1
+    for t, (i, j) in enumerate(itertools.combinations(range(v1), 2), v1):
+        pairs[i] |= edges[t][0]
+        pairs[j] |= edges[t][0]
+    return [[p << k | e[k] | e[k - 1] for k in range(v2)] for p, e in zip(pairs, edges)] + edges
+
+
 def dualize(array: CodeArray) -> CodeArray:
     """Swap vertex and edge roles on the same grid.
 
     Each nonempty cell becomes the other code's cell at its unshifted
-    position: the result is the other code's unshifted grid rotated by the
-    array's offsets, with the array's empty cells kept empty. Edge variable
-    (r - v1)*v2 + c, its index in CgrGraph.edge_list, sits at unshifted
-    parity position (r, c), so the edge rows are bit_rows, and a dual vertex
-    cell is the OR of the bits of its v1 + 1 incident edges: cell (j, k) is
-    pairs[j] << k, pairs[j] being ring j's inter-ring edge bits at column 0,
-    plus ring j's edges k - 1 and k. Applying dualize twice restores the
-    array. Raises ValueError on a contracted array, on a full grid (no empty
-    cell) that does not rotate, and, before any layout, on a dual over
-    MAX_LAYOUT_BITS. A full grid's masks go unread: it is read by its header.
+    position: the result is the other code's unshifted grid (map_unshifted
+    or dual_unshifted) rotated by the array's offsets, with the array's
+    empty cells kept empty. A full grid (no empty cell) that rotates, built
+    ones included, is read by its header: the result is the other code's
+    built array, laid out only when read. Applying dualize twice restores
+    the array. Raises ValueError on a contracted array, on a full grid that
+    does not rotate, and, before any layout, on a dual over MAX_LAYOUT_BITS.
     """
     require_cgr_layout(array, "dualize")
-    full = all(map(all, array.masks))
-    if full and not array.rotates:
+    params, dual = array.params, array.is_dual()
+    if not array.full:
+        other = map_unshifted(params).masks if dual else dual_unshifted(params)
+        rotated = zip(array.masks, rotate_rows(other, array.offsets))
+        masks = tuple(tuple(n if m else 0 for m, n in zip(row, new)) for row, new in rotated)
+        return CodeArray(params, array.offsets, masks)
+    if not array.rotates:
         raise ValueError("dualize expects a CGR layout, not a full grid that does not rotate")
-    params, v1, v2 = array.params, array.params.v1, array.params.v2
-    if array.is_dual():
-        other, nvars = map_unshifted(params).masks, v1 * v2
-    else:
-        require_buildable(params, dual=True)
-        nvars = (params.num_rows - v1) * v2
-        edges = bit_rows(nvars, v2)  # unshifted row v1 + t holds edges[t], ring t's for t < v1
-        pairs = [0] * v1
-        for t, (i, j) in enumerate(itertools.combinations(range(v1), 2), v1):
-            pairs[i] |= edges[t][0]
-            pairs[j] |= edges[t][0]
-        other = [[p << k | e[k] | e[k - 1] for k in range(v2)] for p, e in zip(pairs, edges)]
-        other += edges
-    if full:
-        return _built(params, array.offsets, other, nvars)
-    rotated = zip(array.masks, rotate_rows(other, array.offsets))
-    masks = tuple(tuple(n if m else 0 for m, n in zip(row, new)) for row, new in rotated)
-    return CodeArray(params, array.offsets, masks)
+    require_buildable(params, dual=not dual)
+    return _built(params, array.offsets, not dual)
 
 
 def build_code_array(params: CgrParams, offsets) -> CodeArray:
-    """The graph laid out and row r rotated left by offsets[r], offsets checked first."""
+    """The graph laid out and row r rotated left by offsets[r], when first
+    read; offsets and the size (require_buildable) are checked here."""
     offsets = OffsetVector(offsets)
     offsets.validate_for(params)
-    return _built(params, offsets, map_unshifted(params).masks, params.num_vertices)
+    require_buildable(params)
+    return _built(params, offsets, False)
 
 
-def _built(params: CgrParams, offsets: OffsetVector, unshifted, nvars: int) -> CodeArray:
-    """Either code's unshifted rows rotated by offsets, with what the result
-    has by construction stored: it rotates, is built, and its ids are 0..nvars-1."""
-    array = CodeArray(params, offsets, tuple(map(tuple, rotate_rows(unshifted, offsets))))
-    object.__setattr__(array, "rotates", True)
-    object.__setattr__(array, "built", True)
-    object.__setattr__(array, "_ids", range(nvars))
+def _built(params: CgrParams, offsets: OffsetVector, dual: bool) -> CodeArray:
+    """The header-only array of the primal, or of the dual, that offsets
+    rotate, with what it has by construction stored: it is dual or not, is
+    full, rotates and is built, and its ids are 0..nvars-1. CodeArray.masks
+    lays its grid out when first read."""
+    nvars = (params.num_rows - params.v1) * params.v2 if dual else params.num_vertices
+    array = CodeArray.__new__(CodeArray)
+    for name, value in (
+        ("params", params), ("offsets", offsets), ("source_columns", None), ("_dual", dual),
+        ("full", True), ("rotates", True), ("built", True), ("_ids", range(nvars)),
+    ):
+        object.__setattr__(array, name, value)
     return array
 
 

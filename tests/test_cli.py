@@ -10,8 +10,21 @@ import time
 
 import pytest
 
-from cgrcode import codespec, dualize, verify_dual_mds
-from cgrcode.cli import main
+from cgrcode import (
+    CgrParams,
+    ErasurePattern,
+    build_code_array,
+    codespec,
+    decode,
+    decode_complexity,
+    derive_offsets,
+    dualize,
+    encode,
+    erase,
+    pif_factorize,
+    verify_dual_mds,
+)
+from cgrcode.cli import _measured_decode_complexity, main
 from conftest import DATA, V1_FILES, V2_MUTATIONS
 
 K2_TEXT = (
@@ -439,6 +452,51 @@ def test_oversize_duals_fail_fast(monkeypatch, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: a v1 = 60 dual lays out over 12000000000 mask bits\n"
+
+
+def test_code_file_commands_read_headers_without_layout(monkeypatch, tmp_path, capsys):
+    # A built array is its header until a command reads its grid: generate
+    # at v1 = 100 (a 0.5 GB grid) writes its header, and at v1 = 58 (the
+    # largest dual under the bound, 0.8 GB) verify, roundtrip and contract
+    # refuse the dual header, and dual writes the primal's, laying out nothing.
+    layout = importlib.import_module("cgrcode.layout")
+
+    def no_layout(*args):
+        raise AssertionError("laid out a grid")
+
+    monkeypatch.setattr(layout, "bit_rows", no_layout)
+    monkeypatch.setattr(layout, "map_unshifted", no_layout)
+    big = tmp_path / "p100.json"
+    assert main(["generate", "--v1", "100", "--output", str(big)]) == 0
+    assert json.loads(big.read_text())["v1"] == 100
+    primal, dual, back = (str(tmp_path / name) for name in ("p58.json", "d58.json", "back.json"))
+    assert main(["generate", "--v1", "58", "--output", primal]) == 0
+    with open(primal, encoding="utf-8") as fh:
+        primal_text = fh.read()
+    with open(dual, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(dict(json.loads(primal_text), dual=True), indent=2) + "\n")
+    for argv in (["verify", dual], ["roundtrip", dual, "--erase", "0,1"], ["contract", dual]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {dual} holds a dual array; this command needs a primal one\n"
+    assert main(["dual", dual, "--output", back]) == 0
+    with open(back, encoding="utf-8") as fh:
+        assert fh.read() == primal_text
+
+
+@pytest.mark.parametrize("v1", range(2, 13, 2))
+def test_measured_decode_complexity_matches_every_column(v1):
+    # metrics decodes column 0 alone: the canonical array rotates, so each
+    # single-column erasure costs as many XORs as every other.
+    params = CgrParams.from_v1(v1)
+    array = build_code_array(params, derive_offsets(pif_factorize(v1)))
+    codeword = encode(array, {v: 0 for v in array.info_ids()})
+    ratios = set()
+    for c in range(params.v2):
+        pattern = ErasurePattern.of([c])
+        ratios.add(decode_complexity(decode(array, erase(codeword, pattern), pattern), params, pattern))
+    assert ratios == {_measured_decode_complexity(params)}
 
 
 def test_search_budget_option(capsys):

@@ -147,21 +147,26 @@ def _peak_bytes(make):
 
 
 def test_to_json_of_a_built_array_lays_nothing_out(monkeypatch):
-    # A built array stores that it is one, so writing it builds no second
-    # grid: to_json peaks far below build_code_array at v1 = 24.
+    # A built array is its header until its masks are read: building,
+    # dualizing, writing and loading one lay out no grid, and to_json peaks
+    # far below one layout (a first read of masks) at v1 = 24.
     params = CgrParams.from_v1(24)
     offsets = derive_offsets(pif_factorize(24))
-    array, build_peak = _peak_bytes(lambda: build_code_array(params, offsets))
+    _, layout_peak = _peak_bytes(lambda: build_code_array(params, offsets).masks)
+    layout = importlib.import_module("cgrcode.layout")
+
+    def no_layout(*args):
+        raise AssertionError("laid out a grid for a built array")
+
+    monkeypatch.setattr(layout, "map_unshifted", no_layout)
+    monkeypatch.setattr(layout, "bit_rows", no_layout)
+    array = build_code_array(params, offsets)
     text, write_peak = _peak_bytes(lambda: to_json(array))
-    assert write_peak < build_peak / 10, (write_peak, build_peak)
+    assert write_peak < layout_peak / 10, (write_peak, layout_peak)
     dual = dualize(array)
-
-    def no_layout(params):
-        raise AssertionError("to_json laid out a grid for a built array")
-
-    monkeypatch.setattr(importlib.import_module("cgrcode.layout"), "map_unshifted", no_layout)
-    assert to_json(array) == text
     assert json.loads(to_json(dual)) == dict(json.loads(text), dual=True)
+    assert from_json(text) == array and from_json(to_json(dual)) == dual
+    assert dualize(dual) == array and to_json(dualize(dual)) == text
 
 
 def test_json_round_trip_is_byte_stable(k2_array):

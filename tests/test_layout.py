@@ -28,7 +28,7 @@ from cgrcode import (
     puncture,
 )
 from cgrcode.codespec import from_json, from_obj, to_json
-from cgrcode.layout import MAX_LAYOUT_BITS, canonical_prefix, require_buildable
+from cgrcode.layout import MAX_LAYOUT_BITS, canonical_prefix, require_buildable, rotate_rows
 from conftest import placements_and_pis
 
 
@@ -80,6 +80,65 @@ def test_lazy_views_are_computed_once_and_change_no_comparison():
         assert (repr(grid), hash(grid)) == before
     assert twin == array and hash(twin) == hash(array) and dual_twin == dual and hand_built != array
     assert to_json(twin) == to_json(array) and to_json(dual_twin) == to_json(dual)
+
+
+def _reference_dual_masks(params, offsets):
+    """The dual grid derived from the graph alone, as a reference for dualize:
+    edge e = (r - v1)*v2 + c, its index in edge_list, at unshifted parity
+    position (r, c), and each vertex cell the OR of the bits of its incident
+    edges, every row rotated left by its offset."""
+    v1, v2 = params.v1, params.v2
+    incident = [0] * params.num_vertices
+    for e, edge in enumerate(build_cgr(params).edge_list()):
+        for v in edge:
+            incident[v] |= 1 << e
+    rows = [incident[j * v2 : (j + 1) * v2] for j in range(v1)]
+    rows += [[1 << (t * v2 + c) for c in range(v2)] for t in range(params.num_rows - v1)]
+    return tuple(tuple(row[k:] + row[:k]) for row, k in zip(rows, offsets))
+
+
+@st.composite
+def _headers(draw):
+    params = CgrParams.from_v1(draw(st.sampled_from(range(2, 13, 2))))
+    n = params.num_rows
+    vector = draw(st.lists(st.integers(0, params.v2 - 1), min_size=n, max_size=n))
+    return params, tuple(vector), draw(st.booleans())
+
+
+def _built_array(header):
+    params, vector, dual = header
+    array = build_code_array(params, vector)
+    return dualize(array) if dual else array
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(header=_headers(), other=_headers(), same=st.sampled_from(["all", "offsets", "none"]))
+def test_header_only_arrays_lay_out_the_grid_they_describe(header, other, same):
+    # A built array holds its header until masks is read; the grid it then
+    # lays out, and how it compares, must match references that no lazy read
+    # computes: the unshifted layout rotated, the graph's dual, a hand-built copy.
+    params, vector, dual = header
+    if same == "all":
+        other = header
+    elif same == "offsets":
+        other = (params, vector, not dual)
+    array, twin = _built_array(header), _built_array(other)
+    assert "masks" not in vars(array) and "masks" not in vars(twin)
+    assert (array == twin) is (header == other) and (twin == array) is (header == other)
+    assert array.is_dual() is dual and (array.num_rows, array.num_columns) == (params.num_rows, params.v2)
+    assert "masks" not in vars(array)
+    if dual:
+        assert array.masks == _reference_dual_masks(params, vector)
+    else:
+        assert array.masks == rotate_rows(map_unshifted(params).masks, vector)
+    assert (array.masks == twin.masks) is (header == other)
+    again = dualize(dualize(array))
+    assert "masks" not in vars(again) and again.masks == array.masks
+    copy = CodeArray(params, array.offsets, array.masks)
+    fresh = _built_array(header)
+    for built in (array, fresh):
+        assert built == copy and copy == built and hash(built) == hash(copy)
+    assert copy.is_dual() is dual and (copy.num_rows, copy.num_columns) == (array.num_rows, array.num_columns)
 
 
 @pytest.mark.parametrize("v1", [2, 4, 6])
