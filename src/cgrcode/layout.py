@@ -139,10 +139,10 @@ class CodeArray(Value):
     (None for every other array).
 
     A built array (_built) holds no grid until masks is first read: its
-    shape, is_dual() and equality with another built array come from its
-    header, params, offsets and _dual. Arrays compare by their masks
-    otherwise, and hash by the rest of their fields, which equal masks imply
-    for built arrays: a built array equals its field-equal hand-built copy.
+    shape and is_dual() come from its header, params, offsets and _dual.
+    Arrays compare by all their fields, masks last, so a comparison lays a
+    grid out only when the other fields agree, and hash by the fields other
+    than masks: a built array equals and hashes like its hand-built copy.
     """
 
     _dual: bool | None = None  # stored by _built; None on any other grid
@@ -156,14 +156,13 @@ class CodeArray(Value):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self.params != other.params or self.offsets != other.offsets:
-            return False
-        if self._dual is not None and other._dual is not None:
-            return self._dual == other._dual
-        return self.source_columns == other.source_columns and self.masks == other.masks
+        return self._header() == other._header() and self.masks == other.masks
+
+    def _header(self) -> tuple:
+        return self.params, self.offsets, self.source_columns
 
     def __hash__(self):
-        return hash((self.params, self.offsets, self.source_columns))
+        return hash(self._header())
 
     @computed_once
     def masks(self) -> tuple[tuple[int, ...], ...]:
@@ -318,7 +317,8 @@ def dualize(array: CodeArray) -> CodeArray:
     ones included, is read by its header: the result is the other code's
     built array, laid out only when read. Applying dualize twice restores
     the array. Raises ValueError on a contracted array, on a full grid that
-    does not rotate, and, before any layout, on a dual over MAX_LAYOUT_BITS.
+    does not rotate or whose offsets are no vector for its rows, and, before
+    any layout, on a dual over MAX_LAYOUT_BITS.
     """
     require_cgr_layout(array, "dualize")
     params, dual = array.params, array.is_dual()
@@ -329,8 +329,12 @@ def dualize(array: CodeArray) -> CodeArray:
         return CodeArray(params, array.offsets, masks)
     if not array.rotates:
         raise ValueError("dualize expects a CGR layout, not a full grid that does not rotate")
+    offsets = OffsetVector(array.offsets or ())
+    offsets.validate_for(params)
+    if array.num_rows != params.num_rows:
+        raise ValueError(f"dualize expects a CGR layout, not a full grid of {array.num_rows} rows")
     require_buildable(params, dual=not dual)
-    return _built(params, array.offsets, not dual)
+    return _built(params, offsets, not dual)
 
 
 def build_code_array(params: CgrParams, offsets) -> CodeArray:

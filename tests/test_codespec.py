@@ -165,8 +165,10 @@ def test_to_json_of_a_built_array_lays_nothing_out(monkeypatch):
     assert write_peak < layout_peak / 10, (write_peak, layout_peak)
     dual = dualize(array)
     assert json.loads(to_json(dual)) == dict(json.loads(text), dual=True)
-    assert from_json(text) == array and from_json(to_json(dual)) == dual
-    assert dualize(dual) == array and to_json(dualize(dual)) == text
+    loaded, loaded_dual, again = from_json(text), from_json(to_json(dual)), dualize(dual)
+    assert to_json(loaded) == to_json(again) == text and to_json(loaded_dual) == to_json(dual)
+    monkeypatch.undo()  # comparing arrays reads their masks
+    assert loaded == again == array and loaded_dual == dual
 
 
 def test_json_round_trip_is_byte_stable(k2_array):

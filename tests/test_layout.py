@@ -123,17 +123,16 @@ def test_header_only_arrays_lay_out_the_grid_they_describe(header, other, same):
     elif same == "offsets":
         other = (params, vector, not dual)
     array, twin = _built_array(header), _built_array(other)
-    assert "masks" not in vars(array) and "masks" not in vars(twin)
-    assert (array == twin) is (header == other) and (twin == array) is (header == other)
     assert array.is_dual() is dual and (array.num_rows, array.num_columns) == (params.num_rows, params.v2)
-    assert "masks" not in vars(array)
+    again = dualize(dualize(array))
+    assert all("masks" not in vars(built) for built in (array, twin, again))
     if dual:
         assert array.masks == _reference_dual_masks(params, vector)
     else:
         assert array.masks == rotate_rows(map_unshifted(params).masks, vector)
     assert (array.masks == twin.masks) is (header == other)
-    again = dualize(dualize(array))
-    assert "masks" not in vars(again) and again.masks == array.masks
+    assert (array == twin) is (header == other) and (twin == array) is (header == other)
+    assert again.masks == array.masks and again == array
     copy = CodeArray(params, array.offsets, array.masks)
     fresh = _built_array(header)
     for built in (array, fresh):
@@ -280,6 +279,28 @@ def test_oversize_duals_are_refused_before_any_layout(monkeypatch):
     with pytest.raises(ValueError, match=r"a v1 = 60 dual lays out over \d+ mask bits"):
         from_obj(header)  # before it builds the primal
     assert time.perf_counter() - start < 2
+
+
+def test_dualize_refuses_a_full_grid_its_offsets_do_not_describe():
+    # dualize reads a full rotating grid by its header, so the header must
+    # fit the grid: a 3-entry vector for a 5-row v1 = 2 grid once gave a
+    # dual whose num_rows read 5 while its masks held 3 rows.
+    params = CgrParams.from_v1(2)
+    built = build_code_array(params, (0, 1, 2, 2, 4))
+    cases = [
+        ((0, 1, 2), built.masks, "offset vector length 3 != row count 5"),
+        (None, built.masks, "offset vector length 0 != row count 5"),
+        (built.offsets, built.masks[:3], "not a full grid of 3 rows"),
+    ]
+    for offsets, masks, message in cases:
+        grid = CodeArray(params, offsets, masks)
+        assert grid.full and grid.rotates and not grid.built
+        with pytest.raises(ValueError, match=message):
+            dualize(grid)
+        with pytest.raises(ValueError, match="only a built array or its dual"):
+            to_json(grid)
+    dual = dualize(CodeArray(params, list(built.offsets), built.masks))
+    assert dual == dualize(built) and dual.num_rows == len(dual.masks) == 5
 
 
 def test_offset_vector_validation():
