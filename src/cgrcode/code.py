@@ -9,7 +9,8 @@ plane is coded independently. The codec replays the grid's plan
 (CodeArray.plan), compiled once per array: encoding fills its cells kind by
 kind; decoding seeds known values from the surviving single-bit cells,
 peels each surviving two-bit cell with one unknown as it reads it, sweeps
-the rest in row-major order, and falls back to Gaussian elimination over
+the rest in row-major order, stops reading as soon as every value is
+known, and falls back to Gaussian elimination over
 every surviving cell, entered in row-major order, when peeling stalls.
 Verification (sweep_pairs) checks that every pair of surviving columns
 spans the full variable space, reducing each column once to a GF(2) basis
@@ -177,11 +178,16 @@ def decode(
     row-major order, that holds none), and UnrecoverableError when the
     surviving system is rank-deficient.
 
+    Peeling stops reading two-bit cells, and skips its later sweeps, as soon
+    as every value is known: no later cell could write one, so the report is
+    that of a peel over every surviving cell.
+
     This is an erasure decoder, not an error detector: surviving cells are
     trusted. Peeling never checks a surviving cell against values already
-    known, so a corrupted one can come back as wrong data with
-    peeling_sufficed=True; forced elimination enters every surviving cell
-    and raises ValueError when they disagree.
+    known, and leaves the cells after its last value unread, so a corrupted
+    one can come back as wrong data with peeling_sufficed=True and is never
+    flagged; forced elimination enters every surviving cell and raises
+    ValueError when they disagree.
 
     On a primal array (cells of one or two bits) peeling is complete: in
     the graph of the surviving two-bit cells, flipping every variable of a
@@ -215,6 +221,8 @@ def decode(
             seeded = len(known)
             pending = []
             for r, cells in plan.pair_rows:
+                if len(known) == nvars:
+                    break  # nothing left to peel: no later cell can write to known
                 row = values[r]
                 for c in survivors:
                     if (pq := cells[c]) is not None:
@@ -226,7 +234,7 @@ def decode(
                             known[p] = row[c] ^ known[q]
                         else:
                             pending.append((p, q, row[c]))
-            while pending:
+            while pending and len(known) < nvars:
                 remaining = []
                 for p, q, value in pending:
                     if p in known:

@@ -52,34 +52,55 @@ def solve_unique(equations: list[tuple[int, int]], nvars: int) -> tuple[dict[int
     Gauss-Jordan: every basis row holds exactly one pivot bit, its own, so
     an incoming equation is reduced by XORing the basis rows of exactly the
     pivot bits it holds on arrival, and xor_ops does not depend on the order
-    in which rows or pivots are scanned.
+    in which rows or pivots are scanned. A column index (holders: each
+    non-pivot bit -> the pivots of the rows that hold it) names the rows a
+    new pivot is XORed into, so no other row is read; the new row's tail
+    bits update it. While it is empty, every row is its pivot bit alone, so
+    a reduction only XORs the values of the pivots an equation holds.
     """
-    basis: dict[int, tuple[int, int]] = {}
-    pivots = 0  # OR of the pivot bits in basis
-    support = 0  # OR of every inserted row: a superset of every bit in basis
+    masks: dict[int, int] = {}  # pivot bit -> its row's mask
+    rhs: dict[int, int] = {}  # pivot bit -> its row's value
+    holders: dict[int, int] = {}  # non-pivot bit -> OR of 1 << pivot over the rows holding it
+    pivots = 0  # OR of the pivot bits
     ops = 0
     for m, r in equations:
         hit = m & pivots  # read once: a basis row toggles no other pivot
-        while hit:
-            rest = hit & (hit - 1)
-            bm, br = basis[(hit ^ rest).bit_length() - 1]
-            m ^= bm
-            r ^= br
-            ops += 1
-            hit = rest
+        ops += hit.bit_count()
+        if holders:
+            while hit:
+                rest = hit & (hit - 1)
+                q = (hit ^ rest).bit_length() - 1
+                m ^= masks[q]
+                r ^= rhs[q]
+                hit = rest
+        else:
+            m ^= hit
+            while hit:
+                rest = hit & (hit - 1)
+                r ^= rhs[(hit ^ rest).bit_length() - 1]
+                hit = rest
         if not m:
             if r:
                 raise ValueError("inconsistent GF(2) system")
             continue
         p = m.bit_length() - 1
-        if (support >> p) & 1:
-            for q, (bm, br) in basis.items():
-                if (bm >> p) & 1:
-                    basis[q] = (bm ^ m, br ^ r)
-                    ops += 1
-        basis[p] = (m, r)
+        rows = holders.pop(p, 0)
+        ops += rows.bit_count()
+        flip = rows | 1 << p  # each row toggles m's tail bits; the new row holds them
+        while rows:
+            rest = rows & (rows - 1)
+            q = (rows ^ rest).bit_length() - 1
+            masks[q] ^= m
+            rhs[q] ^= r
+            rows = rest
+        tail = m ^ 1 << p
+        while tail:
+            rest = tail & (tail - 1)
+            b = (tail ^ rest).bit_length() - 1
+            holders[b] = holders.get(b, 0) ^ flip
+            tail = rest
+        masks[p], rhs[p] = m, r
         pivots |= 1 << p
-        support |= m
-    if len(basis) < nvars:
+    if len(rhs) < nvars:
         return None
-    return {p: r for p, (_, r) in basis.items()}, ops
+    return rhs, ops

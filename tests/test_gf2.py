@@ -13,6 +13,7 @@ from cgrcode import (
     build_code_array,
     decode,
     derive_offsets,
+    dualize,
     encode,
     erase,
     gf2,
@@ -185,10 +186,22 @@ def test_solve_unique_matches_the_reference_on_random_systems():
     assert len(seen) == 2 * 2 * 3
 
 
-@pytest.mark.parametrize("v1", [4, 12])
-def test_solve_unique_matches_the_reference_on_decode_systems(v1, monkeypatch):
+@pytest.mark.parametrize(
+    "v1,dual",
+    [
+        pytest.param(4, False, id="4"),
+        pytest.param(12, False, id="12"),
+        # The dual's parity cells hold v1 + 1 bits, so its rows fill in and
+        # the column index does most of its work there.
+        pytest.param(4, True, id="dual-4"),
+        pytest.param(6, True, id="dual-6"),
+    ],
+)
+def test_solve_unique_matches_the_reference_on_decode_systems(v1, dual, monkeypatch):
     params = CgrParams.from_v1(v1)
     array = build_code_array(params, derive_offsets(pif_factorize(v1)))
+    if dual:
+        array = dualize(array)
     rng = random.Random(v1)
     codeword = encode(array, {v: rng.getrandbits(64) for v in array.info_ids()})
     systems = []
@@ -200,8 +213,10 @@ def test_solve_unique_matches_the_reference_on_decode_systems(v1, monkeypatch):
 
     monkeypatch.setattr(gf2, "solve_unique", recording_solve)
     for _ in range(24):
-        # v1 + 2 erased columns leave one survivor: a rank-deficient system.
-        pattern = ErasurePattern.of(rng.sample(range(params.v2), rng.randint(1, v1 + 2)))
+        # v1 + 2 erased columns leave one survivor: a rank-deficient system;
+        # the dual tolerates 2.
+        lost = rng.randint(1, 3 if dual else v1 + 2)
+        pattern = ErasurePattern.of(rng.sample(range(params.v2), lost))
         try:
             decode(array, erase(codeword, pattern), pattern, force_elimination=True)
         except UnrecoverableError:
@@ -210,3 +225,45 @@ def test_solve_unique_matches_the_reference_on_decode_systems(v1, monkeypatch):
     outcomes = [_reference_solve_unique(eqs, n) for eqs, n in systems]
     assert None in outcomes and any(outcomes)
     assert [solve(eqs, n) for eqs, n in systems] == outcomes
+
+
+def test_solve_unique_matches_the_reference_on_sparse_ids_and_stray_bits():
+    # Punctured and contracted arrays number their variables 0, v2, 2*v2, ...,
+    # so masks carry bits at or above nvars, and a mask may hold a stray bit
+    # that no variable has. Half the systems open with every variable alone,
+    # so the column index is empty and len(rows) == nvars; a later mask with
+    # a stray bit must still make that bit a new pivot.
+    rng = random.Random(27)
+    seen = set()
+    for trial in range(600):
+        nvars = rng.randint(1, 24)
+        stride = rng.randint(1, 9)
+        ids = [k * stride for k in range(nvars)]
+        stray = [b for b in range(stride * nvars + 4) if b % stride or b >= stride * nvars]
+        values = {b: rng.getrandbits(8) for b in ids + stray}
+        masks = [1 << b for b in ids] if trial % 2 else []
+        masks = rng.sample(masks, len(masks))
+        for _ in range(rng.choice([nvars // 2, nvars, 2 * nvars])):
+            bits = rng.sample(ids, rng.randint(1, min(3, nvars)))
+            if rng.random() < 0.2:
+                bits.append(rng.choice(stray))
+            masks.append(sum(1 << b for b in bits))
+        equations = [(m, _xor_of(values, m)) for m in masks]
+        if equations and trial % 3 == 0:
+            i = rng.randrange(len(equations))
+            equations[i] = (equations[i][0], equations[i][1] ^ 1)
+        expected = _outcome(_reference_solve_unique, equations, nvars)
+        assert _outcome(gf2.solve_unique, equations, nvars) == expected
+        kind = "inconsistent" if expected is ValueError else "deficient" if expected is None else "unique"
+        seen.add(kind)
+        if trial % 2 and kind == "unique" and len(expected[0]) > nvars:
+            seen.add("stray pivot after full rank")
+    assert seen == {"inconsistent", "deficient", "unique", "stray pivot after full rank"}
+
+
+def _xor_of(values, mask):
+    acc = 0
+    for b, value in values.items():
+        if mask >> b & 1:
+            acc ^= value
+    return acc
