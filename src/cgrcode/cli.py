@@ -27,7 +27,7 @@ from .code import (
 )
 from .fixtures import BUILTIN_VECTORS
 from .graph import POS_INF, CgrParams, pif_factorize
-from .layout import CodeArray, build_code_array, cell_members, derive_offsets, dualize, require_buildable
+from .layout import KINDS, CodeArray, build_code_array, cell_members, derive_offsets, dualize, require_buildable
 from .rng import Lcg
 from .search import (
     DEFAULT_BUDGET,
@@ -53,6 +53,13 @@ def render_array_text(array: CodeArray) -> str:
     v2 = array.params.v2
     lines += ["\t".join(render_cell(cell_members(m, v2)) for m in row) for row in array.masks]
     return "\n".join(lines) + "\n"
+
+
+def mask_records(grid, v2: int) -> list[list[dict]]:
+    """The JSON records of a mask grid's rows, or of its columns given
+    zip(*masks): {"kind": ..., "vertices": cell_members(mask, v2)} per cell."""
+    members = [[cell_members(m, v2) for m in line] for line in grid]
+    return [[{"kind": KINDS[min(len(ms), 2)], "vertices": ms} for ms in line] for line in members]
 
 
 def _csv_ints(text: str) -> list[int]:
@@ -283,7 +290,7 @@ def cmd_dual(args) -> int:
     return _emit_array(dualize(codespec.load(args.file)), args)
 
 
-CONTRACT_FORMAT_VERSION = "1"  # not a code file: codespec cannot load it
+CONTRACT_FORMAT_VERSION = "1"  # not a code file: codespec refuses it as a contract document
 
 
 def cmd_contract(args) -> int:
@@ -303,7 +310,7 @@ def cmd_contract(args) -> int:
                 "v2": contracted.params.v2,
                 "source_columns": list(contracted.source_columns),
                 "mds": ok,
-                "columns": codespec.mask_records(zip(*contracted.masks), contracted.params.v2),
+                "columns": mask_records(zip(*contracted.masks), contracted.params.v2),
             },
             args.output,
         )

@@ -5,12 +5,11 @@ A code file is a header: {"version": "2", "v1", "v2", "dual",
 A CGR array is fixed by v1 and its offset vector, so loading builds it
 (build_code_array) and dualizes it when dual is true, both of which return
 the header-only built array, and writing reads CodeArray.built and
-is_dual(), which a built array stores: a version 2 file loads and writes
+is_dual(), which a built array stores: a code file loads and writes
 without laying out a grid, which is laid out only when CodeArray.masks is
 first read.
-Version "1" files, whose "rows" hold every cell as {"kind": "info"|"parity"|
-"empty", "vertices": [...]}, still load: their rows must be the array the
-header builds, or its dual, record for record. Only integers are read.
+A version "1" file, which held every cell as a record, is refused with the
+commands that regenerate it from its header. Only integers are read.
 """
 
 from __future__ import annotations
@@ -18,17 +17,10 @@ from __future__ import annotations
 import json
 
 from .graph import CgrParams
-from .layout import KINDS, CodeArray, OffsetVector, build_code_array, cell_members, dualize, require_buildable
+from .layout import CodeArray, OffsetVector, build_code_array, dualize, require_buildable
 
 FORMAT_VERSION = "2"
 _HEADER = ("version", "v1", "v2", "dual", "offset_vector")  # a version 2 file, in order
-
-
-def mask_records(grid, v2: int) -> list[list[dict]]:
-    """The JSON records of a mask grid's rows, or of its columns given
-    zip(*masks): {"kind": ..., "vertices": cell_members(mask, v2)} per cell."""
-    members = [[cell_members(m, v2) for m in line] for line in grid]
-    return [[{"kind": KINDS[min(len(ms), 2)], "vertices": ms} for ms in line] for line in members]
 
 
 def to_obj(array: CodeArray) -> dict:
@@ -41,55 +33,51 @@ def to_obj(array: CodeArray) -> dict:
 
 
 def to_json(array: CodeArray) -> str:
-    """The code file of a built array or its dual. Hand-built grids cannot
-    be saved, in this version or in version 1: to_obj raises ValueError."""
+    """The code file of a built array or its dual. Any other grid cannot be
+    saved: to_obj raises ValueError."""
     return json.dumps(to_obj(array), indent=2) + "\n"
 
 
 def from_obj(obj: dict) -> CodeArray:
-    """Parse a code object of version 2 (the header alone) or 1 (the header
-    and rows that must be the array it builds, or that array's dual)."""
+    """Parse a version 2 code object, the header alone."""
     if not isinstance(obj, dict):
         raise ValueError("code file must be a JSON object")
     version = obj.get("version")
-    if version not in ("1", FORMAT_VERSION):
-        raise ValueError(f"unsupported format version {version!r} (expected '1' or '2')")
-    if version == FORMAT_VERSION and obj.keys() != set(_HEADER):
+    if version == "1":
+        raise ValueError(_version_1_refusal(obj))
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported format version {version!r} (expected '2')")
+    if obj.keys() != set(_HEADER):
         fields = ", ".join(map(str, obj))
         raise ValueError(f"a version 2 code file holds exactly {', '.join(_HEADER)}; got {fields}")
     try:
-        params, offsets = CgrParams(obj["v1"], obj["v2"]), OffsetVector(obj.get("offset_vector", ()))
-    except KeyError as missing:
-        raise ValueError(f"missing field {missing}") from None
+        params, offsets = CgrParams(obj["v1"], obj["v2"]), OffsetVector(obj["offset_vector"])
     except TypeError as exc:
         raise ValueError(f"bad header field: {exc}") from None
-    if version == FORMAT_VERSION and type(obj["dual"]) is not bool:
+    if type(obj["dual"]) is not bool:
         raise ValueError(f"dual must be true or false, got {obj['dual']!r}")
-    if version == FORMAT_VERSION and obj["dual"]:
+    if obj["dual"]:
         require_buildable(params, dual=True)  # before the primal is built
     array = build_code_array(params, offsets)  # checks offsets before any layout
-    if version == "1":
-        return _check_rows(array, obj.get("rows"))
     return dualize(array) if obj["dual"] else array
 
 
-def _check_rows(array: CodeArray, rows) -> CodeArray:
-    """The built array or its dual, whichever a version 1 file's rows are.
-    A bool member is refused (from_json refuses floats as it parses)."""
-    params = array.params
+def _version_1_refusal(obj: dict) -> str:
+    """Why a version "1" object is not loaded: a contract document says what
+    it is; a version 1 code file names the commands that regenerate it, with
+    v1 and the offsets from its header only where they are ints."""
+    if "columns" in obj:
+        return "this is a contract document (cgrcode contract --format json), not a code file"
+    v1, offsets = obj.get("v1"), obj.get("offset_vector")
+    if type(v1) is not int or type(offsets) is not list or any(type(a) is not int for a in offsets):
+        v1, offsets = "N", ["…"]
+    command = f"cgrcode generate --v1 {v1} --offsets {','.join(map(str, offsets))}"
     try:  # a dual's first cell is a parity over v1 + 1 edges, a primal's an info cell
-        dual = len(rows[0][0]["vertices"]) > 2
+        if len(obj["rows"][0][0]["vertices"]) > 2:
+            command += " --output primal.json && cgrcode dual primal.json"
     except (TypeError, LookupError):
-        dual = False  # malformed: the comparison below rejects it
-    if dual:
-        array = dualize(array)
-    if rows != mask_records(array.masks, params.v2):
-        raise ValueError(f"rows match neither the v1={params.v1} offset_vector array nor its dual")
-    # Equal records still let a bool pass where it equals an id, 0 or 1.
-    for r, row in enumerate(rows):
-        if any(type(v) is not int for cell in row for v in cell["vertices"]):
-            raise ValueError(f"rows[{r}] holds a vertex id that is not an int")
-    return array
+        pass
+    return f"version 1 code files are no longer read; regenerate this one with: {command}"
 
 
 def _refuse_float(text: str):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from cgrcode import BUILTIN_VECTORS, POS_INF, CgrParams, CodeArray, build_code_array
-from cgrcode.codespec import mask_records
+from cgrcode.cli import mask_records
 from cgrcode.rng import Lcg
 from cgrcode.search import params_for_offset_length
 
@@ -20,7 +20,7 @@ def builtin_array(name: str) -> CodeArray:
 
 # Version 1 code files, written by the version 1 writer: k2_c5 and the
 # canonical v1 = 8 array (derive_offsets(pif_factorize(8))), each as primal
-# and as dual.
+# and as dual. The loader refuses them with the commands that regenerate them.
 DATA = Path(__file__).parent / "data"
 V1_FILES = ("k2_c5_v1.json", "k2_c5_dual_v1.json", "v8_v1.json", "v8_dual_v1.json")
 
@@ -69,7 +69,7 @@ V2_MUTATIONS = [
     lambda o: o.update(offset_vector=None),
     lambda o: o.update(offset_vector="01224"),
     lambda o: o.update(offset_vector=7),
-    # A version 1 object must carry rows; an unknown version is refused.
+    # A version 1 object and an unknown version are refused.
     lambda o: o.update(version="1"),
     lambda o: o.update(version="3"),
     lambda o: o.update(version=2),

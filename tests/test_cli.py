@@ -18,14 +18,13 @@ from cgrcode import (
     decode,
     decode_complexity,
     derive_offsets,
-    dualize,
     encode,
     erase,
     pif_factorize,
     verify_dual_mds,
 )
 from cgrcode.cli import _measured_decode_complexity, main
-from conftest import DATA, V1_FILES, V2_MUTATIONS
+from conftest import DATA, V1_FILES, V2_MUTATIONS, _v1_text
 
 K2_TEXT = (
     "offset vector: 0,1,2,2,4\n"
@@ -308,16 +307,44 @@ def test_bad_version_2_header_is_a_usage_error(mutate, k2_file, tmp_path, capsys
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def _one_error_line(argv, capsys) -> str:
+    """The single error: line of a command that must exit 2 and print nothing else."""
+    capsys.readouterr()
+    assert main(argv) == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    return captured.err
+
+
+CODE_FILE_COMMANDS = ("verify", "roundtrip", "dual", "contract")
+
+
 @pytest.mark.parametrize("name", V1_FILES)
-def test_version_1_files_work_in_every_command(name, tmp_path):
+def test_version_1_files_are_refused_with_the_commands_that_regenerate_them(
+    name, tmp_path, monkeypatch, capsys
+):
+    # Every command gives the same line; running the commands it names
+    # rebuilds the array whose version 1 text is the committed file.
     path = str(DATA / name)
-    if "dual" not in name:  # verify, roundtrip and contract take a primal array
-        for argv in (["verify", path], ["roundtrip", path, "--erase", "0,1"], ["contract", path]):
-            assert main(argv) == 0, argv
-    out = tmp_path / "d.json"
-    assert main(["dual", path, "--output", str(out)]) == 0
-    assert json.loads(out.read_text())["version"] == "2"
-    assert codespec.load(str(out)) == dualize(codespec.load(path))
+    lines = {_one_error_line([command, path], capsys) for command in CODE_FILE_COMMANDS}
+    assert len(lines) == 1
+    commands = lines.pop().rstrip("\n").split("regenerate this one with: ")[1].split(" && ")
+    assert len(commands) == (2 if "dual" in name else 1)
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        program, *argv = command.split()
+        assert program == "cgrcode" and main(argv) == 0, command
+    regenerated = codespec.from_json(capsys.readouterr().out)
+    assert _v1_text(regenerated) == (DATA / name).read_text(encoding="utf-8")
+
+
+def test_a_contract_document_is_refused_as_one(k2_file, tmp_path, capsys):
+    document = tmp_path / "contract.json"
+    assert main(["contract", k2_file, "--output", str(document)]) == 0
+    for command in CODE_FILE_COMMANDS:
+        line = _one_error_line([command, str(document)], capsys)
+        assert "contract document" in line and "offset vector length" not in line
 
 
 def test_dual_text(k2_file, capsys):

@@ -4,8 +4,9 @@ arrays behave.
 
 The digests were taken from the cell-grid implementation that the mask grid
 replaced; any change to them is a change in behaviour, not in layout. The
-array digests hash each array's version 1 code file (conftest._v1_text,
-which reproduces the committed version 1 files) and its text grid.
+array digests hash each array's version 1 text (conftest._v1_text, the
+layout the version 1 writer gave, checked byte for byte against the
+committed version 1 files in test_cli) and its text grid.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The library imports nothing outside the standard library, its CLI starts
 without the heavy stdlib modules, no module of it imports a private name
-from another, only layout.py makes Cells or reads the Cell view, and the
-JSON format and dualize never read it."""
+from another, only layout.py makes Cells or reads the Cell view, the
+JSON format and dualize never read it, and only cli writes cell records."""
 
 from __future__ import annotations
 
@@ -123,6 +123,22 @@ def test_no_module_reads_the_cell_view():
             (isinstance(node, ast.Attribute) and node.attr == "rows")
             or (isinstance(node, ast.Name) and node.id == "Cell")
             or (isinstance(node, ast.alias) and node.name == "Cell")
+        )
+    ]
+    assert names == []
+
+
+def test_only_cli_knows_the_cell_record_format():
+    # A code file is a header: codespec names no cell member or kind, and
+    # cli.mask_records writes the one remaining set of cell records, the
+    # columns of contract's JSON.
+    names = [
+        f"{node.lineno}: {getattr(node, 'name', '')}"
+        for name, node in _nodes()
+        if name == "codespec.py"
+        and (
+            (isinstance(node, ast.alias) and node.name in ("cell_members", "KINDS"))
+            or (isinstance(node, ast.FunctionDef) and node.name == "mask_records")
         )
     ]
     assert names == []
