@@ -31,7 +31,7 @@ from cgrcode.codespec import (
     to_obj,
 )
 from cgrcode.cli import mask_records
-from conftest import V2_MUTATIONS, _v1_text, builtin_array
+from conftest import DATA, V1_FILES, V2_MUTATIONS, _v1_text, builtin_array
 
 
 def test_object_shape(k2_array):
@@ -84,6 +84,28 @@ def test_header_round_trips_primal_and_dual_at_every_size(v1):
         text = to_json(form)
         assert from_json(text) == form
         assert to_json(from_json(text)) == text
+
+
+def _committed_v1_arrays():
+    k2, v8 = builtin_array("k2_c5"), _canonical(8)
+    return dict(zip(V1_FILES, (k2, dualize(k2), v8, dualize(v8))))
+
+
+@pytest.mark.parametrize("name", V1_FILES)
+def test_committed_version_1_files_load_and_are_reproduced(name):
+    # _v1_text stands for the version 1 writer: it must give the committed
+    # files byte for byte. Loading one stops at its header and names exactly
+    # the commands that rebuild the array it describes.
+    array = _committed_v1_arrays()[name]
+    assert _v1_text(array) == (DATA / name).read_text(encoding="utf-8")
+    command = f"cgrcode generate --v1 {array.params.v1} --offsets {','.join(map(str, array.offsets))}"
+    if array.is_dual():
+        command += " --output primal.json && cgrcode dual primal.json"
+    with pytest.raises(ValueError) as refused:
+        load(DATA / name)
+    assert str(refused.value) == (
+        f"version 1 code files are no longer read; regenerate this one with: {command}"
+    )
 
 
 @pytest.mark.parametrize("mutate", V2_MUTATIONS)
