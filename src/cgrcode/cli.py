@@ -317,17 +317,25 @@ def cmd_contract(args) -> int:
     return 0 if ok else 1
 
 
+DEFAULT_MAX_TRIALS = 1000
+
+
 def cmd_search(args) -> int:
+    # A flag the strategy would ignore is refused; absent flags keep their defaults.
+    if args.strategy == "random" and args.budget is not None:
+        raise ValueError("--budget applies only to --strategy exhaustive")
+    if args.strategy == "exhaustive" and (args.seed is not None or args.max_trials is not None):
+        raise ValueError("--seed and --max-trials apply only to --strategy random")
     params = CgrParams.from_v1(args.v1)
     spec = SearchSpec(
         params=params,
         fix_prefix=not args.free_prefix,
         strategy=args.strategy,
-        seed=args.seed,
-        max_trials=args.max_trials,
+        seed=0 if args.seed is None else args.seed,
+        max_trials=DEFAULT_MAX_TRIALS if args.max_trials is None else args.max_trials,
         stop_after=args.stop_after,
     )
-    vectors, stats = search(spec, args.budget)
+    vectors, stats = search(spec, DEFAULT_BUDGET if args.budget is None else args.budget)
     if args.json:
         _emit_json(
             {
@@ -404,10 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v1", type=int, required=True)
     p.add_argument("--free-prefix", action="store_true", help="search all entries, not just inter-ring ones")
     p.add_argument("--strategy", choices=("exhaustive", "random"), default="exhaustive")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-trials", type=int, default=1000)
+    p.add_argument("--seed", type=int, help="random only (default 0)")
+    p.add_argument("--max-trials", type=int, help=f"random only (default {DEFAULT_MAX_TRIALS})")
     p.add_argument("--stop-after", type=int, default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max exhaustive candidates covered")
+    p.add_argument(
+        "--budget", type=int, help=f"exhaustive only: max candidates covered (default {DEFAULT_BUDGET})"
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
 

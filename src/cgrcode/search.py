@@ -46,8 +46,9 @@ class SearchStats(Value):
     included); hits = valid vectors seen (for exhaustive runs this is the
     exact count in the whole space); space = size of the enumerated space
     for exhaustive runs, None for random; nodes = the work done: search-tree
-    nodes visited for exhaustive runs, candidates swept for random ones.
-    nodes is left out of comparisons, so stats compare by outcome."""
+    nodes visited for exhaustive runs (with a free prefix, those of the one
+    rotation class walked; see _exhaustive), trials for random ones. nodes
+    is left out of comparisons, so stats compare by outcome."""
 
     _compared = ("trials", "hits", "space")
 
@@ -67,12 +68,18 @@ def params_for_offset_length(n: int) -> CgrParams:
 
 
 def search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> tuple[list[OffsetVector], SearchStats]:
-    """Run the search; every returned vector passes verify_mds. Raises
-    ValueError, before any layout, on a size over MAX_GRID_BITS."""
+    """Run the search; every returned vector passes verify_mds. An
+    exhaustive search with a free prefix walks the vectors that start with
+    0 and shifts them to the other first values (see _exhaustive); a random
+    one places each trial's first free row from a table of its placements.
+    Raises ValueError on a negative limit or budget and, before any layout,
+    on a size over MAX_GRID_BITS."""
     if spec.max_trials < 0:
         raise ValueError(f"max_trials must be >= 0, got {spec.max_trials}")
     if spec.stop_after is not None and spec.stop_after < 0:
         raise ValueError(f"stop_after must be >= 0, got {spec.stop_after}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     if spec.strategy not in ("exhaustive", "random"):
         raise ValueError(f"unknown strategy {spec.strategy!r} (use 'exhaustive' or 'random')")
     params = spec.params
@@ -116,7 +123,10 @@ def search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> tuple[list[OffsetV
         return _exhaustive(doubled, bases, prefix, v2, space, spec.stop_after)
     # A trial draws each offset as it places the row, up to the first that
     # fails, then jumps to the state nfree draws leave: the same vectors.
-    free_rows = doubled[len(prefix):]
+    # Every trial places the first free row onto the same prefix bases, so
+    # its v2 placements are kept in a table, each made when first drawn.
+    first, *rest = doubled[len(prefix):]
+    table = {}
     rng = Lcg(spec.seed)
     multiplier, increment = jump(nfree)
     found: list[OffsetVector] = []
@@ -126,14 +136,16 @@ def search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> tuple[list[OffsetV
             break
         trials += 1
         start = rng.state
-        free = []
-        placed = bases
-        for row in free_rows:
-            free.append(rng.randint(v2))
-            placed = _place(placed, row, free[-1], distances)
+        k = rng.randint(v2)
+        if k not in table:
+            table[k] = _place(bases, first, k, distances)
+        free, placed = [k], table[k]
+        for row in rest:
             if placed is None:
                 break
-        else:
+            free.append(rng.randint(v2))
+            placed = _place(placed, row, free[-1], distances)
+        if placed is not None:
             hits += 1
             found.append(OffsetVector(prefix + tuple(free)))
         rng.state = (start * multiplier + increment) & MASK64
@@ -162,12 +174,33 @@ def _exhaustive(
     """Every offset vector that starts with prefix, whose rows are already
     placed onto bases, by a depth-first search over the remaining rows in
     index order with values ascending, so hits come in the order of a
-    lexicographic scan. Each node places its row; the first dependent pair rules out the
-    node's whole subtree, whose v2 ** (rows left) candidates still count as
-    trials.
+    lexicographic scan. Each node places its row; the first dependent pair
+    rules out the node's whole subtree, whose v2 ** (rows left) candidates
+    still count as trials. nodes counts the nodes visited.
+
+    With no prefix, only the vectors that start with 0 (class 0) are walked,
+    and class c, the vectors that start with c, is class 0 plus c in every
+    entry, mod v2. Proof: let s be the ring rotation, bit j*v2 + k ->
+    j*v2 + (k + 1) % v2. Each unshifted row moves one cell to the side under
+    it, s(row[k]) = row[k + 1], so row[k + c] = s^c(row[k]): along the path
+    a + c (c added to every value of a path a), each node places onto the
+    basis of (0, d) the images under s^c of the masks that the matching
+    node along a places there. s^c permutes bits, so it is an
+    invertible GF(2)-linear map and maps the span of any masks onto the span
+    of their images: each placement under first value c fails exactly when
+    its twin under 0 fails. The two subtrees visit as many nodes and cover
+    as many trials, and the hits under c are those under 0 plus c. So
+    trials and hits are v2 times class 0's, space is unchanged, nodes counts
+    class 0's walk alone, and the returned list is each class in turn, c
+    ascending, each sorted, since the wrap mod v2 breaks lexicographic order
+    inside a class. All of class 0's hits, hits / v2 vectors, are kept
+    whatever stop_after is, as the other classes are built from them. A
+    fixed prefix is not shifted with the free rows, so its search walks
+    every value of its first free row.
     """
     distances = range(1, v2 // 2 + 1)
     nrows = len(doubled)
+    keep = stop_after if prefix else None
     found: list[OffsetVector] = []
     trials = hits = nodes = 0
 
@@ -176,7 +209,7 @@ def _exhaustive(
         depth = len(vec)
         row = doubled[depth]
         below = v2 ** (nrows - depth - 1)
-        for k in range(v2):
+        for k in range(v2 if vec else 1):  # vec is empty only at a free search's root
             nodes += 1
             children = _place(bases, row, k, distances)
             if children is None:
@@ -186,11 +219,18 @@ def _exhaustive(
             else:
                 trials += 1
                 hits += 1
-                if stop_after is None or len(found) < stop_after:
+                if keep is None or len(found) < keep:
                     found.append(OffsetVector(vec + (k,)))
 
     visit(bases, prefix)
-    return found, SearchStats(trials, hits, space, nodes)
+    if prefix:
+        return found, SearchStats(trials, hits, space, nodes)
+    vectors: list[OffsetVector] = []
+    for c in range(v2):
+        if stop_after is not None and len(vectors) >= stop_after:
+            break
+        vectors += sorted(OffsetVector((a + c) % v2 for a in vec) for vec in found)
+    return vectors[:stop_after], SearchStats(v2 * trials, v2 * hits, space, nodes)
 
 
 def validate_fixture_set(vectors: dict[str, tuple[int, ...]] | None = None) -> dict[str, MdsResult]:

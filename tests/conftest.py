@@ -74,6 +74,14 @@ V2_MUTATIONS = [
     lambda o: o.update(version="3"),
     lambda o: o.update(version=2),
     lambda o: o.pop("version"),
+    # An odd v1 alone, and ints that are missing, null, infinite or fractional.
+    lambda o: o.update(v1=3),
+    lambda o: o.pop("v1"),
+    lambda o: o.update(v1=None),
+    lambda o: o.update(v1=1e400),
+    lambda o: o.update(v1=2.5),
+    lambda o: o["offset_vector"].__setitem__(0, 1e400),
+    lambda o: o["offset_vector"].__setitem__(4, 4.9),
 ]
 
 

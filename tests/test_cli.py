@@ -13,6 +13,7 @@ import pytest
 from cgrcode import (
     CgrParams,
     ErasurePattern,
+    SearchSpec,
     build_code_array,
     codespec,
     decode,
@@ -21,6 +22,7 @@ from cgrcode import (
     encode,
     erase,
     pif_factorize,
+    search,
     verify_dual_mds,
 )
 from cgrcode.cli import _measured_decode_complexity, main
@@ -179,18 +181,6 @@ def test_roundtrip_reads_both_seed_forms(k2_file):
         assert main(["roundtrip", k2_file, "--data", spec]) == 0, spec
 
 
-def test_roundtrip_rejects_corrupt_parity_cell(tmp_path, capsys):
-    with open(DATA / "k2_c5_v1.json", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    obj["rows"][2][0]["vertices"] = [0, 0]
-    corrupt = tmp_path / "corrupt.json"
-    corrupt.write_text(json.dumps(obj), encoding="utf-8")
-    capsys.readouterr()
-    assert main(["roundtrip", str(corrupt)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-
-
 def test_roundtrip_rejects_hex_data_wider_than_the_code(k2_file, capsys):
     assert main(["roundtrip", k2_file, "--data", "hex:3ff"]) == 0  # all 10 info bits
     capsys.readouterr()
@@ -213,6 +203,11 @@ def test_roundtrip_rejects_hex_data_wider_than_the_code(k2_file, capsys):
         ["generate", "--builtin", "k2_c5", "--v1", "4"],
         ["generate", "--pif"],
         ["verify", "--builtin", "nope"],
+        # Flags the strategy would ignore, and a negative budget.
+        ["search", "--v1", "2", "--strategy", "random", "--budget", "5"],
+        ["search", "--v1", "2", "--max-trials", "7"],
+        ["search", "--v1", "2", "--seed", "4"],
+        ["search", "--v1", "2", "--budget", "-1"],
     ],
 )
 def test_edge_cases_are_usage_errors(argv, capsys):
@@ -528,6 +523,15 @@ def test_search_budget_option(capsys):
     assert main(["search", "--v1", "2", "--free-prefix", "--budget", "10"]) == 2
     assert "exceeds budget 10" in capsys.readouterr().err
     assert main(["search", "--v1", "2", "--free-prefix", "--budget", "5000"]) == 0
+
+
+def test_random_search_flags_keep_their_defaults_when_absent(capsys):
+    assert main(["search", "--v1", "4", "--strategy", "random", "--json"]) == 0
+    spec = SearchSpec(CgrParams.from_v1(4), strategy="random", seed=0, max_trials=1000)
+    vectors, stats = search(spec)
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["vectors"] == [list(v) for v in vectors]
+    assert payload["trials"] == stats.trials == 1000 and payload["hits"] == stats.hits
 
 
 def test_module_entry_point():

@@ -227,92 +227,70 @@ def test_file_round_trip(tmp_path, k2_array):
     assert load(path) == k2_array
 
 
-def _mutated(k2_array, mutate):
-    obj = json.loads(_v1_text(k2_array))
-    mutate(obj)
-    return obj
-
-
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda o: o.update(version="2"),
-        lambda o: o.update(v1=3),
-        lambda o: o.update(v2=6),
-        lambda o: o["offset_vector"].__setitem__(0, 9),
-        lambda o: o["offset_vector"].pop(),
-        lambda o: o["rows"].pop(),
-        lambda o: o["rows"][0].pop(),
-        lambda o: o["rows"][0][0].update(kind="weird"),
-        lambda o: o["rows"][0][0].update(vertices=[1, 2]),
-        lambda o: o["rows"][2][0].update(vertices=[3]),
-        lambda o: o["rows"][0].__setitem__(0, [0]),
-        lambda o: o["rows"][0][0].update(vertices=[999]),
-        lambda o: o["rows"][2][0].update(vertices=[0, 0]),
-        lambda o: o["rows"][0][0].update(vertices=None),
-        lambda o: o.update(v1=None),
-        lambda o: o.update(offset_vector=None),
-        lambda o: o.update(v1=1e400),
-        lambda o: o["offset_vector"].__setitem__(0, 1e400),
-        lambda o: o.pop("v1"),
-        # Non-int numbers whose truncation to int would match the array.
-        lambda o: o.update(v1=2.5),
-        lambda o: o.update(v1="2"),
-        lambda o: o.update(v2=5.0),
-        lambda o: o["offset_vector"].__setitem__(4, 4.9),
-        lambda o: o["offset_vector"].__setitem__(0, False),
-        # Right members in the wrong order: the wrap-around edge is [4, 0].
-        lambda o: o["rows"][2][2].update(vertices=[0, 4]),
-        # Bools where they equal the id: rows[0] holds [0] and [1], rows[2][2] [4, 0].
-        lambda o: o["rows"][0][1].update(vertices=[True]),
-        lambda o: o["rows"][0][0].update(vertices=[False]),
-        lambda o: o["rows"][2][2].update(vertices=[4, False]),
-    ],
-)
+@pytest.mark.parametrize("mutate", V2_MUTATIONS)
 def test_validation_rejects_malformed_objects(k2_array, mutate):
-    with pytest.raises(ValueError):
-        from_obj(_mutated(k2_array, mutate))
-
-
-def test_a_bool_is_refused_wherever_it_equals_an_id():
-    # Records compare equal with a bool in place of id 0 or 1, so from_obj
-    # checks member types in the rows that hold those ids.
-    for name in BUILTIN_VECTORS:
-        for form in (builtin_array(name), dualize(builtin_array(name))):
-            text = _v1_text(form)
-            spots = [
-                (r, c, i)
-                for r, row in enumerate(json.loads(text)["rows"])
-                for c, cell in enumerate(row)
-                for i, v in enumerate(cell["vertices"])
-                if v in (0, 1)
-            ]
-            assert len(spots) >= 4
-            for r, c, i in spots:
-                obj = json.loads(text)
-                members = obj["rows"][r][c]["vertices"]
-                members[i] = bool(members[i])
-                with pytest.raises(ValueError):
-                    from_obj(obj)
-
-
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda o: o["rows"][0][0]["vertices"].reverse(),
-        lambda o: o["rows"][1][3]["vertices"].append(o["rows"][1][3]["vertices"].pop(0)),
-    ],
-    ids=["reversed", "rotated"],
-)
-def test_validation_rejects_a_dual_parity_in_the_wrong_order(k2_array, mutate):
-    obj = _mutated(dualize(k2_array), mutate)
+    # The dual's header is refused under every mutation the primal's is.
+    obj = to_obj(dualize(k2_array))
+    mutate(obj)
     with pytest.raises(ValueError):
         from_obj(obj)
 
 
-_K2_TEXT = _v1_text(builtin_array("k2_c5"))
-_FIRST_ID_0 = '"vertices": [\n          0\n'  # rows[0][0]
-_FIRST_ID_1 = '"vertices": [\n          1\n'  # rows[0][1]
+# Row mutations of version 1 objects: k2_c5's, then its dual's (right members
+# in the wrong order). from_obj refuses a version 1 object at its header,
+# before it reads any row, so each is refused with the unmutated object's line.
+V1_ROW_MUTATIONS = [
+    lambda o: o["rows"].pop(),
+    lambda o: o["rows"][0].pop(),
+    lambda o: o["rows"][0][0].update(kind="weird"),
+    lambda o: o["rows"][0][0].update(vertices=[1, 2]),
+    lambda o: o["rows"][2][0].update(vertices=[3]),
+    lambda o: o["rows"][0].__setitem__(0, [0]),
+    lambda o: o["rows"][0][0].update(vertices=[999]),
+    lambda o: o["rows"][2][0].update(vertices=[0, 0]),
+    lambda o: o["rows"][0][0].update(vertices=None),
+    lambda o: o["rows"][2][2].update(vertices=[0, 4]),  # the wrap-around edge is [4, 0]
+    lambda o: o["rows"][0][1].update(vertices=[True]),
+    lambda o: o["rows"][0][0].update(vertices=[False]),
+    lambda o: o["rows"][2][2].update(vertices=[4, False]),
+]
+V1_DUAL_ROW_MUTATIONS = [
+    lambda o: o["rows"][0][0]["vertices"].reverse(),
+    lambda o: o["rows"][1][3]["vertices"].append(o["rows"][1][3]["vertices"].pop(0)),
+]
+
+
+def _refusal(obj) -> str:
+    with pytest.raises(ValueError) as refused:
+        from_obj(obj)
+    return str(refused.value)
+
+
+def test_a_version_1_object_is_refused_whatever_its_rows_hold(k2_array):
+    dual = dualize(k2_array)
+    for form, mutations in ((k2_array, V1_ROW_MUTATIONS), (dual, V1_DUAL_ROW_MUTATIONS)):
+        text = _v1_text(form)
+        expected = _refusal(json.loads(text))
+        assert expected.startswith("version 1 code files are no longer read")
+        for mutate in mutations:
+            obj = json.loads(text)
+            mutate(obj)
+            assert _refusal(obj) == expected
+
+
+def test_a_bool_is_refused_wherever_it_equals_an_offset():
+    # An entry compares equal with a bool in place of offset 0 or 1, so
+    # from_obj checks the type of every offset entry.
+    for name in BUILTIN_VECTORS:
+        for form in (builtin_array(name), dualize(builtin_array(name))):
+            offsets = to_obj(form)["offset_vector"]
+            spots = [i for i, a in enumerate(offsets) if a in (0, 1)]
+            assert len(spots) >= 2
+            for i in spots:
+                obj = to_obj(form)
+                obj["offset_vector"][i] = bool(offsets[i])
+                with pytest.raises(ValueError):
+                    from_obj(obj)
 
 
 @pytest.mark.parametrize(
@@ -321,8 +299,8 @@ _FIRST_ID_1 = '"vertices": [\n          1\n'  # rows[0][1]
         "[]",
         "{",
         "[" * 100_000,
-        _K2_TEXT.replace(_FIRST_ID_1, _FIRST_ID_1.replace("1", "true"), 1),
-        _K2_TEXT.replace(_FIRST_ID_0, _FIRST_ID_0.replace("0", "0.0"), 1),
+        K2_V2_TEXT.replace("    1,\n", "    true,\n", 1),
+        K2_V2_TEXT.replace("    0,\n", "    0.0,\n", 1),
     ],
     ids=["array", "truncated", "deep", "true", "0.0"],
 )

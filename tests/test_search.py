@@ -63,6 +63,23 @@ def test_exhaustive_search_free_prefix():
     assert (0, 1, 2, 2, 4) in {tuple(v) for v in vectors}
 
 
+def test_free_search_hits_are_closed_under_adding_a_constant():
+    # The free search walks only the vectors that start with 0 and shifts
+    # them: every hit plus c, mod v2, must itself pass verify_mds.
+    params = CgrParams.from_v1(2)
+    vectors, _ = search(SearchSpec(params, fix_prefix=False))
+    for c in range(params.v2):
+        shifted = {tuple((a + c) % params.v2 for a in vec) for vec in vectors}
+        assert shifted == set(vectors)
+        assert all(verify_mds(build_code_array(params, vec)) for vec in shifted)
+
+
+def test_free_search_walks_one_rotation_class():
+    # A walk of every first value visits 1,655 nodes, 331 per class.
+    _, stats = search(SearchSpec(params=CgrParams.from_v1(2), fix_prefix=False))
+    assert stats.nodes == 331
+
+
 def test_exhaustive_search_v1_4_fixed_prefix():
     # 7^6 candidates; the rank-pruned search visits a few hundred nodes.
     vectors, stats = search(SearchSpec(CgrParams.from_v1(4)))
@@ -121,12 +138,19 @@ def test_random_search_stop_after():
         SearchSpec(
             params=CgrParams.from_v1(4), strategy="random", seed=50, max_trials=1000, stop_after=1
         ),
+        # Class 0 holds the first 10 hits of 50, so 12 reaches into class 1.
+        SearchSpec(params=CgrParams.from_v1(2), fix_prefix=False, stop_after=0),
+        SearchSpec(params=CgrParams.from_v1(2), fix_prefix=False, stop_after=10),
+        SearchSpec(params=CgrParams.from_v1(2), fix_prefix=False, stop_after=12),
+        SearchSpec(params=CgrParams.from_v1(4), strategy="random", seed=50, max_trials=1),
+        SearchSpec(params=CgrParams.from_v1(8), strategy="random", seed=8, max_trials=300),
     ],
 )
 def test_search_matches_a_reference_scan(spec):
     # The reference builds and verifies a full code array per candidate, and
     # a random trial draws all nfree offsets before it checks any; seed 50
-    # gives the v1 = 4 run one hit in its 1,000 draws.
+    # gives the v1 = 4 run one hit in its 1,000 draws. An exhaustive search
+    # covers the whole space and lists the first stop_after hits.
     params = spec.params
     v2 = params.v2
     prefix = tuple(range(params.v1)) + (params.v1,) * params.v1 if spec.fix_prefix else ()
@@ -150,7 +174,7 @@ def test_search_matches_a_reference_scan(spec):
         if verify_mds(build_code_array(params, vec)):
             valid.append(vec)
     vectors, stats = search(spec)
-    assert [tuple(v) for v in vectors] == valid
+    assert [tuple(v) for v in vectors] == valid[: spec.stop_after]
     assert stats == SearchStats(trials, len(valid), space)
     if spec.strategy == "random":
         assert stats.nodes == trials
