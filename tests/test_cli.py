@@ -181,6 +181,18 @@ def test_roundtrip_reads_both_seed_forms(k2_file):
         assert main(["roundtrip", k2_file, "--data", spec]) == 0, spec
 
 
+def test_roundtrip_rejects_corrupt_parity_cell(tmp_path, capsys):
+    # A version 1 file is refused at its header, so a corrupt parity cell in
+    # its rows gives the same one error line as the intact file.
+    with open(DATA / "k2_c5_v1.json", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj["rows"][2][0]["vertices"] = [0, 0]
+    corrupt = tmp_path / "corrupt.json"
+    corrupt.write_text(json.dumps(obj), encoding="utf-8")
+    intact = _one_error_line(["roundtrip", str(DATA / "k2_c5_v1.json")], capsys)
+    assert _one_error_line(["roundtrip", str(corrupt)], capsys) == intact
+
+
 def test_roundtrip_rejects_hex_data_wider_than_the_code(k2_file, capsys):
     assert main(["roundtrip", k2_file, "--data", "hex:3ff"]) == 0  # all 10 info bits
     capsys.readouterr()
