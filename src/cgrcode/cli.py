@@ -62,11 +62,20 @@ def mask_records(grid, v2: int) -> list[list[dict]]:
     return [[{"kind": KINDS[min(len(ms), 2)], "vertices": ms} for ms in line] for line in members]
 
 
-def _csv_ints(text: str) -> list[int]:
-    text = text.strip()
-    if not text:
+def _flag_int(part: str, flag: str, text: str, base: int = 10) -> int:
+    """int(part, base), or a ValueError naming the flag, its value and the entry."""
+    try:
+        return int(part, base)
+    except ValueError:
+        kind = "a hex integer" if base == 16 else "an integer"
+        raise ValueError(f"bad {flag} {text!r}: {part!r} is not {kind}") from None
+
+
+def _csv_ints(text: str, flag: str) -> list[int]:
+    stripped = text.strip()
+    if not stripped:
         return []
-    return [int(part) for part in text.split(",")]
+    return [_flag_int(part, flag, text) for part in stripped.split(",")]
 
 
 def _parse_placement(text: str):
@@ -78,14 +87,14 @@ def _parse_placement(text: str):
         if part in ("inf", "+inf"):
             items.append(POS_INF)
         else:
-            items.append(int(part))
+            items.append(_flag_int(part, "--placement", text))
     return tuple(items)
 
 
 def _parse_data_spec(text: str) -> tuple[str, int]:
     text = text.strip()
     if text.startswith("hex:"):
-        return "hex", int(text[4:] or "0", 16)
+        return "hex", _flag_int(text[4:] or "0", "--data", text, 16)
     match = re.fullmatch(r"random(?::(-?\d+)|\((-?\d+)\))", text)
     if match:
         return "random", int(match.group(1) or match.group(2))
@@ -137,7 +146,7 @@ def cmd_generate(args) -> int:
         if args.v1 is None:
             raise ValueError("--offsets needs --v1")
         params = CgrParams.from_v1(args.v1)
-        vector = _csv_ints(args.offsets)
+        vector = _csv_ints(args.offsets, "--offsets")
     elif args.builtin is not None:
         if args.builtin not in BUILTIN_VECTORS:
             raise ValueError(
@@ -153,7 +162,7 @@ def cmd_generate(args) -> int:
         params = CgrParams.from_v1(args.v1)
         require_buildable(params)  # before pif_factorize, so a huge v1 fails fast
         placement = _parse_placement(args.placement) if args.placement is not None else None
-        pi = tuple(_csv_ints(args.pi)) if args.pi is not None else None
+        pi = tuple(_csv_ints(args.pi, "--pi")) if args.pi is not None else None
         vector = derive_offsets(pif_factorize(params.v1, placement), pi)
     return _emit_array(build_code_array(params, vector), args)
 
@@ -210,7 +219,7 @@ def cmd_verify(args) -> int:
 
 def cmd_roundtrip(args) -> int:
     array = _load_primal(args.file)
-    pattern = ErasurePattern.of(_csv_ints(args.erase))
+    pattern = ErasurePattern.of(_csv_ints(args.erase, "--erase"))
     info_bits = _info_bits(array, args.data)
     codeword = encode(array, info_bits)
     grid = erase(codeword, pattern)
@@ -254,7 +263,7 @@ def _measured_decode_complexity(params: CgrParams):
 
 def cmd_metrics(args) -> int:
     lo, _, hi = args.v1_range.partition(":")
-    start, stop = int(lo), int(hi or lo)
+    start, stop = (_flag_int(part, "--v1-range", args.v1_range) for part in (lo, hi or lo))
     if start % 2 or start < 2:
         raise ValueError(f"--v1-range must start at an even v1 >= 2, got {start}")
     if stop < start:
@@ -295,7 +304,7 @@ CONTRACT_FORMAT_VERSION = "1"  # not a code file: codespec refuses it as a contr
 
 def cmd_contract(args) -> int:
     array = _load_primal(args.file)
-    order = _csv_ints(args.order) if args.order is not None else None
+    order = _csv_ints(args.order, "--order") if args.order is not None else None
     contracted = contract(array, order)
     ok = verify_contracted_mds(contracted)
     if args.format == "text":

@@ -238,8 +238,9 @@ class CodeArray(Value):
     @computed_once
     def built(self) -> bool:
         """Whether the grid is build_code_array(params, offsets) or its dual, which
-        a header describes: stored by _built, else checked (a field-equal copy reads True)."""
-        if self.source_columns is not None:
+        a header describes: stored by _built, else checked (a field-equal copy reads True).
+        A grid with an empty cell, which no built array has, reads False with no build."""
+        if self.source_columns is not None or not self.full:
             return False
         try:
             primal = build_code_array(self.params, self.offsets)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from cgrcode import (
     BUILTIN_VECTORS,
     CgrParams,
+    CodeArray,
     ContractShapeError,
     ErasurePattern,
     OffsetVector,
@@ -80,6 +82,19 @@ def _reference_contract(array):
     return tuple(tuple(groups[c]) for c in sorted(groups)), tuple(sorted(groups))
 
 
+def _scan_path_inputs(array):
+    """Grids contract scans, not built (CodeArray.built is False): the
+    punctured array, and hand-built copies with a ring-edge row, which
+    keeps no cell, or the last inter-ring row turned one more column."""
+    v1, masks = array.params.v1, list(array.masks)
+    grids = [puncture(array)]
+    for r in (v1, len(masks) - 1):
+        turned = masks[:r] + [masks[r][1:] + masks[r][:1]] + masks[r + 1 :]
+        grids.append(CodeArray(array.params, array.offsets, tuple(turned)))
+    assert not any(grid.built for grid in grids)
+    return grids
+
+
 def _contract_outcome(array):
     try:
         contracted = contract(array)
@@ -101,13 +116,15 @@ def test_contract_matches_the_puncture_then_group_reference(v1):
         vector = list(vector)
         vector[rng.randint(params.num_rows)] = rng.randint(params.v2)
         vectors.append(vector)
-    for vector in vectors:
-        array = build_code_array(params, vector)
+    arrays = [build_code_array(params, vector) for vector in vectors]
+    arrays += [grid for array in arrays[:2] for grid in _scan_path_inputs(array)]
+    for array in arrays:
         assert _contract_outcome(array) == _reference_contract(array)
 
 
 def test_contract_matches_the_reference_on_builtins_and_zero_offsets(k2_params):
     arrays = [builtin_array(name) for name in BUILTIN_VECTORS]
+    arrays += [grid for name in BUILTIN_VECTORS for grid in _scan_path_inputs(builtin_array(name))]
     arrays.append(build_code_array(k2_params, OffsetVector.zeros(k2_params)))
     outcomes = [_contract_outcome(array) for array in arrays]
     assert outcomes == [_reference_contract(array) for array in arrays]
@@ -137,6 +154,45 @@ def test_contract_validates_column_order(k2_array):
         contract(k2_array, (0, 1))
     with pytest.raises(ValueError):
         contract(k2_array, (0, 1, 2))
+
+
+@pytest.mark.parametrize("order", [(0, True, 4), (0.0, 1.0, 4.0), (0, 1, 4.0), ("0", 1, 4)])
+def test_contract_refuses_column_order_entries_that_are_not_ints(k2_array, order):
+    # Each entry but the string compares equal to a column index; none may
+    # reach source_columns, on the header path or the scan path.
+    for array in (k2_array, puncture(k2_array)):
+        with pytest.raises(ValueError, match=r"column_order entry .* is not an int"):
+            contract(array, order)
+
+
+def test_contract_of_a_built_array_lays_nothing_out(monkeypatch):
+    # A built array's survivors follow from its header: contracting one,
+    # with or without a column_order, good or bad, or with offsets that
+    # break the shape, lays out no grid. A punctured grid is scanned as it
+    # is: its empty cells show it is not built, so no primal is laid out
+    # to compare it with.
+    params = CgrParams.from_v1(24)
+    offsets = derive_offsets(pif_factorize(24))
+    laid = build_code_array(params, offsets)
+    want = _reference_contract(laid)
+    punctured = puncture(laid)
+    layout = importlib.import_module("cgrcode.layout")
+
+    def no_layout(*args):
+        raise AssertionError("laid out a grid for a built array")
+
+    monkeypatch.setattr(layout, "map_unshifted", no_layout)
+    monkeypatch.setattr(layout, "bit_rows", no_layout)
+    array = build_code_array(params, offsets)
+    assert _contract_outcome(array) == _contract_outcome(punctured) == want
+    backwards = contract(array, want[1][::-1])
+    assert backwards.source_columns == want[1][::-1]
+    assert backwards.masks == tuple(row[::-1] for row in contract(array).masks)
+    for order in (want[1][1:], (*want[1][1:], params.v2), (True, *want[1][1:])):
+        with pytest.raises(ValueError, match="column_order"):
+            contract(array, order)
+    with pytest.raises(ContractShapeError, match="expected 25 columns of 12 cells"):
+        contract(build_code_array(params, OffsetVector.zeros(params)))
 
 
 def test_contract_shape_error_on_degenerate_offsets(k2_params):

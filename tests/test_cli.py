@@ -392,6 +392,30 @@ def test_contract_empty_order_is_a_usage_error(k2_file, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["contract", "K2", "--order", "1,,2"], "bad --order '1,,2': '' is not an integer"),
+        (["roundtrip", "K2", "--erase", "1,a"], "bad --erase '1,a': 'a' is not an integer"),
+        (["roundtrip", "K2", "--data", "hex:zz"], "bad --data 'hex:zz': 'zz' is not a hex integer"),
+        (
+            ["generate", "--v1", "2", "--offsets", "0,1,2,,4"],
+            "bad --offsets '0,1,2,,4': '' is not an integer",
+        ),
+        (["generate", "--v1", "4", "--pi", "0,1,x,2"], "bad --pi '0,1,x,2': 'x' is not an integer"),
+        (
+            ["generate", "--v1", "4", "--placement", "0,1,2,3,x"],
+            "bad --placement '0,1,2,3,x': 'x' is not an integer",
+        ),
+        (["metrics", "--v1-range", "4:2:1"], "bad --v1-range '4:2:1': '2:1' is not an integer"),
+    ],
+    ids=["order", "erase", "data", "offsets", "pi", "placement", "v1-range"],
+)
+def test_malformed_integer_lists_name_the_flag_and_entry(argv, message, k2_file, capsys):
+    argv = [k2_file if arg == "K2" else arg for arg in argv]
+    assert _one_error_line(argv, capsys) == f"error: {message}\n"
+
+
 def test_contract_shape_error(tmp_path, capsys):
     path = tmp_path / "zeros.json"
     assert main(["generate", "--v1", "2", "--offsets", "0,0,0,0,0", "--output", str(path)]) == 0
