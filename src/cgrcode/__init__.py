@@ -8,6 +8,9 @@ CodeArray.rows shows the cells), contract compacts a primal to the
 B-code's narrower grid, encode/decode move bits through any grid, and
 verify_mds / verify_dual_mds / verify_contracted_mds check every legal
 erasure pattern (a built array's survivor pairs one per rotation orbit).
+CodeArray.built, whether a header describes the grid, is the one test of a
+CGR layout: verify_dual_mds refuses any other grid, and dualize any but a
+built one with cells emptied.
 """
 
 from .bcode import (
@@ -44,7 +47,6 @@ from .layout import (
     Cell,
     CodeArray,
     OffsetVector,
-    apply_offsets,
     build_code_array,
     derive_offsets,
     dualize,
@@ -58,7 +60,6 @@ from .search import (
     SearchStats,
     params_for_offset_length,
     search,
-    validate_fixture_set,
 )
 
 __all__ = [
@@ -82,7 +83,6 @@ __all__ = [
     "SearchSpec",
     "SearchStats",
     "UnrecoverableError",
-    "apply_offsets",
     "build_cgr",
     "build_code_array",
     "contract",
@@ -98,7 +98,6 @@ __all__ = [
     "puncture",
     "search",
     "update_complexity",
-    "validate_fixture_set",
     "verify_contracted_mds",
     "verify_dual_mds",
     "verify_mds",

@@ -249,8 +249,8 @@ def cmd_roundtrip(args) -> int:
 
 def _measured_decode_complexity(params: CgrParams):
     """Worst single-column decode on the canonical construction for v1,
-    read off column 0 alone. The built array rotates (CodeArray.rotates):
-    column c + 1 is column c with every ring turned one position, so the
+    read off column 0 alone. The array is built (CodeArray.built), so
+    column c + 1 is column c with every ring turned one position, and the
     erasure of any column is that of column 0 relabelled. It seeds as many
     values, peels as many (peeling stops at the same closure in any order)
     and rebuilds as many cells, so every column gives the same xor_count."""

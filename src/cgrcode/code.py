@@ -3,22 +3,21 @@
 Encoding, decoding and verification read only the array's GF(2) mask grid
 (CodeArray.masks, whose bit positions are the variable ids); a built array
 lays its grid out on the first of these reads, not when it is built, and
-whether it is the dual, full or rotating is read off its header. Cell
-values are XORs of info values, which may be ints of any width: each bit
-plane is coded independently. The codec replays the grid's plan
-(CodeArray.plan), compiled once per array: encoding fills its cells kind by
-kind; decoding seeds known values from the surviving single-bit cells,
-peels each surviving two-bit cell with one unknown as it reads it, sweeps
-the rest in row-major order, stops reading as soon as every value is
-known, and falls back to Gaussian elimination over
-every surviving cell, entered in row-major order, when peeling stalls.
-Verification (sweep_pairs) checks that every pair of surviving columns
-spans the full variable space, reducing each column once to a GF(2) basis
-that every pair it leads extends. A built array, primal or dual, moves each
-row one cell to the side when every ring rotates by one position, a fact
-the builder stores (CodeArray.rotates), so only the pairs (0, d),
-d <= v2 // 2, are swept. The dual's verdict is read off the same primal
-sweep, since the dual (layout.dualize) is the primal's orthogonal
+whether it is the dual or built is read off its header. Cell values are
+XORs of info values, which may be ints of any width: each bit plane is
+coded independently. The codec replays the grid's plan (CodeArray.plan),
+compiled once per array: encoding fills its cells kind by kind; decoding
+seeds known values from the surviving single-bit cells, peels each
+surviving two-bit cell with one unknown as it reads it, sweeps the rest in
+row-major order, stops reading as soon as every value is known, and falls
+back to Gaussian elimination over every surviving cell, entered in
+row-major order, when peeling stalls. Verification (_sweep) checks that
+every pair of surviving columns spans the full variable space, reducing
+each column once to a GF(2) basis that every pair it leads extends. A
+built array, primal or dual (CodeArray.built), moves each row one cell to
+the side when every ring rotates by one position, so only the pairs
+(0, d), d <= v2 // 2, are swept. The dual's verdict is read off the same
+primal sweep, since the dual (layout.dualize) is the primal's orthogonal
 complement.
 """
 
@@ -28,7 +27,7 @@ import itertools
 
 from . import gf2
 from .graph import CgrParams, Value
-from .layout import CodeArray, dualize, require_cgr_layout, rotates_with_rings
+from .layout import CodeArray, dualize, require_cgr_layout
 
 
 class UnrecoverableError(Exception):
@@ -280,10 +279,10 @@ def decode(
     return DecodeReport(recovered, peeling_sufficed, xor_count, elimination_ops)
 
 
-def sweep_pairs(masks, nvars: int) -> MdsResult:
+def _sweep(masks, nvars: int, orbits: bool) -> MdsResult:
     """Full-rank check of the cell masks in every pair of surviving columns
-    of a bare mask grid (rows of per-column masks over nvars bit positions),
-    in lexicographic pair order, stopping at the first hole; the witness is
+    of a mask grid (rows of per-column masks over nvars bit positions), in
+    lexicographic pair order, stopping at the first hole; the witness is
     that pair's erased complement.
 
     Column a is reduced to an echelon basis once and shared by every pair
@@ -292,23 +291,15 @@ def sweep_pairs(masks, nvars: int) -> MdsResult:
     masks are dependent, so gf2.extend gets that slack and stops at the
     first dependent mask past it.
 
-    When every row passes rotates_with_rings (verify_mds reads
-    CodeArray.rotates), column c + 1 is column c relabelled by a bit
-    permutation, so the pair {a, b} has the rank of {0, d}, d the circular
-    distance between a and b, and only (0, 1) .. (0, v2 // 2) are swept,
-    over the first v2 // 2 + 1 columns. The first failing pair in
-    lexicographic order is then (0, d*), d* the least failing distance, so
-    the witness and patterns_checked (d* on a failure, C(v2, 2) on success:
-    the pairs covered) are those of the full sweep. Any other grid,
-    contracted or hand-built, has every pair swept, over the columns zip
-    reads.
+    orbits is CodeArray.built (verify_mds): turning every ring one position
+    moves each row of a built grid one cell to the side, so column c + 1 is
+    column c with its bits permuted, the pair {a, b} has the rank of {0, d},
+    d the circular distance of a and b, and only (0, 1) .. (0, v2 // 2) are
+    swept. The first failing pair in lexicographic order is then (0, d*), d*
+    the least failing distance, so the witness and patterns_checked (d* on a
+    failure, C(v2, 2) on success: the pairs covered) are the full sweep's.
+    Any other grid has every pair swept, over the columns zip reads.
     """
-    v2 = len(masks[0]) if masks else 0
-    return _sweep(masks, nvars, rotates_with_rings(masks, v2, nvars))
-
-
-def _sweep(masks, nvars: int, orbits: bool) -> MdsResult:
-    """sweep_pairs, told whether the grid passes rotates_with_rings."""
     v2 = len(masks[0]) if masks else 0
     read = itertools.islice(zip(*masks), v2 // 2 + 1 if orbits else None)
     columns = [[m for m in column if m] for column in read]
@@ -335,7 +326,7 @@ def verify_mds(array: CodeArray) -> MdsResult:
     """
     if array.is_dual():
         raise ValueError("verify_mds expects a primal array; use verify_dual_mds")
-    return _sweep(array.masks, len(array.info_ids()), array.rotates)
+    return _sweep(array.masks, len(array.info_ids()), array.built)
 
 
 def verify_dual_mds(array: CodeArray) -> MdsResult:
@@ -348,15 +339,14 @@ def verify_dual_mds(array: CodeArray) -> MdsResult:
     v1*v2 cells, the primal dimension. So the dual fails on the erased pair
     E exactly when the primal fails on the survivor pair E: the verdict and
     patterns_checked are verify_mds's, and the witness is the primal's
-    failing survivor pair. A dual is dualized back first, which for a built
-    dual lays out only the primal. Raises ValueError on a grid that is
-    contracted, punctured (an empty cell) or not rotating.
+    failing survivor pair. A dual is dualized back first, which lays out
+    only the primal. Raises ValueError on a contracted array and on any
+    other grid that is not built (CodeArray.built): a punctured one, whose
+    column pairs hold fewer cells, or one its header does not describe.
     """
     require_cgr_layout(array, "verify_dual_mds")
-    if not array.full:
-        raise ValueError("verify_dual_mds expects a grid with no empty cell, not a punctured one")
-    if not array.rotates:
-        raise ValueError("verify_dual_mds expects a CGR layout, not a full grid that does not rotate")
+    if not array.built:
+        raise ValueError("verify_dual_mds expects a full grid that its header describes")
     primal = dualize(array) if array.is_dual() else array
     return dual_verdict(verify_mds(primal), array.num_columns)
 

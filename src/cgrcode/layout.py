@@ -1,14 +1,16 @@
 """Array layout: the code array as a GF(2) mask grid, and its row rotation.
 
 A cell is an int mask over the variables it XORs (0 when empty), so a
-variable's id is its bit position. The unshifted grid stacks the vertex,
+variable's id is its bit position. The unshifted rows stack the vertex,
 ring-edge and inter-ring edge rows of the CGR graph (map_unshifted), the
-dual's swaps vertex and edge roles (dual_unshifted; both from bit_rows), and
+dual's swap vertex and edge roles (dual_unshifted; both from bit_rows), and
 the offset vector rotates each row left by its entry. A built array, from
 build_code_array or dualize, is its header: params, offsets and whether it
 is the dual, with what it has by construction stored (_built). Its grid is
-laid out on first read of CodeArray.masks, once. CodeArray.rows shows the
-grid as Cells. A contracted array (bcode.contract) is a narrower one.
+laid out on first read of CodeArray.masks, once. CodeArray.built, whether
+a header describes the grid, is the one test of a CGR layout that dualize
+and verification trust. CodeArray.rows shows the grid as Cells. A
+contracted array (bcode.contract) is a narrower one.
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ class CodeArray(Value):
     @computed_once
     def masks(self) -> tuple[tuple[int, ...], ...]:
         """A built array's grid: its code's unshifted rows rotated by its offsets."""
-        unshifted = dual_unshifted(self.params) if self._dual else map_unshifted(self.params).masks
+        unshifted = dual_unshifted(self.params) if self._dual else map_unshifted(self.params)
         return tuple(map(tuple, rotate_rows(unshifted, self.offsets)))
 
     @property
@@ -226,27 +228,18 @@ class CodeArray(Value):
         return tuple(sorted(m.bit_length() - 1 for m in singles))
 
     @computed_once
-    def rotates(self) -> bool:
-        """Whether the grid passes rotates_with_rings: stored by _built, else scanned."""
-        return rotates_with_rings(self.masks, self.num_columns, len(self._ids))
-
-    @computed_once
-    def full(self) -> bool:
-        """Whether no cell is empty: stored by _built, else scanned."""
-        return all(map(all, self.masks))
-
-    @computed_once
     def built(self) -> bool:
         """Whether the grid is build_code_array(params, offsets) or its dual, which
         a header describes: stored by _built, else checked (a field-equal copy reads True).
-        A grid with an empty cell, which no built array has, reads False with no build."""
-        if self.source_columns is not None or not self.full:
+        A grid with an empty cell, which no built array has, reads False with no build.
+        dualize and verification trust no other test of a CGR layout."""
+        if self.source_columns is not None or not all(map(all, self.masks)):
             return False
         try:
             primal = build_code_array(self.params, self.offsets)
         except (TypeError, ValueError):  # offsets that are no vector for params
             return False
-        return self.masks == (dualize(primal) if self.is_dual() else primal).masks
+        return tuple(map(tuple, self.masks)) == (dualize(primal) if self.is_dual() else primal).masks
 
     def is_dual(self) -> bool:
         """True when parity cells are wider than 2 (vertex/edge roles swapped):
@@ -276,18 +269,17 @@ def bit_rows(nbits: int, v2: int) -> list[list[int]]:
     return [bit[t : t + v2] for t in range(0, nbits, v2)]
 
 
-def map_unshifted(params: CgrParams) -> CodeArray:
-    """Lay CGR(K_v1, C_v2) out with zero shifts, labelled as build_cgr labels
-    it: the V_j rows, then the edge list cut into rows of v2 (each ring and
-    each ring pair has exactly v2 edges), so the parity rows are the E_j
-    rows, then the inter-ring rows lexicographically. Ring j's vertex k is
-    bit j*v2 + k: the vertex rows are bit_rows, and a parity cell the OR of
-    two of their entries."""
+def map_unshifted(params: CgrParams) -> list[list[int]]:
+    """The rows of CGR(K_v1, C_v2) laid out with zero shifts, labelled as
+    build_cgr labels it: the V_j rows, then the edge list cut into rows of
+    v2 (each ring and each ring pair has exactly v2 edges), so the parity
+    rows are the E_j rows, then the inter-ring rows lexicographically. Ring
+    j's vertex k is bit j*v2 + k: the vertex rows are bit_rows, and a parity
+    cell the OR of two of their entries."""
     require_buildable(params)
     vertex = bit_rows(params.num_vertices, params.v2)
     rows = vertex + [[a | b for a, b in zip(row, row[1:] + row[:1])] for row in vertex]
-    rows += [[a | b for a, b in zip(x, y)] for x, y in itertools.combinations(vertex, 2)]
-    return CodeArray(params, OffsetVector.zeros(params), tuple(map(tuple, rows)))
+    return rows + [[a | b for a, b in zip(x, y)] for x, y in itertools.combinations(vertex, 2)]
 
 
 def dual_unshifted(params: CgrParams) -> list[list[int]]:
@@ -314,28 +306,27 @@ def dualize(array: CodeArray) -> CodeArray:
     Each nonempty cell becomes the other code's cell at its unshifted
     position: the result is the other code's unshifted grid (map_unshifted
     or dual_unshifted) rotated by the array's offsets, with the array's
-    empty cells kept empty. A full grid (no empty cell) that rotates, built
-    ones included, is read by its header: the result is the other code's
-    built array, laid out only when read. Applying dualize twice restores
-    the array. Raises ValueError on a contracted array, on a full grid that
-    does not rotate or whose offsets are no vector for its rows, and, before
-    any layout, on a dual over MAX_LAYOUT_BITS.
+    empty cells kept empty. A built array or its dual (CodeArray.built) is
+    read by its header, and its result is the other code's built array,
+    laid out only when read. Any other grid must be a built grid of its
+    header with cells emptied, a punctured one say. Applying dualize twice
+    restores the array. Raises ValueError on a contracted array, on any
+    other grid, and, before any layout, on a result over MAX_LAYOUT_BITS.
     """
     require_cgr_layout(array, "dualize")
     params, dual = array.params, array.is_dual()
-    if not array.full:
-        other = map_unshifted(params).masks if dual else dual_unshifted(params)
-        rotated = zip(array.masks, rotate_rows(other, array.offsets))
-        masks = tuple(tuple(n if m else 0 for m, n in zip(row, new)) for row, new in rotated)
-        return CodeArray(params, array.offsets, masks)
-    if not array.rotates:
-        raise ValueError("dualize expects a CGR layout, not a full grid that does not rotate")
+    require_buildable(params, dual=not dual)
+    if array.built:
+        return _built(params, OffsetVector(array.offsets), not dual)
     offsets = OffsetVector(array.offsets or ())
     offsets.validate_for(params)
-    if array.num_rows != params.num_rows:
-        raise ValueError(f"dualize expects a CGR layout, not a full grid of {array.num_rows} rows")
-    require_buildable(params, dual=not dual)
-    return _built(params, offsets, not dual)
+    own = itertools.chain(*_built(params, offsets, dual).masks)
+    shaped = [len(row) for row in array.masks] == [params.v2] * params.num_rows
+    if not shaped or any(m and m != o for m, o in zip(itertools.chain(*array.masks), own)):
+        raise ValueError("dualize expects a grid its header describes, up to emptied cells")
+    rows = zip(array.masks, _built(params, offsets, not dual).masks)
+    masks = tuple(tuple(n if m else 0 for m, n in zip(row, new)) for row, new in rows)
+    return CodeArray(params, array.offsets, masks)
 
 
 def build_code_array(params: CgrParams, offsets) -> CodeArray:
@@ -349,37 +340,17 @@ def build_code_array(params: CgrParams, offsets) -> CodeArray:
 
 def _built(params: CgrParams, offsets: OffsetVector, dual: bool) -> CodeArray:
     """The header-only array of the primal, or of the dual, that offsets
-    rotate, with what it has by construction stored: it is dual or not, is
-    full, rotates and is built, and its ids are 0..nvars-1. CodeArray.masks
-    lays its grid out when first read."""
+    rotate, with what it has by construction stored: it is dual or not and
+    is built, and its ids are 0..nvars-1. CodeArray.masks lays its grid out
+    when first read."""
     nvars = (params.num_rows - params.v1) * params.v2 if dual else params.num_vertices
     array = CodeArray.__new__(CodeArray)
     for name, value in (
         ("params", params), ("offsets", offsets), ("source_columns", None), ("_dual", dual),
-        ("full", True), ("rotates", True), ("built", True), ("_ids", range(nvars)),
+        ("built", True), ("_ids", range(nvars)),
     ):
         object.__setattr__(array, name, value)
     return array
-
-
-def rotates_with_rings(masks, v2: int, nvars: int) -> bool:
-    """True when every row has length v2 and row[(c + 1) % v2] == sigma(row[c]),
-    where sigma moves bit j*v2 + k to j*v2 + (k + 1) % v2: the image, on the
-    mask grid, of rotating every ring of the graph by one position. sigma
-    permutes the bits of the blocks that cover nvars, and a grid that passes
-    holds only images of sigma, so it moves each column onto the next one
-    as a linear bijection."""
-    if not v2:
-        return False
-    unit = sum(1 << j for j in range(0, nvars, v2))
-    hi = unit << (v2 - 1)
-    keep = hi - unit
-    for row in masks:
-        if len(row) != v2:
-            return False
-        if [((m & keep) << 1) | ((m & hi) >> (v2 - 1)) for m in row] != [*row[1:], row[0]]:
-            return False
-    return True
 
 
 def rotate_rows(rows, offsets) -> tuple:
@@ -391,17 +362,6 @@ def require_cgr_layout(array: CodeArray, name: str) -> None:
     """Raise ValueError when array is contracted: name needs the CGR layout."""
     if array.source_columns is not None:
         raise ValueError(f"{name} expects a CGR-layout array, not a contracted one")
-
-
-def apply_offsets(array: CodeArray, offsets) -> CodeArray:
-    """Rotate row r left by offsets[r]; composes additively mod v2. Raises
-    ValueError on a contracted array. Not a builder: the result scans
-    rotates and its ids on first read."""
-    require_cgr_layout(array, "apply_offsets")
-    off = OffsetVector(offsets)
-    off.validate_for(array.params)
-    combined = OffsetVector((a + b) % array.params.v2 for a, b in zip(array.offsets, off))
-    return CodeArray(array.params, combined, rotate_rows(array.masks, off))
 
 
 def canonical_prefix(v1: int) -> tuple[int, ...]:

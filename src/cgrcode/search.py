@@ -5,10 +5,8 @@ from __future__ import annotations
 import math
 
 from . import gf2
-from .code import MdsResult, verify_mds
-from .fixtures import BUILTIN_VECTORS
 from .graph import CgrParams, Value
-from .layout import OffsetVector, build_code_array, canonical_prefix, map_unshifted
+from .layout import OffsetVector, canonical_prefix, map_unshifted
 from .rng import MASK64, Lcg, jump
 
 DEFAULT_BUDGET = 10**7
@@ -114,7 +112,7 @@ def search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> tuple[list[OffsetV
     # row), mod v2 = v1 + 3. As j < v1 and 1 <= d <= v2 // 2, neither edge is
     # {j, j + d}, and the edges XOR to four bits, or to {v1, v1 + 2} when
     # d = 1: no XOR of the four masks is 0.
-    doubled = [row + row for row in map_unshifted(params).masks]
+    doubled = [row + row for row in map_unshifted(params)]
     distances = range(1, v2 // 2 + 1)
     bases = [{} for _ in distances]
     for row, k in zip(doubled, prefix):
@@ -231,14 +229,3 @@ def _exhaustive(
             break
         vectors += sorted(OffsetVector((a + c) % v2 for a in vec) for vec in found)
     return vectors[:stop_after], SearchStats(v2 * trials, v2 * hits, space, nodes)
-
-
-def validate_fixture_set(vectors: dict[str, tuple[int, ...]] | None = None) -> dict[str, MdsResult]:
-    """Per-vector MDS verdict; defaults to the built-in vector set."""
-    if vectors is None:
-        vectors = BUILTIN_VECTORS
-    results: dict[str, MdsResult] = {}
-    for name, vec in vectors.items():
-        params = params_for_offset_length(len(tuple(vec)))
-        results[name] = verify_mds(build_code_array(params, vec))
-    return results

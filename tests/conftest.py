@@ -7,7 +7,18 @@ from pathlib import Path
 
 import pytest
 
-from cgrcode import BUILTIN_VECTORS, POS_INF, CgrParams, CodeArray, build_code_array
+from cgrcode import (
+    BUILTIN_VECTORS,
+    POS_INF,
+    CgrParams,
+    CodeArray,
+    OffsetVector,
+    build_code_array,
+    derive_offsets,
+    dualize,
+    pif_factorize,
+    puncture,
+)
 from cgrcode.cli import mask_records
 from cgrcode.rng import Lcg
 from cgrcode.search import params_for_offset_length
@@ -83,6 +94,22 @@ V2_MUTATIONS = [
     lambda o: o["offset_vector"].__setitem__(0, 1e400),
     lambda o: o["offset_vector"].__setitem__(4, 4.9),
 ]
+
+
+def mislabelled_v1_4_grids() -> dict[str, CodeArray]:
+    """v1 = 4 grids whose header does not describe them: the primal and the
+    dual laid out at zero offsets under a header of the canonical offsets,
+    and the punctured canonical primal under a header of zero offsets. Each
+    is a grid of the right shape and kind, and none is CodeArray.built."""
+    params = CgrParams.from_v1(4)
+    canonical = derive_offsets(pif_factorize(4))
+    zeros = OffsetVector.zeros(params)
+    at_zero = build_code_array(params, zeros)
+    return {
+        "primal": CodeArray(params, canonical, at_zero.masks),
+        "dual": CodeArray(params, canonical, dualize(at_zero).masks),
+        "punctured": CodeArray(params, zeros, puncture(build_code_array(params, canonical)).masks),
+    }
 
 
 def random_bits(array: CodeArray, seed: int) -> dict[int, int]:

@@ -15,7 +15,6 @@ from cgrcode import (
     ErasurePattern,
     OffsetVector,
     UnrecoverableError,
-    apply_offsets,
     build_code_array,
     contract,
     decode,
@@ -30,7 +29,7 @@ from cgrcode import (
 )
 from cgrcode.cli import render_array_text, render_cell
 from cgrcode.rng import Lcg
-from conftest import builtin_array, placements_and_pis
+from conftest import builtin_array, mislabelled_v1_4_grids, placements_and_pis
 
 
 def test_puncture_two_ring_array(k2_array):
@@ -227,13 +226,12 @@ def test_verify_contracted_needs_two_columns(k2_array):
 @pytest.mark.parametrize(
     "transform",
     [
-        lambda a: apply_offsets(a, (1,) * a.params.num_rows),
         dualize,
         puncture,
         contract,
         verify_dual_mds,
     ],
-    ids=["apply_offsets", "dualize", "puncture", "contract", "verify_dual_mds"],
+    ids=["dualize", "puncture", "contract", "verify_dual_mds"],
 )
 def test_cgr_layout_transforms_reject_a_contracted_array(k4a_array, transform):
     # Each reads rows by the CGR layout, which a contracted grid has lost.
@@ -243,10 +241,12 @@ def test_cgr_layout_transforms_reject_a_contracted_array(k4a_array, transform):
 
 def test_verify_dual_mds_rejects_a_punctured_array(k4a_array):
     # Its column pairs hold fewer than v1 * v2 cells, so the dual's verdict
-    # cannot be read off the primal's.
+    # cannot be read off the primal's. A punctured grid is not built, and
+    # neither is one whose header does not describe it.
     punctured = puncture(k4a_array)
-    for grid in (punctured, dualize(punctured)):
-        with pytest.raises(ValueError, match="no empty cell"):
+    for grid in (punctured, dualize(punctured), *mislabelled_v1_4_grids().values()):
+        assert not grid.built
+        with pytest.raises(ValueError, match="expects a full grid that its header describes"):
             verify_dual_mds(grid)
 
 

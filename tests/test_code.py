@@ -39,10 +39,10 @@ from cgrcode import (
     verify_mds,
 )
 from cgrcode import gf2
-from cgrcode.code import sweep_pairs
+from cgrcode.code import _sweep
 from cgrcode.layout import bits_of, rotate_rows
 from cgrcode.rng import Lcg
-from conftest import builtin_array, random_bits
+from conftest import builtin_array, mislabelled_v1_4_grids, random_bits
 
 
 def test_erasure_pattern_helpers(k2_params):
@@ -605,20 +605,28 @@ def test_verify_dual_mds(k2_array):
 
 def test_dualize_and_verify_dual_mds_refuse_a_full_grid_that_does_not_rotate():
     # The v1 = 4 canonical array with bit 5 of cell (10, 0) flipped has no
-    # empty cell, so dualize reads none of its masks: without the rotation
-    # check it would return the built dual, which verifies where the grid fails.
+    # empty cell, so dualize would read none of its masks: were it read by
+    # its header, its dual would verify where the grid fails. So would the
+    # primal and dual laid out at zero offsets under the canonical header,
+    # which rotate with the rings; the dual once verified as MDS although
+    # decode failed on every one- and two-column erasure.
     params = CgrParams.from_v1(4)
     array = build_code_array(params, derive_offsets(pif_factorize(4)))
     dual = dualize(array)
+    grids = []
     for source in (array, dual):
         masks = [list(row) for row in source.masks]
         masks[10][0] ^= 1 << 5
-        grid = CodeArray(params, source.offsets, tuple(map(tuple, masks)))
-        assert all(map(all, grid.masks)) and not grid.rotates
-        for check in (dualize, verify_dual_mds):
-            with pytest.raises(ValueError, match="not a full grid that does not rotate"):
-                check(grid)
-    # A hand-built grid that does rotate is read by its header.
+        grids.append(CodeArray(params, source.offsets, tuple(map(tuple, masks))))
+    mislabelled = mislabelled_v1_4_grids()
+    grids += [mislabelled["primal"], mislabelled["dual"]]
+    for grid in grids:
+        assert all(map(all, grid.masks)) and not grid.built
+        with pytest.raises(ValueError, match="dualize expects a grid its header describes"):
+            dualize(grid)
+        with pytest.raises(ValueError, match="verify_dual_mds expects a full grid that its header"):
+            verify_dual_mds(grid)
+    # A hand-built copy of a built array is read by its header.
     copy = CodeArray(params, array.offsets, array.masks)
     assert dualize(copy) == dual and verify_dual_mds(copy) == verify_dual_mds(array)
 
@@ -678,7 +686,7 @@ def test_sweeps_match_a_full_rank_reference(v1):
 
 
 def _residual_rank_sweep(masks, nvars):
-    """MdsResult of the unit/wide pair sweep that sweep_pairs replaced: each
+    """MdsResult of the unit/wide pair sweep that _sweep replaced: each
     column split once into the OR of its single-bit masks and its wider
     masks, and a pair's rank taken as its known bits plus the rank of its
     wider masks with those bits cleared."""
@@ -701,7 +709,8 @@ def _residual_rank_sweep(masks, nvars):
 @pytest.mark.parametrize("v1", [2, 4, 6])
 def test_sweep_pairs_matches_the_residual_rank_sweep(v1):
     # Seeded rotated grids: the canonical vector and copies of it with one to
-    # three entries redrawn (some MDS, most not), and every contraction (mostly MDS) as
+    # three entries redrawn (some MDS, most not), each swept by rotation orbit
+    # as verify_mds sweeps a built array, and every contraction (mostly MDS) as
     # it is, with one column cut short and with one column given another
     # column's cell as well; zip_longest fills the short columns with empty
     # cells, and the long column leaves slack to spare.
@@ -735,7 +744,7 @@ def test_sweep_pairs_matches_the_residual_rank_sweep(v1):
     for kind, corpus in kinds.items():
         verdicts = set()
         for grid, nvars in corpus:
-            result = sweep_pairs(grid, nvars)
+            result = _sweep(grid, nvars, kind == "primal")
             assert result == _residual_rank_sweep(grid, nvars), kind
             verdicts.add(result.is_mds)
         assert verdicts == {True, False} or kind == "contracted" and True in verdicts, kind

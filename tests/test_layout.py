@@ -17,7 +17,6 @@ from cgrcode import (
     CodeArray,
     Factorization,
     OffsetVector,
-    apply_offsets,
     build_cgr,
     build_code_array,
     contract,
@@ -28,8 +27,14 @@ from cgrcode import (
     puncture,
 )
 from cgrcode.codespec import from_json, from_obj, to_json
-from cgrcode.layout import MAX_LAYOUT_BITS, canonical_prefix, require_buildable, rotate_rows
-from conftest import placements_and_pis
+from cgrcode.layout import (
+    MAX_LAYOUT_BITS,
+    canonical_prefix,
+    cell_members,
+    require_buildable,
+    rotate_rows,
+)
+from conftest import mislabelled_v1_4_grids, placements_and_pis
 
 
 def test_cell_constructors():
@@ -63,7 +68,8 @@ def test_lazy_views_are_computed_once_and_change_no_comparison():
     assert array == twin and twin == array
     assert CodeArray.plan.__doc__.startswith("The mask grid compiled for the codec")
     # built: stored by build_code_array, dualize and from_json; any other
-    # grid checks it on first read, so a field-equal copy reads True.
+    # grid checks it on first read, so a field-equal copy reads True, its
+    # rows held as lists or as tuples.
     dual = dualize(array)
     for stored in (array, dual, dualize(dual), from_json(to_json(array)), from_json(to_json(dual))):
         assert vars(stored)["built"] is True
@@ -71,7 +77,10 @@ def test_lazy_views_are_computed_once_and_change_no_comparison():
     flipped = [list(row) for row in array.masks]
     flipped[2][0] ^= 1 << 9  # as in test_to_json_refuses_arrays_no_header_describes
     hand_built = CodeArray(params, array.offsets, tuple(map(tuple, flipped)))
-    expected = [(twin, True), (dual_twin, True), (apply_offsets(array, [1] * params.num_rows), True)]
+    plus_one = tuple((k + 1) % params.v2 for k in array.offsets)
+    at_sum = CodeArray(params, plus_one, rotate_rows(array.masks, [1] * params.num_rows))
+    as_lists = CodeArray(params, array.offsets, [list(row) for row in array.masks])
+    expected = [(twin, True), (dual_twin, True), (at_sum, True), (as_lists, True)]
     expected += [(hand_built, False), (puncture(array), False), (contract(array), False)]
     for grid, built in expected:
         assert "built" not in vars(grid)
@@ -129,7 +138,7 @@ def test_header_only_arrays_lay_out_the_grid_they_describe(header, other, same):
     if dual:
         assert array.masks == _reference_dual_masks(params, vector)
     else:
-        assert array.masks == rotate_rows(map_unshifted(params).masks, vector)
+        assert array.masks == tuple(map(tuple, rotate_rows(map_unshifted(params), vector)))
     assert (array.masks == twin.masks) is (header == other)
     assert (array == twin) is (header == other) and (twin == array) is (header == other)
     assert again.masks == array.masks and again == array
@@ -162,15 +171,13 @@ def test_repeated_info_cells_count_once():
 
 
 def test_unshifted_two_ring_layout():
-    array = map_unshifted(CgrParams.from_v1(2))
-    assert array.num_rows == 5
-    assert array.num_columns == 5
-    assert [cell.vertices[0] for cell in array.rows[0]] == [0, 1, 2, 3, 4]
-    assert [cell.vertices[0] for cell in array.rows[1]] == [5, 6, 7, 8, 9]
-    assert [cell.vertices for cell in array.rows[2]] == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
-    assert [cell.vertices for cell in array.rows[4]] == [(0, 5), (1, 6), (2, 7), (3, 8), (4, 9)]
-    assert array.info_ids() == list(range(10))
-    assert not array.is_dual()
+    rows = map_unshifted(CgrParams.from_v1(2))
+    assert [len(row) for row in rows] == [5] * 5
+    members = [[cell_members(m, 5) for m in row] for row in rows]
+    assert members[0] == [[0], [1], [2], [3], [4]]
+    assert members[1] == [[5], [6], [7], [8], [9]]
+    assert members[2] == [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]
+    assert members[4] == [[0, 5], [1, 6], [2, 7], [3, 8], [4, 9]]
 
 
 @pytest.mark.parametrize("v1", range(2, 25, 2))
@@ -204,35 +211,6 @@ def test_variable_ids_are_bit_positions(v1):
                 e = (r - v1) * v2 + u
                 assert primal_cell.vertex_set == set(edges[e])
                 assert dual_cell.vertices == (e,)
-
-
-def test_apply_offsets_rotates_left():
-    base = map_unshifted(CgrParams.from_v1(2))
-    shifted = apply_offsets(base, (0, 1, 0, 0, 0))
-    assert [cell.vertices[0] for cell in shifted.rows[1]] == [6, 7, 8, 9, 5]
-    assert tuple(shifted.offsets) == (0, 1, 0, 0, 0)
-
-
-def test_apply_offsets_composes_additively():
-    base = map_unshifted(CgrParams.from_v1(2))
-    once = apply_offsets(apply_offsets(base, (0, 1, 2, 2, 4)), (1, 1, 1, 1, 1))
-    combined = apply_offsets(base, (1, 2, 3, 3, 0))
-    assert once == combined
-
-
-@pytest.mark.parametrize("v1", [2, 4, 6])
-@settings(derandomize=True, database=None, max_examples=10, deadline=None)
-@given(data=st.data())
-def test_apply_offsets_to_a_built_array_is_the_array_built_at_the_sum(v1, data):
-    params = CgrParams.from_v1(v1)
-    n = params.num_rows
-    vectors = st.lists(st.integers(0, params.v2 - 1), min_size=n, max_size=n)
-    built = build_code_array(params, data.draw(vectors))
-    rotated = apply_offsets(built, data.draw(vectors))
-    rebuilt = build_code_array(params, rotated.offsets)
-    assert rotated.masks == rebuilt.masks
-    assert rotated.rotates is rebuilt.rotates is True
-    assert rotated.info_ids() == rebuilt.info_ids()
 
 
 def test_build_code_array_checks_the_vector_before_any_layout(monkeypatch):
@@ -282,19 +260,22 @@ def test_oversize_duals_are_refused_before_any_layout(monkeypatch):
 
 
 def test_dualize_refuses_a_full_grid_its_offsets_do_not_describe():
-    # dualize reads a full rotating grid by its header, so the header must
-    # fit the grid: a 3-entry vector for a 5-row v1 = 2 grid once gave a
-    # dual whose num_rows read 5 while its masks held 3 rows.
+    # A built grid is read by its header, so the header must describe the
+    # grid: a 3-entry vector for a 5-row v1 = 2 grid once gave a dual whose
+    # num_rows read 5 while its masks held 3 rows, and a grid laid out at
+    # other offsets than its header's once gave a dual that was not its own.
     params = CgrParams.from_v1(2)
     built = build_code_array(params, (0, 1, 2, 2, 4))
     cases = [
         ((0, 1, 2), built.masks, "offset vector length 3 != row count 5"),
         (None, built.masks, "offset vector length 0 != row count 5"),
-        (built.offsets, built.masks[:3], "not a full grid of 3 rows"),
+        (built.offsets, built.masks[:3], "dualize expects a grid its header describes"),
     ]
-    for offsets, masks, message in cases:
-        grid = CodeArray(params, offsets, masks)
-        assert grid.full and grid.rotates and not grid.built
+    grids = [(CodeArray(params, offsets, masks), message) for offsets, masks, message in cases]
+    mislabelled = mislabelled_v1_4_grids().values()
+    grids += [(grid, "dualize expects a grid its header describes") for grid in mislabelled]
+    for grid, message in grids:
+        assert not grid.built
         with pytest.raises(ValueError, match=message):
             dualize(grid)
         with pytest.raises(ValueError, match="only a built array or its dual"):

@@ -16,7 +16,6 @@ from cgrcode import (
     SearchStats,
     build_code_array,
     search,
-    validate_fixture_set,
     verify_mds,
 )
 from cgrcode.rng import MASK64, Lcg, jump
@@ -238,12 +237,10 @@ def test_budget_guard_fails_fast_on_a_huge_space():
     assert time.perf_counter() - start < 2
 
 
-def test_validate_fixture_set_defaults():
-    results = validate_fixture_set()
-    assert set(results) == set(BUILTIN_VECTORS)
-    assert all(res.is_mds for res in results.values())
-
-
-def test_validate_fixture_set_flags_bad_vector():
-    results = validate_fixture_set({"zeros": (0, 0, 0, 0, 0)})
-    assert not results["zeros"].is_mds
+def test_builtin_vectors_are_mds_and_the_all_zero_vector_is_not():
+    vectors = {**BUILTIN_VECTORS, "zeros": (0, 0, 0, 0, 0)}
+    verdicts = {
+        name: verify_mds(build_code_array(params_for_offset_length(len(vec)), vec)).is_mds
+        for name, vec in vectors.items()
+    }
+    assert verdicts == {name: name != "zeros" for name in vectors}

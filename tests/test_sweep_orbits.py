@@ -14,7 +14,6 @@ from cgrcode import (
     BUILTIN_VECTORS,
     CgrParams,
     CodeArray,
-    apply_offsets,
     build_code_array,
     contract,
     derive_offsets,
@@ -25,10 +24,10 @@ from cgrcode import (
     verify_mds,
 )
 from cgrcode.cli import main
-from cgrcode.code import sweep_pairs
-from cgrcode.layout import canonical_prefix, map_unshifted, rotate_rows, rotates_with_rings
+from cgrcode.layout import canonical_prefix, map_unshifted, rotate_rows
 from cgrcode.rng import Lcg
 from cgrcode.search import _place
+from conftest import mislabelled_v1_4_grids
 from test_code import _reference_sweep
 
 
@@ -37,64 +36,82 @@ def _canonical(v1: int):
     return build_code_array(params, derive_offsets(pif_factorize(v1)))
 
 
+def _rotates(masks, v2: int, nvars: int) -> bool:
+    """Whether every row has v2 cells and row[(c + 1) % v2] is row[c] with
+    bit j*v2 + k moved to j*v2 + (k + 1) % v2, for every ring j: the image,
+    on the grid, of turning every ring of the graph one position."""
+    unit = sum(1 << j for j in range(0, nvars, v2))
+    hi = unit << (v2 - 1)
+    keep = hi - unit
+    for row in masks:
+        turned = [(m & keep) << 1 | (m & hi) >> (v2 - 1) for m in row]
+        if len(row) != v2 or turned != [*row[1:], row[0]]:
+            return False
+    return True
+
+
 @pytest.mark.parametrize("v1", range(2, 26, 2))
 @settings(derandomize=True, database=None, max_examples=4, deadline=None)
 @given(data=st.data())
 def test_built_and_dual_grids_rotate_with_the_rings(v1, data):
-    # A built array, its dual and double dual store rotates and their ids
-    # from construction, and a built array rotated again scans them; each
-    # must equal what a fresh CodeArray of the same grid scans.
+    # A built array, its dual and double dual store built and their ids from
+    # construction; a fresh CodeArray of the same grid must compute the same,
+    # and every one of these grids must rotate with the rings, which is what
+    # the orbit sweep of a built array rests on. At v1 <= 8 the orbit sweep
+    # must also match the full-rank reference over every pair.
     params = CgrParams.from_v1(v1)
     n = params.num_rows
     vectors = st.lists(st.integers(0, params.v2 - 1), min_size=n, max_size=n)
     array = build_code_array(params, data.draw(vectors))
     dual = dualize(array)
     built = (array, dual, dualize(dual))
-    rotated = apply_offsets(array, data.draw(vectors))
-    assert all({"rotates", "_ids"} <= vars(grid).keys() for grid in built)
-    assert not {"rotates", "_ids"} & vars(rotated).keys()
-    for grid in (*built, rotated):
+    assert all({"built", "_ids"} <= vars(grid).keys() for grid in built)
+    for grid in built:
         fresh = CodeArray(params, grid.offsets, grid.masks)
-        assert grid.rotates is fresh.rotates is True
+        assert grid.built is fresh.built is True
         assert grid.info_ids() == fresh.info_ids()
+        assert _rotates(grid.masks, params.v2, len(grid.info_ids()))
+    if v1 <= 8:
+        pairs = list(itertools.combinations(range(params.v2), 2))
+        result = verify_mds(array)
+        witness = result.witness and set(result.witness.erased_columns)
+        expected = _reference_sweep(list(zip(*array.masks)), len(array.info_ids()), pairs)
+        assert (result.is_mds, witness, result.patterns_checked) == expected
 
 
 @pytest.mark.parametrize("v1", [2, 4, 6])
 def test_other_grids_scan_for_the_symmetry(v1):
-    # Punctured, contracted and hand-built grids store no fact until read,
-    # and apply_offsets stores none, whatever its input has stored.
+    # Punctured, contracted and hand-built grids store no built fact until
+    # read. A hand-built copy of a built array is built; a grid laid out at
+    # other offsets than its header's rotates with the rings but is not.
     array = _canonical(v1)
+    params = array.params
     flipped = [list(row) for row in array.masks]
     flipped[-1][0] ^= 1
-    hand_built = CodeArray(array.params, array.offsets, array.masks)
-    punctured = puncture(array)
+    at_zero = build_code_array(params, (0,) * params.num_rows)
     grids = {
-        "punctured": (punctured, False),
-        "dual of punctured": (dualize(punctured), False),
+        "punctured": (puncture(array), False),
+        "dual of punctured": (dualize(puncture(array)), False),
         "contracted": (contract(array), False),
-        "hand-built": (hand_built, True),
-        "flipped": (CodeArray(array.params, array.offsets, tuple(map(tuple, flipped))), False),
+        "hand-built": (CodeArray(params, array.offsets, array.masks), True),
+        "flipped": (CodeArray(params, array.offsets, tuple(map(tuple, flipped))), False),
+        "mislabelled": (CodeArray(params, array.offsets, at_zero.masks), False),
     }
-    for name, (grid, rotates) in grids.items():
-        assert "rotates" not in vars(grid), name
-        assert grid.rotates is rotates, name
-    ones = (1,) * array.params.num_rows
-    unread = CodeArray(array.params, array.offsets, array.masks)
-    built = build_code_array(array.params, array.offsets)
-    for source in (unread, hand_built, built):  # hand_built's rotates was read above
-        rotated = apply_offsets(source, ones)
-        assert not {"rotates", "_ids"} & vars(rotated).keys()
-        assert rotated.rotates is True
+    for name, (grid, built) in grids.items():
+        assert "built" not in vars(grid), name
+        assert grid.built is built, name
+    assert _rotates(grids["mislabelled"][0].masks, params.v2, params.num_vertices)
+    assert not _rotates(grids["flipped"][0].masks, params.v2, params.num_vertices)
 
 
 def test_pairs_swept_counts_the_pairs_reduced():
     array = _canonical(18)
     for result in (verify_mds(array), verify_dual_mds(array)):
         assert (result.is_mds, result.patterns_checked, result.pairs_swept) == (True, 210, 10)
-    # A contracted grid (v1 + 1 columns over v1 variables) fails the
-    # rotation check, so every pair covered is a pair reduced.
+    # A contracted grid (v1 + 1 columns over v1 variables) is not built, so
+    # every pair covered is a pair reduced.
     contracted = contract(array)
-    assert not contracted.rotates
+    assert not contracted.built
     result = verify_mds(contracted)
     assert result.is_mds and result.pairs_swept == result.patterns_checked == 171
     # On a failure, (0, d*) is both the d*-th pair covered and the d*-th swept.
@@ -115,34 +132,38 @@ def test_verify_json_prints_pairs_swept(capsys):
 @pytest.mark.parametrize("v1", [2, 4, 6])
 def test_grids_without_the_symmetry_are_swept_in_full(v1):
     # Rotated primal grids, then one bit flipped in one cell or two cells of
-    # a column swapped: either leaves some row that no longer moves one cell
-    # to the side, so the sweep must reduce every pair, and it must agree
-    # with the full-rank reference. A swap keeps each column's masks, so
-    # MDS grids stay MDS; most flips break it.
+    # a column swapped, and at v1 = 4 the primal laid out at zero offsets
+    # under the canonical header: none is built, so verify_mds must reduce
+    # every pair, and it must agree with the full-rank reference. A swap
+    # keeps each column's masks, so MDS grids stay MDS; most flips break it.
     params = CgrParams.from_v1(v1)
     v2 = params.v2
     rng = Lcg(300 + v1)
     unshifted = map_unshifted(params)
-    nvars = len(unshifted.info_ids())
     canonical = tuple(derive_offsets(pif_factorize(v1)))
     pairs = list(itertools.combinations(range(v2), 2))
-    verdicts = set()
+    grids = []
     for trial in range(40):
         vector = list(canonical)
         for _ in range(trial % 3):
             vector[rng.randint(params.num_rows)] = rng.randint(v2)
-        grid = [list(row) for row in rotate_rows(unshifted.masks, vector)]
+        grid = rotate_rows(unshifted, vector)
         c = rng.randint(v2)
         r = rng.randint(len(grid))
         if trial % 2:
-            grid[r][c] ^= 1 << rng.randint(nvars)
+            grid[r][c] ^= 1 << rng.randint(params.num_vertices)
         else:
             s = (r + 1 + rng.randint(len(grid) - 1)) % len(grid)
             grid[r][c], grid[s][c] = grid[s][c], grid[r][c]
-        assert not rotates_with_rings(grid, v2, nvars)
-        result = sweep_pairs(grid, nvars)
+        grids.append(CodeArray(params, tuple(vector), tuple(map(tuple, grid))))
+    if v1 == 4:
+        grids.append(mislabelled_v1_4_grids()["primal"])
+    verdicts = set()
+    for grid in grids:
+        assert not grid.built
+        result = verify_mds(grid)
         witness = result.witness and set(result.witness.erased_columns)
-        expected = _reference_sweep(list(zip(*grid)), nvars, pairs)
+        expected = _reference_sweep(list(zip(*grid.masks)), len(grid.info_ids()), pairs)
         assert (result.is_mds, witness, result.patterns_checked) == expected
         assert result.pairs_swept == result.patterns_checked
         verdicts.add(result.is_mds)
@@ -150,17 +171,18 @@ def test_grids_without_the_symmetry_are_swept_in_full(v1):
 
 
 def test_a_ragged_grid_is_swept_as_zip_reads_it():
-    # A short row of empty cells moves one cell to the side on its own, but
-    # the columns past it do not exist: the sweep reads the grid through
-    # zip, over the first three columns only, as before.
+    # A short row of empty cells leaves the grid unbuilt, and the columns
+    # past it do not exist: the sweep reads the grid through zip, over the
+    # first three columns only.
     array = _canonical(2)
-    grid = [*array.masks, (0, 0, 0)]
+    grid = CodeArray(array.params, array.offsets, (*array.masks, (0, 0, 0)))
     nvars = len(array.info_ids())
-    assert not rotates_with_rings(grid, 5, nvars)
-    result = sweep_pairs(grid, nvars)
+    assert not grid.built and grid.info_ids() == array.info_ids()
+    result = verify_mds(grid)
     pairs = list(itertools.combinations(range(3), 2))
     assert (result.is_mds, result.witness, result.patterns_checked) == (True, None, 3)
-    assert _reference_sweep(list(zip(*grid)), nvars, pairs) == (True, None, 3)
+    assert result.pairs_swept == 3
+    assert _reference_sweep(list(zip(*grid.masks)), nvars, pairs) == (True, None, 3)
 
 
 @pytest.mark.parametrize("v1", [2, 4, 6, 8])
@@ -168,7 +190,7 @@ def test_search_places_every_row_exactly_when_the_array_is_mds(v1):
     # Seeded draws, nearly all of them failing past v1 = 2, and the
     # built-in vectors of this size, all of them MDS.
     params = CgrParams.from_v1(v1)
-    doubled = [row + row for row in map_unshifted(params).masks]
+    doubled = [row + row for row in map_unshifted(params)]
     distances = range(1, params.v2 // 2 + 1)
     rng = Lcg(500 + v1)
     vectors = [tuple(rng.randint(params.v2) for _ in range(params.num_rows)) for _ in range(10)]
@@ -190,7 +212,7 @@ def test_search_places_every_row_exactly_when_the_array_is_mds(v1):
 def test_the_canonical_prefix_places_onto_every_pair_basis(v1):
     # search places the prefix rows once and relies on them placing.
     params = CgrParams.from_v1(v1)
-    doubled = [row + row for row in map_unshifted(params).masks]
+    doubled = [row + row for row in map_unshifted(params)]
     distances = range(1, params.v2 // 2 + 1)
     bases = [{} for _ in distances]
     for row, k in zip(doubled, canonical_prefix(v1)):

@@ -14,6 +14,7 @@ from cgrcode import (
     DecodeReport,
     ErasurePattern,
     MdsResult,
+    OffsetVector,
     SearchSpec,
     SearchStats,
     build_cgr,
@@ -29,6 +30,11 @@ K2_CONTRACTED = (
     "CodeArray(params=CgrParams(v1=2, v2=5), offsets=(0, 1, 2, 2, 4), "
     "masks=((1, 33, 32),), source_columns=(0, 1, 4))"
 )
+
+
+def _unshifted() -> CodeArray:
+    """The v1 = 2 grid laid out at zero offsets, held as a plain grid."""
+    return CodeArray(K2, OffsetVector.zeros(K2), tuple(map(tuple, map_unshifted(K2))))
 
 
 def _contracted() -> CodeArray:
@@ -50,7 +56,7 @@ REPRS = {
     ),
     "Cell": (lambda: Cell((3, 4)), "Cell(vertices=(3, 4))"),
     "CodeArray": (
-        lambda: map_unshifted(K2),
+        _unshifted,
         "CodeArray(params=CgrParams(v1=2, v2=5), offsets=(0, 0, 0, 0, 0), masks=((1, 2, 4, 8, 16), "
         "(32, 64, 128, 256, 512), (3, 6, 12, 24, 17), (96, 192, 384, 768, 544), "
         "(33, 66, 132, 264, 528)), source_columns=None)",
@@ -155,7 +161,7 @@ def test_keyword_construction_and_defaults():
     assert MdsResult(is_mds=True, witness=None, patterns_checked=10, pairs_swept=3).pairs_swept == 3
     assert SearchStats(trials=1, hits=0, space=5).nodes == 0
     assert DecodeReport({}, peeling_sufficed=False, xor_count=0).elimination_xor_count == 0
-    array = map_unshifted(K2)
+    array = _unshifted()
     assert CodeArray(K2, array.offsets, array.masks).source_columns is None
     assert CodeArray(params=K2, offsets=array.offsets, masks=array.masks) == array
     assert Codeword(array=array, cell_values=()).cell_values == ()
@@ -169,7 +175,7 @@ def test_cgr_params_validates_on_construction(v1, v2):
 
 
 def test_cached_views_stay_out_of_repr_and_comparison():
-    array, fresh = map_unshifted(K2), map_unshifted(K2)
+    array, fresh = _unshifted(), _unshifted()
     assert array.rows is array.rows and array.plan is array.plan
     assert array == fresh and hash(array) == hash(fresh)
     assert repr(array) == repr(fresh) == REPRS["CodeArray"][1]
