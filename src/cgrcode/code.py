@@ -6,12 +6,13 @@ lays its grid out on the first of these reads, not when it is built, and
 whether it is the dual or built is read off its header. Cell values are
 XORs of info values, which may be ints of any width: each bit plane is
 coded independently. The codec replays the grid's plan (CodeArray.plan),
-compiled once per array: encoding fills its cells kind by kind; decoding
-seeds known values from the surviving single-bit cells, peels each
-surviving two-bit cell with one unknown as it reads it, sweeps the rest in
-row-major order, stops reading as soon as every value is known, and falls
-back to Gaussian elimination over every surviving cell, entered in
-row-major order, when peeling stalls. Verification (_sweep) checks that
+compiled once per array: encoding computes the parity values and lays
+the grid out with one gather; decoding seeds a list of values by id from
+the surviving single-bit cells, peels each surviving two-bit cell with
+one unknown as it reads it, sweeps the rest in row-major order, stops
+reading as soon as every value is known, and falls back to Gaussian
+elimination over every surviving cell, entered in row-major order, when
+peeling stalls. Verification (_sweep) checks that
 every pair of surviving columns spans the full variable space, reducing
 each column once to a GF(2) basis that every pair it leads extends. A
 built array, primal or dual (CodeArray.built), moves each row one cell to
@@ -121,45 +122,45 @@ class MdsResult(Value):
 
 def encode(array: CodeArray, info_bits: dict[int, int]) -> Codeword:
     """Fill every cell with the XOR of the info values its mask selects,
-    replaying the array's codec plan: a single-bit cell takes its value as
-    is (never 0 ^ value, which would copy a wide value), a two-bit cell
-    takes one XOR, and a wider cell one XOR per further member. Values are
-    indexed by id, the bit position the plan holds."""
-    ids = array.info_ids()
-    required = set(ids)
+    replaying the array's codec plan: one XOR per two-bit cell, in one pass
+    over its (p, q) ids, and one per further member of a wider cell; one
+    gather then lays the grid out, taking a single-bit cell's value as is
+    (never 0 ^ value, which would copy a wide value). Values are indexed by
+    id, the bit position the plan holds."""
+    try:
+        required = array.plan.ids
+    except ValueError:  # a plan that does not compile raises below, after these checks
+        required = frozenset(array.info_ids())
     given = info_bits.keys()
     if given != required:
         missing = sorted(required - given)[:5]
         extra = sorted(given - required)[:5]
         raise ValueError(f"info_bits mismatch: missing {missing}, extra {extra}")
     if not all(map(isinstance, info_bits.values(), itertools.repeat(int))):
-        bad = next(v for v in ids if not isinstance(info_bits[v], int))
+        bad = next(v for v in sorted(required) if not isinstance(info_bits[v], int))
         raise ValueError(f"info value for id {bad} is {type(info_bits[bad]).__name__}, not int")
-    values = list(map(info_bits.get, range(ids[-1] + 1)))  # None at a punctured array's gaps
     plan = array.plan
-    grid = [[0] * array.num_columns for _ in range(array.num_rows)]
-    for r, c, p in plan.units:
-        grid[r][c] = values[p]
-    for r, c, p, q in plan.pairs:
-        grid[r][c] = values[p] ^ values[q]
-    for r, c, (p, *rest) in plan.wides:
+    values = list(map(info_bits.get, plan.span))  # None at a punctured array's gaps
+    values += [values[p] ^ values[q] for p, q in plan.pair_ids]
+    for p, *rest in plan.wides:
         acc = values[p]
         for q in rest:
             acc ^= values[q]
-        grid[r][c] = acc
-    return Codeword(array, tuple(map(tuple, grid)))
+        values.append(acc)
+    values.append(0)
+    cells = iter(plan.gather(values))
+    return Codeword(array, tuple(zip(*[cells] * array.num_columns)))
 
 
 def erase(codeword: Codeword, pattern: ErasurePattern) -> tuple[tuple[int | None, ...], ...]:
-    """Cell values with erased columns blanked to None."""
+    """Cell values with erased columns blanked to None: transposed, each
+    erased column set to one shared tuple of None, and transposed back."""
     pattern.validate_for(codeword.array.num_columns)
-    rows = []
-    for row in codeword.cell_values:
-        row = list(row)
-        for c in pattern.erased_columns:
-            row[c] = None
-        rows.append(tuple(row))
-    return tuple(rows)
+    columns = list(zip(*codeword.cell_values))
+    blank = (None,) * len(codeword.cell_values)
+    for c in pattern.erased_columns:
+        columns[c] = blank
+    return tuple(zip(*columns))
 
 
 def decode(
@@ -177,8 +178,9 @@ def decode(
     row-major order, that holds none), and UnrecoverableError when the
     surviving system is rank-deficient.
 
-    Peeling stops reading two-bit cells, and skips its later sweeps, as soon
-    as every value is known: no later cell could write one, so the report is
+    Peeling keeps the values in a list by id, and a count of the ids known;
+    it stops reading two-bit cells, and skips its later sweeps, as soon as
+    every value is known: no later cell could write one, so the report is
     that of a peel over every surviving cell.
 
     This is an erasure decoder, not an error detector: surviving cells are
@@ -204,50 +206,56 @@ def decode(
     survivors = pattern.survivors(width)
     plan = array.plan
 
-    # known maps id (bit position) -> value, seeded from the surviving single-bit
-    # cells. The first peel sweep runs as the surviving two-bit cells are read and
-    # queues only those left with two unknowns. Forced elimination skips it all.
+    # known[id] holds a value once have[id] is set, count the ids set, seeded from
+    # the surviving single-bit cells. The first peel sweep runs as the surviving two-bit
+    # cells are read and queues only those left with two unknowns. Forced elimination
+    # skips it all.
     xor_count = 0
     peeling_sufficed = False
     try:
         if not force_elimination:
-            known = {
-                p: values[r][c]
-                for r, cells in plan.unit_rows
-                for c in survivors
-                if (p := cells[c]) is not None
-            }
-            seeded = len(known)
+            known, have = [None] * len(plan.span), bytearray(len(plan.span))
+            for r, cells in plan.unit_rows:
+                row = values[r]
+                for c in survivors:
+                    if (p := cells[c]) is not None:
+                        known[p] = row[c]
+                        have[p] = 1
+            count = seeded = have.count(1)
             pending = []
             for r, cells in plan.pair_rows:
-                if len(known) == nvars:
+                if count == nvars:
                     break  # nothing left to peel: no later cell can write to known
                 row = values[r]
                 for c in survivors:
                     if (pq := cells[c]) is not None:
                         p, q = pq
-                        if p in known:
-                            if q not in known:
-                                known[q] = row[c] ^ known[p]
-                        elif q in known:
-                            known[p] = row[c] ^ known[q]
+                        if have[p]:
+                            if not have[q]:
+                                known[q], have[q] = row[c] ^ known[p], 1
+                                count += 1
+                        elif have[q]:
+                            known[p], have[p] = row[c] ^ known[q], 1
+                            count += 1
                         else:
                             pending.append((p, q, row[c]))
-            while pending and len(known) < nvars:
+            while pending and count < nvars:
                 remaining = []
                 for p, q, value in pending:
-                    if p in known:
-                        if q not in known:
-                            known[q] = value ^ known[p]
-                    elif q in known:
-                        known[p] = value ^ known[q]
+                    if have[p]:
+                        if not have[q]:
+                            known[q], have[q] = value ^ known[p], 1
+                            count += 1
+                    elif have[q]:
+                        known[p], have[p] = value ^ known[q], 1
+                        count += 1
                     else:
                         remaining.append((p, q, value))
                 if len(remaining) == len(pending):
                     break
                 pending = remaining
-            xor_count = len(known) - seeded  # one XOR per peeled value
-            peeling_sufficed = len(known) == nvars
+            xor_count = count - seeded  # one XOR per peeled value
+            peeling_sufficed = count == nvars
 
         elimination_ops = 0
         if not peeling_sufficed:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from operator import itemgetter
 
 from .graph import NEG_INF, POS_INF, CgrParams, Factorization, Value
 
@@ -77,16 +78,18 @@ class OffsetVector(tuple):
 
 # collections.namedtuple, not typing.NamedTuple: typing would add to every
 # CLI command's start-up, as a frozen dataclass would.
-class CodecPlan(namedtuple("CodecPlan", "units pairs wides rebuild unit_rows pair_rows")):
-    """An array's nonempty cells sorted by width, each list in row-major order.
+class CodecPlan(namedtuple("CodecPlan", "ids span pair_ids wides gather rebuild unit_rows pair_rows")):
+    """An array's grid compiled for the codec, each cell kind in row-major order.
 
-    units holds (row, col, id) for single-bit cells, pairs (row, col, p, q)
-    for two-bit cells with ids p < q, and wides (row, col, ids) for wider
-    cells (dual parities), ids ascending. rebuild[c] is the number of
-    XORs that rebuild column c from the variables: the sum of popcount - 1
-    over its cells. unit_rows and pair_rows hold (row, cells) for each row
-    with a single-bit, resp. two-bit, cell: cells[c] is the id, resp. the
-    (p, q) pair, at column c, and None where column c holds another kind.
+    ids is the set of info ids, span the range(max id + 1) values are indexed
+    over, pair_ids the (p, q), p < q, of the two-bit cells and wides the ids,
+    ascending, of the wider ones (dual parities). gather picks every cell,
+    row-major, from the values over span, the pair values, the wide values
+    and a trailing 0 (an empty cell). rebuild[c] is the number of XORs that
+    rebuild column c: the sum of popcount - 1 over its cells. unit_rows and
+    pair_rows hold (row, cells) for each row with a single-bit, resp.
+    two-bit, cell: cells[c] is the id, resp. the (p, q) pair, at column c,
+    and None where column c holds another kind.
     """
 
     __slots__ = ()
@@ -142,9 +145,10 @@ class CodeArray(Value):
 
     A built array (_built) holds no grid until masks is first read: its
     shape and is_dual() come from its header, params, offsets and _dual.
-    Arrays compare by all their fields, masks last, so a comparison lays a
-    grid out only when the other fields agree, and hash by the fields other
-    than masks: a built array equals and hashes like its hand-built copy.
+    Arrays compare by all their fields, masks last and row by row as tuples,
+    so a comparison lays a grid out only when the other fields agree, and
+    hash by the fields other than masks: a built array equals and hashes
+    like its hand-built copy, whether that copy's rows are tuples or lists.
     """
 
     _dual: bool | None = None  # stored by _built; None on any other grid
@@ -158,7 +162,9 @@ class CodeArray(Value):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._header() == other._header() and self.masks == other.masks
+        if self._header() != other._header():
+            return False
+        return tuple(map(tuple, self.masks)) == tuple(map(tuple, other.masks))
 
     def _header(self) -> tuple:
         return self.params, self.offsets, self.source_columns
@@ -192,8 +198,9 @@ class CodeArray(Value):
         """The mask grid compiled for the codec, in one pass over masks.
         Raises ValueError at the first cell, in row-major order, that holds
         a bit no info cell carries."""
-        ids = sum(1 << i for i in self._ids)
-        units, pairs, wides, unit_rows, pair_rows = [], [], [], [], []
+        ids = self._ids
+        carried, span = sum(1 << i for i in ids), range(ids[-1] + 1 if ids else 0)
+        pair_ids, wides, unit_rows, pair_rows, index = [], [], [], [], []
         width = self.num_columns
         rebuild, empty = [0] * width, [None] * width
         for r, row in enumerate(self.masks):
@@ -201,22 +208,26 @@ class CodeArray(Value):
             for c, m in enumerate(row):
                 rest = m & (m - 1)
                 if not rest:
-                    if m:
-                        unit_row[c] = p = m.bit_length() - 1
-                        units.append((r, c, p))
+                    index.append(m.bit_length() - 1)  # an empty cell's -1 picks the trailing 0
+                    unit_row[c] = index[-1] if m else None
                     continue
-                if m & ids != m:
+                if m & carried != m:
                     raise ValueError(f"cell ({r}, {c}) holds a bit that no info cell carries")
                 if rest & (rest - 1):
-                    wides.append((r, c, tuple(bits_of(m))))
+                    index.append(-2 - len(wides))  # placed below, after the pair values
+                    wides.append(tuple(bits_of(m)))
                 else:
-                    p, q = pair_row[c] = (m ^ rest).bit_length() - 1, rest.bit_length() - 1
-                    pairs.append((r, c, p, q))
+                    index.append(len(span) + len(pair_ids))
+                    pair_row[c] = (m ^ rest).bit_length() - 1, rest.bit_length() - 1
+                    pair_ids.append(pair_row[c])
                 rebuild[c] += m.bit_count() - 1
             for grouped, cells in ((unit_rows, unit_row), (pair_rows, pair_row)):
                 if cells != empty:
                     grouped.append((r, tuple(cells)))
-        return CodecPlan(*map(tuple, (units, pairs, wides, rebuild, unit_rows, pair_rows)))
+        index = [i if i > -2 else len(span) + len(pair_ids) - 2 - i for i in index]
+        gather = itemgetter(*index) if len(index) > 1 else lambda values: (values[index[0]],)
+        grouped = map(tuple, (rebuild, unit_rows, pair_rows))
+        return CodecPlan(frozenset(ids), span, tuple(pair_ids), tuple(wides), gather, *grouped)
 
     def info_ids(self) -> list[int]:
         """All variable ids carried by info cells, ascending."""

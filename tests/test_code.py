@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cgrcode import (
@@ -406,16 +406,22 @@ def test_codec_matches_the_reference_on_a_sample_of_v1_12_patterns():
 
 @st.composite
 def _mixed_grids(draw):
-    """A hand-built grid of empty, single-bit and two-bit masks over up to
-    five sparse ids, each id in at least one single-bit cell and possibly in
-    several; two-bit cells join two of those ids."""
+    """A hand-built grid of empty, single-bit, two-bit and wider masks over up
+    to five sparse ids, each id in at least one single-bit cell and possibly
+    in several; two-bit cells join two of those ids and wider cells three or
+    more, which peeling leaves to elimination."""
     ids = sorted(draw(st.sets(st.integers(0, 9), min_size=1, max_size=5), label="ids"))
     rows = draw(st.integers(1, 5), label="rows")
     width = draw(st.integers(max(1, -(-len(ids) // rows)), 5), label="width")
+    joined = [
+        [sum(1 << i for i in members) for members in itertools.combinations(ids, k)] or [0]
+        for k in (2, 3, 4, 5)
+    ]
     kinds = st.one_of(
         st.just(0),
         st.sampled_from([1 << i for i in ids]),
-        st.sampled_from([1 << i | 1 << j for i, j in itertools.combinations(ids, 2)] or [0]),
+        st.sampled_from(joined[0]),
+        st.sampled_from(joined[1] + joined[2] + joined[3]),
     )
     grid = [[draw(kinds, label="cell") for _ in range(width)] for _ in range(rows)]
     slots = draw(st.permutations([(r, c) for r in range(rows) for c in range(width)]), label="slots")
@@ -424,6 +430,18 @@ def _mixed_grids(draw):
     return CodeArray(CgrParams.from_v1(2), None, tuple(map(tuple, grid)))
 
 
+def _hand_built(*rows):
+    return CodeArray(CgrParams.from_v1(2), None, rows)
+
+
+# A grid of one cell, and grids with exactly one two-bit or one wide cell:
+# a gather of one cell, or a kind with one cell, must still give tuples.
+@example(array=_hand_built((1,)), seed=1)
+@example(array=_hand_built((4,), (0,)), seed=2)
+@example(array=_hand_built((1, 2, 3), (2, 0, 1)), seed=3)
+@example(array=_hand_built((2, 1, 3)), seed=4)
+@example(array=_hand_built((1, 2, 4, 7), (4, 0, 2, 1)), seed=5)
+@example(array=_hand_built((11, 1), (2, 8)), seed=6)
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(array=_mixed_grids(), seed=st.integers(0, 2**32 - 1))
 def test_codec_matches_the_reference_on_hand_built_grids(array, seed):
@@ -435,6 +453,24 @@ def test_codec_matches_the_reference_on_hand_built_grids(array, seed):
     width = array.num_columns
     patterns = [[c for c in range(width) if rng.bit()] for _ in range(4)]
     _compare_with_reference(array, payload, patterns, rng)
+
+
+def test_a_grid_with_no_info_cell_encodes_to_zeros_and_decodes_to_nothing():
+    # Each cell is the XOR of no values, so the codeword is all 0, and there
+    # is nothing to recover, under any pattern, peeled or forced.
+    for array in (_hand_built((0, 0), (0, 0)), _hand_built((0,))):
+        codeword = encode(array, {})
+        assert codeword == _reference_encode(array, {})
+        assert codeword.cell_values == ((0,) * array.num_columns,) * array.num_rows
+        width = array.num_columns
+        for columns in itertools.chain(*(itertools.combinations(range(width), k) for k in range(width + 1))):
+            pattern = ErasurePattern.of(columns)
+            grid = erase(codeword, pattern)
+            assert grid == _reference_erase(codeword, pattern)
+            for force in (False, True):
+                report = decode(array, grid, pattern, force_elimination=force)
+                assert report == _reference_decode(array, grid, pattern, force)
+                assert (report.recovered, report.xor_count, report.elimination_xor_count) == ({}, 0, 0)
 
 
 @pytest.mark.parametrize("v1", [2, 4, 6])

@@ -29,6 +29,7 @@ from cgrcode import (
 from cgrcode.codespec import from_json, from_obj, to_json
 from cgrcode.layout import (
     MAX_LAYOUT_BITS,
+    bits_of,
     canonical_prefix,
     cell_members,
     require_buildable,
@@ -151,15 +152,49 @@ def test_header_only_arrays_lay_out_the_grid_they_describe(header, other, same):
 
 @pytest.mark.parametrize("v1", [2, 4, 6])
 def test_plan_row_groups_hold_the_single_and_two_bit_cells(v1):
+    # The row groups and pair_ids hold the grid's single-bit and two-bit
+    # cells, wides its wider ones, each in row-major order, and gather picks
+    # for each cell, row-major, its own entry of the values, the pair
+    # values, the wide values and the trailing 0.
     array = build_code_array(CgrParams.from_v1(v1), derive_offsets(pif_factorize(v1)))
     for view in (array, dualize(array), puncture(array), contract(array)):
         plan = view.plan
-        units = [(r, c, p) for r, cells in plan.unit_rows for c, p in enumerate(cells) if p is not None]
-        pairs = [(r, c, *pq) for r, cells in plan.pair_rows for c, pq in enumerate(cells) if pq]
-        assert units == list(plan.units) and pairs == list(plan.pairs)
+        nonempty = [(r, c, m) for r, row in enumerate(view.masks) for c, m in enumerate(row) if m]
+        units = [(r, c, m.bit_length() - 1) for r, c, m in nonempty if m.bit_count() == 1]
+        pairs = [(r, c, *bits_of(m)) for r, c, m in nonempty if m.bit_count() == 2]
+        assert [(r, c, p) for r, cells in plan.unit_rows for c, p in enumerate(cells) if p is not None] == units
+        assert [(r, c, *pq) for r, cells in plan.pair_rows for c, pq in enumerate(cells) if pq] == pairs
+        assert list(plan.pair_ids) == [(p, q) for _, _, p, q in pairs]
+        assert list(plan.wides) == [tuple(bits_of(m)) for _, _, m in nonempty if m.bit_count() > 2]
         for _, cells in plan.unit_rows + plan.pair_rows:
             assert len(cells) == view.num_columns and cells.count(None) < len(cells)
-        assert [r for r, _ in plan.pair_rows] == sorted({r for r, *_ in plan.pairs})
+        assert [r for r, _ in plan.pair_rows] == sorted({r for r, *_ in pairs})
+        assert plan.ids == set(view.info_ids()) and plan.span == range(max(view.info_ids()) + 1)
+        source = [("unit", p) for p in plan.span] + [("pair", pq) for pq in plan.pair_ids]
+        source += [("wide", ids) for ids in plan.wides] + [("empty", ())]
+        kinds = ("empty", "unit", "pair", "wide")
+        expected = [
+            (kinds[min(m.bit_count(), 3)], m.bit_length() - 1 if m.bit_count() == 1 else tuple(bits_of(m)))
+            for row in view.masks
+            for m in row
+        ]
+        assert list(plan.gather(source)) == expected
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_a_copy_with_list_rows_equals_its_built_twin(dual):
+    # Rows compare as tuples: a hand-built copy whose rows are lists equals
+    # the built array, hashes like it, and dualize twice gives it back.
+    params = CgrParams.from_v1(4)
+    built = build_code_array(params, derive_offsets(pif_factorize(4)))
+    built = dualize(built) if dual else built
+    copy = CodeArray(params, built.offsets, [list(row) for row in built.masks])
+    assert copy.built and copy.is_dual() is dual
+    assert copy == built and built == copy and hash(copy) == hash(built)
+    assert dualize(dualize(copy)) == copy and dualize(copy) == dualize(built)
+    flipped = [list(row) for row in built.masks]
+    flipped[0][0], flipped[0][1] = flipped[0][1], flipped[0][0]
+    assert CodeArray(params, built.offsets, flipped) != built
 
 
 def test_repeated_info_cells_count_once():
