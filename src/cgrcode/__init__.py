@@ -4,8 +4,8 @@ Pipeline: build_cgr labels the graph, pif_factorize + derive_offsets
 produce an offset vector, build_code_array and dualize return the code or
 its dual as its header, whose GF(2) mask grid (the graph laid out, rows
 rotated) is made on the first read of CodeArray.masks (both in layout;
-CodeArray.rows shows the cells), contract compacts a primal to the
-B-code's narrower grid, encode/decode move bits through any grid, and
+CodeArray.rows shows the cells), contract, also in layout, compacts a
+primal to the B-code's narrower grid, encode/decode move bits through any grid, and
 verify_mds / verify_dual_mds / verify_contracted_mds check every legal
 erasure pattern (a built array's survivor pairs one per rotation orbit).
 CodeArray.built, whether a header describes the grid, is the one test of a
@@ -13,12 +13,6 @@ CGR layout: verify_dual_mds refuses any other grid, and dualize any but a
 built one with cells emptied.
 """
 
-from .bcode import (
-    ContractShapeError,
-    contract,
-    puncture,
-    verify_contracted_mds,
-)
 from .code import (
     Codeword,
     DecodeReport,
@@ -30,10 +24,10 @@ from .code import (
     encode,
     erase,
     update_complexity,
+    verify_contracted_mds,
     verify_dual_mds,
     verify_mds,
 )
-from .fixtures import BUILTIN_VECTORS
 from .graph import (
     NEG_INF,
     POS_INF,
@@ -46,14 +40,18 @@ from .graph import (
 from .layout import (
     Cell,
     CodeArray,
+    ContractShapeError,
     OffsetVector,
     build_code_array,
+    contract,
     derive_offsets,
     dualize,
     map_unshifted,
+    puncture,
 )
 from .rng import Lcg
 from .search import (
+    BUILTIN_VECTORS,
     DEFAULT_BUDGET,
     BudgetExceededError,
     SearchSpec,

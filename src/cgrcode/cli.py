@@ -13,7 +13,6 @@ import re
 import sys
 
 from . import codespec
-from .bcode import ContractShapeError, contract, verify_contracted_mds
 from .code import (
     ErasurePattern,
     UnrecoverableError,
@@ -23,13 +22,24 @@ from .code import (
     encode,
     erase,
     update_complexity,
+    verify_contracted_mds,
     verify_mds,
 )
-from .fixtures import BUILTIN_VECTORS
 from .graph import POS_INF, CgrParams, pif_factorize
-from .layout import KINDS, CodeArray, build_code_array, cell_members, derive_offsets, dualize, require_buildable
+from .layout import (
+    KINDS,
+    CodeArray,
+    ContractShapeError,
+    build_code_array,
+    cell_members,
+    contract,
+    derive_offsets,
+    dualize,
+    require_buildable,
+)
 from .rng import Lcg
 from .search import (
+    BUILTIN_VECTORS,
     DEFAULT_BUDGET,
     BudgetExceededError,
     SearchSpec,
@@ -137,6 +147,15 @@ def _load_primal(path: str) -> CodeArray:
     return array
 
 
+def _builtin(name: str, choices: str = "") -> tuple[CgrParams, tuple[int, ...]]:
+    """The params and offsets of a built-in vector; an unknown name raises
+    ValueError listing the names, then choices."""
+    if name not in BUILTIN_VECTORS:
+        raise ValueError(f"unknown builtin {name!r}; choose from {', '.join(BUILTIN_VECTORS)}{choices}")
+    vector = BUILTIN_VECTORS[name]
+    return params_for_offset_length(len(vector)), vector
+
+
 def cmd_generate(args) -> int:
     if (args.offsets is not None or args.builtin is not None) and (
         args.placement is not None or args.pi is not None
@@ -148,12 +167,7 @@ def cmd_generate(args) -> int:
         params = CgrParams.from_v1(args.v1)
         vector = _csv_ints(args.offsets, "--offsets")
     elif args.builtin is not None:
-        if args.builtin not in BUILTIN_VECTORS:
-            raise ValueError(
-                f"unknown builtin {args.builtin!r}; choose from {', '.join(BUILTIN_VECTORS)}"
-            )
-        vector = BUILTIN_VECTORS[args.builtin]
-        params = params_for_offset_length(len(vector))
+        params, vector = _builtin(args.builtin)
         if args.v1 is not None and args.v1 != params.v1:
             raise ValueError(f"builtin {args.builtin} has v1={params.v1}, not {args.v1}")
     else:
@@ -193,12 +207,7 @@ def cmd_verify(args) -> int:
     elif args.builtin is not None:
         names = list(BUILTIN_VECTORS) if args.builtin == "all" else [args.builtin]
         for name in names:
-            if name not in BUILTIN_VECTORS:
-                raise ValueError(
-                    f"unknown builtin {name!r}; choose from {', '.join(BUILTIN_VECTORS)} or all"
-                )
-            vector = BUILTIN_VECTORS[name]
-            targets.append((name, build_code_array(params_for_offset_length(len(vector)), vector)))
+            targets.append((name, build_code_array(*_builtin(name, " or all"))))
     else:
         raise ValueError("give a code file or --builtin NAME")
 

@@ -1,4 +1,4 @@
-"""Encoding, erasure decoding, primal and dual MDS verification, and complexity.
+"""Encoding, erasure decoding, primal, dual and contracted MDS verification, and complexity.
 
 Encoding, decoding and verification read only the array's GF(2) mask grid
 (CodeArray.masks, whose bit positions are the variable ids); a built array
@@ -148,15 +148,21 @@ def encode(array: CodeArray, info_bits: dict[int, int]) -> Codeword:
             acc ^= values[q]
         values.append(acc)
     values.append(0)
+    width = array.num_columns
+    if not width:  # zip of no columns would drop the rows
+        return Codeword(array, ((),) * array.num_rows)
     cells = iter(plan.gather(values))
-    return Codeword(array, tuple(zip(*[cells] * array.num_columns)))
+    return Codeword(array, tuple(zip(*[cells] * width)))
 
 
 def erase(codeword: Codeword, pattern: ErasurePattern) -> tuple[tuple[int | None, ...], ...]:
     """Cell values with erased columns blanked to None: transposed, each
-    erased column set to one shared tuple of None, and transposed back."""
+    erased column set to one shared tuple of None, and transposed back. A
+    grid of no columns has nothing to erase and comes back as it is."""
     pattern.validate_for(codeword.array.num_columns)
     columns = list(zip(*codeword.cell_values))
+    if not columns:  # zip of no columns would drop the rows
+        return codeword.cell_values
     blank = (None,) * len(codeword.cell_values)
     for c in pattern.erased_columns:
         columns[c] = blank
@@ -265,11 +271,9 @@ def decode(
                 for c in survivors
                 if (mask := row[c])
             ]
-            solved = gf2.solve_unique(equations, nvars)
-            if solved is None:
-                deficit = gf2.rank([m for m, _ in equations])
-                raise UnrecoverableError(pattern, deficit, nvars)
-            known, elimination_ops = solved
+            known, elimination_ops = gf2.solve_unique(equations)
+            if len(known) < nvars:  # one entry per pivot: the rank
+                raise UnrecoverableError(pattern, len(known), nvars)
 
         recovered = {v: known[v] for v in ids}
         if not all(map(isinstance, recovered.values(), itertools.repeat(int))):
@@ -335,6 +339,14 @@ def verify_mds(array: CodeArray) -> MdsResult:
     if array.is_dual():
         raise ValueError("verify_mds expects a primal array; use verify_dual_mds")
     return _sweep(array.masks, len(array.info_ids()), array.built)
+
+
+def verify_contracted_mds(contracted: CodeArray) -> bool:
+    """True iff every 2 surviving columns of a contracted array (layout.contract)
+    recover all retained bits."""
+    if contracted.num_columns < 2:
+        raise ValueError("contracted array needs at least 2 columns to verify")
+    return verify_mds(contracted).is_mds
 
 
 def verify_dual_mds(array: CodeArray) -> MdsResult:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 
 from .graph import CgrParams
-from .layout import CodeArray, OffsetVector, build_code_array, dualize, require_buildable
+from .layout import CodeArray, OffsetVector, build_code_array, dualize
 
 FORMAT_VERSION = "2"
 _HEADER = ("version", "v1", "v2", "dual", "offset_vector")  # a version 2 file, in order
@@ -56,9 +56,7 @@ def from_obj(obj: dict) -> CodeArray:
         raise ValueError(f"bad header field: {exc}") from None
     if type(obj["dual"]) is not bool:
         raise ValueError(f"dual must be true or false, got {obj['dual']!r}")
-    if obj["dual"]:
-        require_buildable(params, dual=True)  # before the primal is built
-    array = build_code_array(params, offsets)  # checks offsets before any layout
+    array = build_code_array(params, offsets)  # it and dualize check sizes before any layout
     return dualize(array) if obj["dual"] else array
 
 
@@ -95,9 +93,3 @@ def from_json(text: str) -> CodeArray:
 def load(path: str) -> CodeArray:
     with open(path, "r", encoding="utf-8") as fh:
         return from_json(fh.read())
-
-
-def dump(array: CodeArray, path: str) -> None:
-    text = to_json(array)  # first, so an array that cannot be saved leaves no file
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)

@@ -40,14 +40,16 @@ def rank(masks: list[int]) -> int:
     return len(basis)
 
 
-def solve_unique(equations: list[tuple[int, int]], nvars: int) -> tuple[dict[int, int], int] | None:
-    """Solve a GF(2) system for a unique assignment of all nvars variables.
+def solve_unique(equations: list[tuple[int, int]]) -> tuple[dict[int, int], int]:
+    """Solve a GF(2) system, in one elimination whatever its rank.
 
-    Returns (assignment, xor_ops) where assignment maps each variable index
-    to its value (an int as wide as the rhs values, every bit plane solved
-    at once) and xor_ops counts row-XOR operations performed, or None when
-    the system is rank-deficient. Raises ValueError on an inconsistent
-    system.
+    Returns (assignment, xor_ops) where assignment maps each pivot bit to
+    its row's value (an int as wide as the rhs values, every bit plane
+    solved at once) and xor_ops counts row-XOR operations performed. It
+    holds one entry per pivot, so its length is the rank of the masks: when
+    every variable is a pivot, it is the unique solution; fewer entries than
+    variables mean the system is rank-deficient. Raises ValueError on an
+    inconsistent system.
 
     Gauss-Jordan: every basis row holds exactly one pivot bit, its own, so
     an incoming equation is reduced by XORing the basis rows of exactly the
@@ -101,6 +103,4 @@ def solve_unique(equations: list[tuple[int, int]], nvars: int) -> tuple[dict[int
             tail = rest
         masks[p], rhs[p] = m, r
         pivots |= 1 << p
-    if len(rhs) < nvars:
-        return None
     return rhs, ops

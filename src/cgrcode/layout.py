@@ -10,7 +10,9 @@ is the dual, with what it has by construction stored (_built). Its grid is
 laid out on first read of CodeArray.masks, once. CodeArray.built, whether
 a header describes the grid, is the one test of a CGR layout that dualize
 and verification trust. CodeArray.rows shows the grid as Cells. A
-contracted array (bcode.contract) is a narrower one.
+contracted array (contract) is a narrower one: puncture keeps the cells
+on each ring's first vertex (_first_vertices), and contract groups them by
+column, reading a built array's kept cells off its header (_kept_cells).
 """
 
 from __future__ import annotations
@@ -70,10 +72,6 @@ class OffsetVector(tuple):
                 raise ValueError(f"offset entry {a!r} is not an int")
             if not 0 <= a < params.v2:
                 raise ValueError(f"offset entry {a} out of range [0, {params.v2 - 1}]")
-
-    @classmethod
-    def zeros(cls, params: CgrParams) -> OffsetVector:
-        return cls((0,) * params.num_rows)
 
 
 # collections.namedtuple, not typing.NamedTuple: typing would add to every
@@ -147,15 +145,16 @@ class CodeArray(Value):
     shape and is_dual() come from its header, params, offsets and _dual.
     Arrays compare by all their fields, masks last and row by row as tuples,
     so a comparison lays a grid out only when the other fields agree, and
-    hash by the fields other than masks: a built array equals and hashes
-    like its hand-built copy, whether that copy's rows are tuples or lists.
+    hash by the fields other than masks: offsets are stored as an
+    OffsetVector, so a built array equals and hashes like its hand-built
+    copy, whether that copy's offsets and rows are tuples or lists.
     """
 
     _dual: bool | None = None  # stored by _built; None on any other grid
 
     def __init__(self, params: CgrParams, offsets, masks, source_columns=None) -> None:
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "offsets", None if offsets is None else OffsetVector(offsets))
         object.__setattr__(self, "masks", masks)
         object.__setattr__(self, "source_columns", source_columns)
 
@@ -225,7 +224,7 @@ class CodeArray(Value):
                 if cells != empty:
                     grouped.append((r, tuple(cells)))
         index = [i if i > -2 else len(span) + len(pair_ids) - 2 - i for i in index]
-        gather = itemgetter(*index) if len(index) > 1 else lambda values: (values[index[0]],)
+        gather = itemgetter(*index) if len(index) > 1 else lambda values: tuple(values[i] for i in index)
         grouped = map(tuple, (rebuild, unit_rows, pair_rows))
         return CodecPlan(frozenset(ids), span, tuple(pair_ids), tuple(wides), gather, *grouped)
 
@@ -293,6 +292,87 @@ def map_unshifted(params: CgrParams) -> list[list[int]]:
     return rows + [[a | b for a, b in zip(x, y)] for x, y in itertools.combinations(vertex, 2)]
 
 
+def _first_vertices(params: CgrParams) -> list[int]:
+    """Ring j's first vertex, bit j*v2: column 0 of map_unshifted's vertex row j."""
+    return [1 << j * params.v2 for j in range(params.v1)]
+
+
+def puncture(array: CodeArray) -> CodeArray:
+    """Blank every cell not supported on the rings' first vertices.
+    Raises ValueError on a dual or contracted array."""
+    require_cgr_layout(array, "puncture")
+    if array.is_dual():
+        raise ValueError("puncture expects a primal array")
+    outside = ((1 << array.params.num_vertices) - 1) ^ sum(_first_vertices(array.params))
+    masks = tuple(tuple(0 if m & outside else m for m in row) for row in array.masks)
+    return CodeArray(array.params, array.offsets, masks)
+
+
+def _kept_cells(array: CodeArray) -> list[tuple[int, int]]:
+    """(column, mask) of each cell puncture keeps, in row-major order.
+
+    A built array (CodeArray.built) keeps, in map_unshifted's row order, one
+    cell in each vertex row j, ring j's first vertex, and one in each
+    inter-ring row (i, j), the OR of rings i and j's: the cells at unshifted
+    column 0, which a ring-edge row never keeps (its two bits are adjacent
+    on a ring of v2 > 2). Row r rotates left by offsets[r], so its kept cell
+    lands in column -offsets[r] % v2. Any other grid is punctured and
+    scanned.
+    """
+    if not array.built:
+        return [(c, m) for row in puncture(array).masks for c, m in enumerate(row) if m]
+    params = array.params
+    first = _first_vertices(params)
+    kept = first + [a | b for a, b in itertools.combinations(first, 2)]
+    rows = itertools.chain(range(params.v1), range(2 * params.v1, params.num_rows))
+    return [(-array.offsets[r] % params.v2, m) for r, m in zip(rows, kept)]
+
+
+class ContractShapeError(Exception):
+    """Punctured cells do not balance into (v1+1) columns of v1/2 cells."""
+
+
+def contract(array: CodeArray, column_order=None) -> CodeArray:
+    """Group the cells puncture keeps by parent column; drop empty columns.
+
+    The result is the lowest-density B-code's array: a CodeArray with the
+    parent's params and offsets, v1/2 rows by v1+1 columns, whose ids stay
+    sparse (0, v2, 2*v2, ...), and source_columns naming each column's
+    parent. Columns come out in ascending parent-column order unless
+    column_order (a permutation of the nonempty parent column indices, each
+    an int) rearranges them; cells within a column keep ascending
+    parent-row order. A built array is read by its header (_kept_cells), so
+    no grid is laid out. Raises ValueError on a dual or contracted array or
+    a bad column_order, and ContractShapeError if the survivors do not form
+    v1+1 columns of v1/2 cells.
+    """
+    if array.is_dual():
+        raise ValueError("contract expects a primal array")
+    v1 = array.params.v1
+    groups: dict[int, list[int]] = {}
+    for c, m in _kept_cells(array):
+        groups.setdefault(c, []).append(m)
+    nonempty = sorted(groups)
+    if len(nonempty) != v1 + 1 or any(len(groups[c]) != v1 // 2 for c in nonempty):
+        shape = {c: len(groups[c]) for c in nonempty}
+        raise ContractShapeError(
+            f"expected {v1 + 1} columns of {v1 // 2} cells, got {shape}"
+        )
+    if column_order is None:
+        order = nonempty
+    else:
+        order = list(column_order)
+        for c in order:
+            if type(c) is not int:  # rejects bools and floats that equal an index
+                raise ValueError(f"column_order entry {c!r} is not an int")
+        if sorted(order) != nonempty:
+            raise ValueError(
+                f"column_order must permute the nonempty parent columns {nonempty}, got {order}"
+            )
+    masks = tuple(zip(*(groups[c] for c in order)))
+    return CodeArray(array.params, array.offsets, masks, tuple(order))
+
+
 def dual_unshifted(params: CgrParams) -> list[list[int]]:
     """The dual's unshifted rows, vertex and edge roles swapped on the grid
     map_unshifted lays out. Edge variable (r - v1)*v2 + c, its index in
@@ -328,7 +408,7 @@ def dualize(array: CodeArray) -> CodeArray:
     params, dual = array.params, array.is_dual()
     require_buildable(params, dual=not dual)
     if array.built:
-        return _built(params, OffsetVector(array.offsets), not dual)
+        return _built(params, array.offsets, not dual)
     offsets = OffsetVector(array.offsets or ())
     offsets.validate_for(params)
     own = itertools.chain(*_built(params, offsets, dual).masks)

@@ -1,4 +1,5 @@
-"""Exhaustive and seeded-random search for valid offset vectors."""
+"""Exhaustive and seeded-random search for valid offset vectors, and the
+built-in vectors known to be valid."""
 
 from __future__ import annotations
 
@@ -55,6 +56,26 @@ class SearchStats(Value):
         object.__setattr__(self, "hits", hits)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "nodes", nodes)
+
+
+# Offset vectors known to give MDS arrays, each named k<v1>_c<v2>, plus a
+# letter when several share a size; params_for_offset_length sizes them. The
+# k6/k8 entries carry the full canonical prefix ahead of their inter-ring
+# offsets. k4_c7_d uses ring-edge offset 5, not the canonical 4: valid
+# vectors exist outside the canonical family.
+BUILTIN_VECTORS: dict[str, tuple[int, ...]] = {
+    "k2_c5": (0, 1, 2, 2, 4),
+    "k4_c7_a": (0, 1, 2, 3, 4, 4, 4, 4, 3, 6, 2, 0, 6, 1),
+    "k4_c7_b": (0, 1, 2, 3, 4, 4, 4, 4, 6, 1, 2, 3, 0, 6),
+    "k4_c7_c": (0, 1, 2, 3, 4, 4, 4, 4, 6, 3, 1, 0, 2, 6),
+    "k4_c7_d": (0, 1, 2, 3, 5, 5, 5, 5, 2, 3, 4, 4, 0, 1),
+    "k6_c9_a": (0, 1, 2, 3, 4, 5) + (6,) * 6 + (2, 3, 1, 5, 8, 4, 8, 0, 3, 5, 8, 0, 2, 4, 1),
+    "k6_c9_b": (0, 1, 2, 3, 4, 5) + (6,) * 6 + (2, 3, 1, 5, 8, 4, 8, 3, 0, 5, 8, 1, 0, 4, 2),
+    "k6_c9_c": (0, 1, 2, 3, 4, 5) + (6,) * 6 + (2, 3, 4, 8, 1, 5, 8, 3, 4, 1, 0, 8, 5, 0, 2),
+    "k8_c11": (0, 1, 2, 3, 4, 5, 6, 7)
+    + (8,) * 8
+    + (2, 3, 4, 1, 6, 7, 10, 10, 5, 3, 7, 0, 4, 6, 7, 1, 4, 5, 10, 2, 1, 0, 0, 5, 6, 10, 3, 2),
+}
 
 
 def params_for_offset_length(n: int) -> CgrParams:

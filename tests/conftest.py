@@ -103,7 +103,7 @@ def mislabelled_v1_4_grids() -> dict[str, CodeArray]:
     is a grid of the right shape and kind, and none is CodeArray.built."""
     params = CgrParams.from_v1(4)
     canonical = derive_offsets(pif_factorize(4))
-    zeros = OffsetVector.zeros(params)
+    zeros = OffsetVector((0,) * params.num_rows)
     at_zero = build_code_array(params, zeros)
     return {
         "primal": CodeArray(params, canonical, at_zero.masks),

@@ -278,7 +278,7 @@ def test_08_construction_properties():
 
 def test_09_negative_controls():
     params = CgrParams.from_v1(2)
-    zeros = build_code_array(params, OffsetVector.zeros(params))
+    zeros = build_code_array(params, OffsetVector((0,) * params.num_rows))
     result = verify_mds(zeros)
     assert not result.is_mds
     assert sorted(result.witness.erased_columns) == [2, 3, 4]

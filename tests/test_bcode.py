@@ -124,7 +124,7 @@ def test_contract_matches_the_puncture_then_group_reference(v1):
 def test_contract_matches_the_reference_on_builtins_and_zero_offsets(k2_params):
     arrays = [builtin_array(name) for name in BUILTIN_VECTORS]
     arrays += [grid for name in BUILTIN_VECTORS for grid in _scan_path_inputs(builtin_array(name))]
-    arrays.append(build_code_array(k2_params, OffsetVector.zeros(k2_params)))
+    arrays.append(build_code_array(k2_params, OffsetVector((0,) * k2_params.num_rows)))
     outcomes = [_contract_outcome(array) for array in arrays]
     assert outcomes == [_reference_contract(array) for array in arrays]
     assert isinstance(outcomes[-1], str)  # a shape error
@@ -191,11 +191,11 @@ def test_contract_of_a_built_array_lays_nothing_out(monkeypatch):
         with pytest.raises(ValueError, match="column_order"):
             contract(array, order)
     with pytest.raises(ContractShapeError, match="expected 25 columns of 12 cells"):
-        contract(build_code_array(params, OffsetVector.zeros(params)))
+        contract(build_code_array(params, OffsetVector((0,) * params.num_rows)))
 
 
 def test_contract_shape_error_on_degenerate_offsets(k2_params):
-    array = build_code_array(k2_params, OffsetVector.zeros(k2_params))
+    array = build_code_array(k2_params, OffsetVector((0,) * k2_params.num_rows))
     with pytest.raises(ContractShapeError):
         contract(array)
 

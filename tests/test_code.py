@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -282,10 +283,9 @@ def _reference_decode(array, values, pattern, force_elimination=False):
     peeling_sufficed = not force_elimination and len(known) == nvars
     elimination_ops = 0
     if not peeling_sufficed:
-        solved = gf2.solve_unique(equations, nvars)
-        if solved is None:
+        known, elimination_ops = gf2.solve_unique(equations)
+        if len(known) < nvars:
             raise UnrecoverableError(pattern, gf2.rank([m for m, _ in equations]), nvars)
-        known, elimination_ops = solved
     xor_count += sum(
         m.bit_count() - 1 for row in array.masks for c in pattern.erased_columns if (m := row[c])
     )
@@ -457,8 +457,9 @@ def test_codec_matches_the_reference_on_hand_built_grids(array, seed):
 
 def test_a_grid_with_no_info_cell_encodes_to_zeros_and_decodes_to_nothing():
     # Each cell is the XOR of no values, so the codeword is all 0, and there
-    # is nothing to recover, under any pattern, peeled or forced.
-    for array in (_hand_built((0, 0), (0, 0)), _hand_built((0,))):
+    # is nothing to recover, under any pattern, peeled or forced. A grid of
+    # no columns keeps its row through encode and erase.
+    for array in (_hand_built((0, 0), (0, 0)), _hand_built((0,)), _hand_built(())):
         codeword = encode(array, {})
         assert codeword == _reference_encode(array, {})
         assert codeword.cell_values == ((0,) * array.num_columns,) * array.num_rows
@@ -510,6 +511,37 @@ def test_primal_peeling_is_complete(v1):
                     assert report.recovered == payload
                 outcomes[rank == nvars] += 1
     assert outcomes[True] and outcomes[False]
+
+
+@pytest.mark.parametrize("v1", [2, 4, 6])
+@pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+def test_unrecoverable_decodes_name_the_rank_of_the_survivors(v1, dual):
+    # decode eliminates once: a rank-deficient system raises with the rank
+    # of the surviving masks, peeled first or forced, under every erasure
+    # subset of the canonical array and of its dual.
+    array = build_code_array(CgrParams.from_v1(v1), derive_offsets(pif_factorize(v1)))
+    array = dualize(array) if dual else array
+    nvars = len(array.info_ids())
+    payload = {v: v + 1 for v in array.info_ids()}
+    codeword = encode(array, payload)
+    width = array.num_columns
+    deficient = 0
+    for columns in itertools.chain(*(itertools.combinations(range(width), k) for k in range(width + 1))):
+        pattern = ErasurePattern.of(columns)
+        rank = gf2.rank([m for row in array.masks for c, m in enumerate(row) if c not in columns])
+        for force in (False, True):
+            try:
+                report = decode(array, erase(codeword, pattern), pattern, force_elimination=force)
+            except UnrecoverableError as exc:
+                assert (exc.rank, exc.nvars) == (rank, nvars), (columns, force)
+                assert str(exc) == f"erasure pattern {list(columns)} leaves rank {rank} < {nvars} unknowns"
+                deficient += 1
+            else:
+                assert rank == nvars and report.recovered == payload, (columns, force)
+    # Both codes are MDS: the primal recovers from any 2 columns and the dual
+    # from all but any 2, so exactly the patterns past that lose rank.
+    tolerated = 2 if dual else width - 2
+    assert deficient == 2 * sum(math.comb(width, k) for k in range(tolerated + 1, width + 1))
 
 
 def test_unrecoverable_erasure_raises(k2_array):
@@ -605,7 +637,7 @@ def test_verify_mds_accepts_known_good(k2_array):
 
 
 def test_verify_mds_rejects_zero_offsets(k2_params):
-    array = build_code_array(k2_params, OffsetVector.zeros(k2_params))
+    array = build_code_array(k2_params, OffsetVector((0,) * k2_params.num_rows))
     result = verify_mds(array)
     assert not result.is_mds and not bool(result)
     assert sorted(result.witness.erased_columns) == [2, 3, 4]

@@ -86,18 +86,19 @@ def test_extend_matches_a_scratch_rank_on_random_masks():
 
 def test_solve_unique_small_system():
     # x0 ^ x1 = 1, x1 = 1  =>  x0 = 0, x1 = 1
-    solution, ops = gf2.solve_unique([(0b11, 1), (0b10, 1)], 2)
+    solution, ops = gf2.solve_unique([(0b11, 1), (0b10, 1)])
     assert solution == {0: 0, 1: 1}
     assert ops > 0
 
 
-def test_solve_unique_returns_none_when_underdetermined():
-    assert gf2.solve_unique([(0b11, 1)], 2) is None
+def test_solve_unique_returns_a_short_assignment_when_underdetermined():
+    # x0 ^ x1 = 1 has rank 1 < 2 variables: one entry, pivot bit 1's row value.
+    assert gf2.solve_unique([(0b11, 1)]) == ({1: 1}, 0)
 
 
 def test_solve_unique_raises_on_inconsistency():
     with pytest.raises(ValueError):
-        gf2.solve_unique([(0b11, 1), (0b11, 0)], 2)
+        gf2.solve_unique([(0b11, 1), (0b11, 0)])
 
 
 def test_solve_unique_matches_known_assignment():
@@ -111,11 +112,11 @@ def test_solve_unique_matches_known_assignment():
             if mask >> var & 1:
                 rhs ^= bit
         equations.append((mask, rhs))
-    solution, _ = gf2.solve_unique(equations, 4)
+    solution, _ = gf2.solve_unique(equations)
     assert solution == assignment
 
 
-def _reference_solve_unique(equations, nvars):
+def _reference_solve_unique(equations):
     # The Gauss-Jordan loop as first written: each incoming equation scans
     # every pivot, and each new pivot scans every basis row.
     basis = {}
@@ -137,16 +138,20 @@ def _reference_solve_unique(equations, nvars):
                 basis[q] = (bm ^ m, br ^ r)
                 ops += 1
         basis[p] = (m, r)
-    if len(basis) < nvars:
-        return None
     return {p: r for p, (_, r) in basis.items()}, ops
 
 
-def _outcome(solve, equations, nvars):
+def _outcome(solve, equations):
     try:
-        return solve(equations, nvars)
+        return solve(equations)
     except ValueError:
         return ValueError
+
+
+def _kind(outcome, nvars):
+    if outcome is ValueError:
+        return "inconsistent"
+    return "deficient" if len(outcome[0]) < nvars else "unique"
 
 
 def _random_system(rng, nvars, neqs, dense, width, corrupt):
@@ -179,10 +184,9 @@ def test_solve_unique_matches_the_reference_on_random_systems():
         # many is usually full rank, and a flipped rhs then often contradicts.
         neqs = rng.choice([max(1, nvars // 2), nvars, 2 * nvars])
         equations = _random_system(rng, nvars, neqs, dense, width, corrupt)
-        expected = _outcome(_reference_solve_unique, equations, nvars)
-        assert _outcome(gf2.solve_unique, equations, nvars) == expected
-        kind = "inconsistent" if expected is ValueError else "deficient" if expected is None else "unique"
-        seen.add((dense, width, kind))
+        expected = _outcome(_reference_solve_unique, equations)
+        assert _outcome(gf2.solve_unique, equations) == expected
+        seen.add((dense, width, _kind(expected, nvars)))
     assert len(seen) == 2 * 2 * 3
 
 
@@ -207,9 +211,9 @@ def test_solve_unique_matches_the_reference_on_decode_systems(v1, dual, monkeypa
     systems = []
     solve = gf2.solve_unique
 
-    def recording_solve(equations, nvars):
-        systems.append((equations, nvars))
-        return solve(equations, nvars)
+    def recording_solve(equations):
+        systems.append(equations)
+        return solve(equations)
 
     monkeypatch.setattr(gf2, "solve_unique", recording_solve)
     for _ in range(24):
@@ -222,9 +226,10 @@ def test_solve_unique_matches_the_reference_on_decode_systems(v1, dual, monkeypa
         except UnrecoverableError:
             pass
     assert len(systems) == 24
-    outcomes = [_reference_solve_unique(eqs, n) for eqs, n in systems]
-    assert None in outcomes and any(outcomes)
-    assert [solve(eqs, n) for eqs, n in systems] == outcomes
+    outcomes = [_reference_solve_unique(eqs) for eqs in systems]
+    nvars = len(array.info_ids())
+    assert {_kind(outcome, nvars) for outcome in outcomes} == {"deficient", "unique"}
+    assert [solve(eqs) for eqs in systems] == outcomes
 
 
 def test_solve_unique_matches_the_reference_on_sparse_ids_and_stray_bits():
@@ -252,9 +257,9 @@ def test_solve_unique_matches_the_reference_on_sparse_ids_and_stray_bits():
         if equations and trial % 3 == 0:
             i = rng.randrange(len(equations))
             equations[i] = (equations[i][0], equations[i][1] ^ 1)
-        expected = _outcome(_reference_solve_unique, equations, nvars)
-        assert _outcome(gf2.solve_unique, equations, nvars) == expected
-        kind = "inconsistent" if expected is ValueError else "deficient" if expected is None else "unique"
+        expected = _outcome(_reference_solve_unique, equations)
+        assert _outcome(gf2.solve_unique, equations) == expected
+        kind = _kind(expected, nvars)
         seen.add(kind)
         if trial % 2 and kind == "unique" and len(expected[0]) > nvars:
             seen.add("stray pivot after full rank")

@@ -34,7 +34,7 @@ K2_CONTRACTED = (
 
 def _unshifted() -> CodeArray:
     """The v1 = 2 grid laid out at zero offsets, held as a plain grid."""
-    return CodeArray(K2, OffsetVector.zeros(K2), tuple(map(tuple, map_unshifted(K2))))
+    return CodeArray(K2, OffsetVector((0,) * K2.num_rows), tuple(map(tuple, map_unshifted(K2))))
 
 
 def _contracted() -> CodeArray:
