@@ -1,6 +1,6 @@
 """Outputs pinned byte for byte: the version 1 JSON and the text of built and
-dual arrays, the contract, verify and search commands, and how punctured
-arrays behave.
+dual arrays, the contract, verify, metrics, roundtrip and search commands,
+text and --json, and how punctured arrays behave.
 
 The digests were taken from the cell-grid implementation that the mask grid
 replaced; any change to them is a change in behaviour, not in layout. The
@@ -52,8 +52,22 @@ COMMAND_DIGESTS = {
     "verify --json --builtin all": (
         "e957ab4d0bdbc7baa594e51b279ef20cac784e759538bce81d6309bb1d252c6f"
     ),
+    "verify --builtin all": "f9173c0a7b4de225af585a8f57d5dad1528e2f50d18f15dcf2fbf722b45dceb0",
+    "metrics --v1-range 2:12": "a33af1225bb8355210a5ad298c22b241a33ffe0115e6d985032f8d92a65065ca",
+    "metrics --v1-range 2:12 --json": (
+        "39534bacf4aeae3095d9f2500b7e8e2e89b12767248dec40944b57d4b67c24c4"
+    ),
+    "roundtrip --erase 0,2 --data random:7": (
+        "6277d2bd0b57073ff4acb2668b7542df395de96dbfdf35b782f75e62f53e70d1"
+    ),
+    "roundtrip --erase 0,2 --data random:7 --json": (
+        "70f7dde2ed288c0dccc0a3bd66a15a94982be381e5d17701a8839dbd749c7261"
+    ),
     "search --v1 2 --free-prefix": (
         "e928a006d4b2e766f9177d673853dd8ac8486063db87770339710c307b9e86c2"
+    ),
+    "search --v1 2 --free-prefix --json": (
+        "8881f4df7bad9448bd38c480363f32ca630f92311af4252abfc80c88d63c5c17"
     ),
     "search --v1 4 --strategy random --seed 1 --max-trials 30000": (
         "72e7744c72bb869e1fe29474b0434bf572edf7e9d37c97accfa18d3942abfd1a"
@@ -84,14 +98,19 @@ def _command_output(capsys, argv) -> str:
     return captured.out
 
 
+# Commands that read a code file run over the canonical files of these sizes.
+FILE_COMMAND_SIZES = {"contract": range(2, 25, 2), "roundtrip": range(2, 13, 2)}
+
+
 @pytest.mark.parametrize("command", sorted(COMMAND_DIGESTS))
 def test_command_outputs_are_pinned(command, capsys, tmp_path):
-    if command == "contract":
+    name, *flags = command.split()
+    if name in FILE_COMMAND_SIZES:
         out = []
-        for v1 in range(2, 25, 2):
+        for v1 in FILE_COMMAND_SIZES[name]:
             path = tmp_path / f"v{v1}.json"
             path.write_text(to_json(_canonical(v1)), encoding="utf-8")
-            out.append(_command_output(capsys, ["contract", str(path)]))
+            out.append(_command_output(capsys, [name, str(path), *flags]))
         text = "".join(out)
     else:
         text = _command_output(capsys, command.split())
