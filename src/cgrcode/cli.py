@@ -27,7 +27,6 @@ from .code import (
 )
 from .graph import POS_INF, CgrParams, pif_factorize
 from .layout import (
-    KINDS,
     CodeArray,
     ContractShapeError,
     build_code_array,
@@ -65,6 +64,9 @@ def render_array_text(array: CodeArray) -> str:
     return "\n".join(lines) + "\n"
 
 
+KINDS = ("empty", "info", "parity")  # a cell record's kind, by member count capped at 2
+
+
 def mask_records(grid, v2: int) -> list[list[dict]]:
     """The JSON records of a mask grid's rows, or of its columns given
     zip(*masks): {"kind": ..., "vertices": cell_members(mask, v2)} per cell."""
@@ -88,17 +90,12 @@ def _csv_ints(text: str, flag: str) -> list[int]:
     return [_flag_int(part, flag, text) for part in stripped.split(",")]
 
 
-def _parse_placement(text: str):
-    if not text.strip():
-        return ()  # pif_factorize rejects it as no bijection
-    items = []
-    for part in text.split(","):
-        part = part.strip()
-        if part in ("inf", "+inf"):
-            items.append(POS_INF)
-        else:
-            items.append(_flag_int(part, "--placement", text))
-    return tuple(items)
+def _parse_placement(text: str) -> tuple:
+    """Split as _csv_ints does, each entry an int or inf (+inf); an empty
+    text gives (), which pif_factorize rejects as no bijection."""
+    stripped = text.strip()
+    parts = [part.strip() for part in stripped.split(",")] if stripped else []
+    return tuple(POS_INF if p in ("inf", "+inf") else _flag_int(p, "--placement", text) for p in parts)
 
 
 def _parse_data_spec(text: str) -> tuple[str, int]:
@@ -132,6 +129,30 @@ def _emit(text: str, output: str | None) -> None:
 
 def _emit_json(obj, output: str | None) -> None:
     _emit(json.dumps(obj, indent=2) + "\n", output)
+
+
+def _text(value) -> str:
+    """A record value in the text form: true/false for a bool, a list
+    comma-joined, a tuple comma-joined in parentheses, str otherwise."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (list, tuple)):
+        joined = ",".join(map(str, value))
+        return f"({joined})" if isinstance(value, tuple) else joined
+    return str(value)
+
+
+def _fields(record: dict, names, sep: str) -> list[str]:
+    """name, sep and the text of its value, for each named field of record
+    that is not None."""
+    return [f"{name}{sep}{_text(record[name])}" for name in names if record[name] is not None]
+
+
+def _print_record(record: dict, as_json: bool, lines) -> None:
+    """The record as JSON with --json, else the text lines rendered from it."""
+    if as_json:
+        return _emit_json(record, None)
+    _emit("".join(line + "\n" for line in lines), None)
 
 
 def _emit_array(array: CodeArray, args) -> int:
@@ -212,17 +233,9 @@ def cmd_verify(args) -> int:
         raise ValueError("give a code file or --builtin NAME")
 
     results = [_verify_one(name, array) for name, array in targets]
-    if args.json:
-        _emit_json({"results": results}, None)
-    else:
-        for res in results:
-            parts = [f"mds={'true' if res['mds'] else 'false'}"]
-            if res["witness"] is not None:
-                parts.append("witness=" + ",".join(str(c) for c in res["witness"]))
-            parts.append(f"dual_mds={'true' if res['dual_mds'] else 'false'}")
-            if res["dual_witness"] is not None:
-                parts.append("dual_witness=" + ",".join(str(c) for c in res["dual_witness"]))
-            print(f"{res['name']}: " + " ".join(parts))
+    text_fields = ("mds", "witness", "dual_mds", "dual_witness")
+    lines = (f"{res['name']}: " + " ".join(_fields(res, text_fields, "=")) for res in results)
+    _print_record({"results": results}, args.json, lines)
     return 0 if all(r["mds"] and r["dual_mds"] for r in results) else 1
 
 
@@ -233,27 +246,17 @@ def cmd_roundtrip(args) -> int:
     codeword = encode(array, info_bits)
     grid = erase(codeword, pattern)
     report = decode(array, grid, pattern)
-    match = report.recovered == info_bits
-    complexity = decode_complexity(report, array.params, pattern)
-    if args.json:
-        _emit_json(
-            {
-                "match": match,
-                "erased_columns": sorted(pattern.erased_columns),
-                "peeling_sufficed": report.peeling_sufficed,
-                "xor_count": report.xor_count,
-                "elimination_xor_count": report.elimination_xor_count,
-                "decode_complexity": str(complexity),
-            },
-            None,
-        )
-    else:
-        print(f"match: {'true' if match else 'false'}")
-        print(f"peeling_sufficed: {'true' if report.peeling_sufficed else 'false'}")
-        print(f"xor_count: {report.xor_count}")
-        print(f"elimination_xor_count: {report.elimination_xor_count}")
-        print(f"decode_complexity: {complexity}")
-    return 0 if match else 1
+    record = {
+        "match": report.recovered == info_bits,
+        "erased_columns": sorted(pattern.erased_columns),
+        "peeling_sufficed": report.peeling_sufficed,
+        "xor_count": report.xor_count,
+        "elimination_xor_count": report.elimination_xor_count,
+        "decode_complexity": str(decode_complexity(report, array.params, pattern)),
+    }
+    text_fields = ("match", "peeling_sufficed", "xor_count", "elimination_xor_count", "decode_complexity")
+    _print_record(record, args.json, _fields(record, text_fields, ": "))
+    return 0 if record["match"] else 1
 
 
 def _measured_decode_complexity(params: CgrParams):
@@ -286,19 +289,13 @@ def cmd_metrics(args) -> int:
         row = {
             "v1": v1,
             "v2": params.v2,
-            "code": [params.v2, 2],
+            "code": (params.v2, 2),  # a JSON list, (n,2) in the text form
             "update_complexity": str(update_complexity(params)),
             "decode_complexity": str(_measured_decode_complexity(params)),
         }
-        if args.json:
-            rows.append(row)
-        else:
-            print(
-                f"v1={row['v1']} v2={row['v2']} code=({row['code'][0]},{row['code'][1]}) "
-                f"update_complexity={row['update_complexity']} "
-                f"decode_complexity={row['decode_complexity']}",
-                flush=True,
-            )
+        rows.append(row)
+        if not args.json:
+            print(" ".join(_fields(row, row, "=")), flush=True)
     if args.json:
         _emit_json({"metrics": rows}, None)
     return 0
@@ -318,7 +315,7 @@ def cmd_contract(args) -> int:
     ok = verify_contracted_mds(contracted)
     if args.format == "text":
         text = render_array_text(contracted)
-        text += f"mds: {'true' if ok else 'false'}\n"
+        text += f"mds: {_text(ok)}\n"
         _emit(text, args.output)
     else:
         _emit_json(
@@ -354,24 +351,15 @@ def cmd_search(args) -> int:
         stop_after=args.stop_after,
     )
     vectors, stats = search(spec, DEFAULT_BUDGET if args.budget is None else args.budget)
-    if args.json:
-        _emit_json(
-            {
-                "trials": stats.trials,
-                "hits": stats.hits,
-                "space": stats.space,
-                "nodes": stats.nodes,
-                "vectors": [list(vec) for vec in vectors],
-            },
-            None,
-        )
-    else:
-        print(f"trials: {stats.trials}")
-        print(f"hits: {stats.hits}")
-        if stats.space is not None:
-            print(f"space: {stats.space}")
-        for vec in vectors:
-            print("vector: " + ",".join(str(a) for a in vec))
+    record = {
+        "trials": stats.trials,
+        "hits": stats.hits,
+        "space": stats.space,
+        "nodes": stats.nodes,
+        "vectors": [list(vec) for vec in vectors],
+    }
+    vector_lines = [f"vector: {_text(vec)}" for vec in record["vectors"]]
+    _print_record(record, args.json, _fields(record, ("trials", "hits", "space"), ": ") + vector_lines)
     return 0
 
 

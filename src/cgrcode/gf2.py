@@ -33,13 +33,6 @@ def extend(basis: dict[int, int], masks, slack: int) -> int:
     return slack
 
 
-def rank(masks: list[int]) -> int:
-    """Rank of a set of GF(2) row vectors given as bitmasks."""
-    basis: dict[int, int] = {}
-    extend(basis, masks, len(masks))
-    return len(basis)
-
-
 def solve_unique(equations: list[tuple[int, int]]) -> tuple[dict[int, int], int]:
     """Solve a GF(2) system, in one elimination whatever its rank.
 

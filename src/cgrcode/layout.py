@@ -23,40 +23,19 @@ from operator import itemgetter
 
 from .graph import NEG_INF, POS_INF, CgrParams, Factorization, Value
 
-KINDS = ("empty", "info", "parity")  # by member count, capped at 2
-
 
 class Cell(Value):
-    """One grid entry: an info bit, a parity over several bits, or empty.
-
-    The kind follows from the member count: none is empty, one is an info
-    bit, two or more a parity. Members are kept in construction order (see
-    cell_members for the order a code array shows); use vertex_set for
-    order-free comparisons.
+    """One grid entry: an info bit (one member), a parity over two or more,
+    or empty (none). Members are kept in construction order (see
+    cell_members for the order a code array shows).
     """
 
     def __init__(self, vertices: tuple[int, ...]) -> None:
         object.__setattr__(self, "vertices", vertices)
 
     @property
-    def kind(self) -> str:
-        return KINDS[min(len(self.vertices), 2)]
-
-    @property
-    def is_info(self) -> bool:
-        return len(self.vertices) == 1
-
-    @property
     def is_parity(self) -> bool:
         return len(self.vertices) > 1
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.vertices
-
-    @property
-    def vertex_set(self) -> set[int]:
-        return set(self.vertices)
 
 
 class OffsetVector(tuple):
@@ -145,7 +124,8 @@ class CodeArray(Value):
     shape and is_dual() come from its header, params, offsets and _dual.
     Arrays compare by all their fields, masks last and row by row as tuples,
     so a comparison lays a grid out only when the other fields agree, and
-    hash by the fields other than masks: offsets are stored as an
+    never between two built arrays, which agree when their _dual flags do.
+    They hash by the fields other than masks: offsets are stored as an
     OffsetVector, so a built array equals and hashes like its hand-built
     copy, whether that copy's offsets and rows are tuples or lists.
     """
@@ -163,6 +143,8 @@ class CodeArray(Value):
             return NotImplemented
         if self._header() != other._header():
             return False
+        if self._dual is not None and other._dual is not None:
+            return self._dual == other._dual  # two built arrays: the header is the grid
         return tuple(map(tuple, self.masks)) == tuple(map(tuple, other.masks))
 
     def _header(self) -> tuple:

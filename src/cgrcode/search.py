@@ -91,14 +91,15 @@ def search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> tuple[list[OffsetV
     exhaustive search with a free prefix walks the vectors that start with
     0 and shifts them to the other first values (see _exhaustive); a random
     one places each trial's first free row from a table of its placements.
-    Raises ValueError on a negative limit or budget and, before any layout,
-    on a size over MAX_GRID_BITS."""
-    if spec.max_trials < 0:
-        raise ValueError(f"max_trials must be >= 0, got {spec.max_trials}")
-    if spec.stop_after is not None and spec.stop_after < 0:
-        raise ValueError(f"stop_after must be >= 0, got {spec.stop_after}")
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+    Raises ValueError on a seed, limit or budget that is no int (stop_after
+    may be None), on a negative limit or budget and, before any layout, on
+    a size over MAX_GRID_BITS."""
+    limits = {"max_trials": spec.max_trials, "stop_after": spec.stop_after, "budget": budget, "seed": spec.seed}
+    for name, value in limits.items():
+        if type(value) is not int and not (value is None and name == "stop_after"):  # bools too
+            raise ValueError(f"{name} must be an int, got {value!r}")
+        if value is not None and value < 0 and name != "seed":
+            raise ValueError(f"{name} must be >= 0, got {value}")
     if spec.strategy not in ("exhaustive", "random"):
         raise ValueError(f"unknown strategy {spec.strategy!r} (use 'exhaustive' or 'random')")
     params = spec.params

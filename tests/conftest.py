@@ -112,6 +112,20 @@ def mislabelled_v1_4_grids() -> dict[str, CodeArray]:
     }
 
 
+def _scratch_rank(masks):
+    """Rank by elimination on a copy, written apart from gf2's basis: the
+    reference rank of the gf2 and codec tests."""
+    rows = [m for m in masks if m]
+    rank = 0
+    while rows:
+        pivot = max(rows)
+        top = pivot.bit_length() - 1
+        rows = [r ^ pivot if r >> top & 1 else r for r in rows if r != pivot]
+        rows = [r for r in rows if r]
+        rank += 1
+    return rank
+
+
 def random_bits(array: CodeArray, seed: int) -> dict[int, int]:
     rng = Lcg(seed)
     return {v: rng.bit() for v in array.info_ids()}

@@ -39,7 +39,7 @@ def test_puncture_two_ring_array(k2_array):
         (r, c): render_cell(cell.vertices)
         for r, row in enumerate(punctured.rows)
         for c, cell in enumerate(row)
-        if not cell.is_empty
+        if cell.vertices
     }
     assert survivors == {(0, 0): "0", (1, 4): "5", (4, 1): "0 ⊕ 5"}
 
@@ -73,7 +73,7 @@ def _reference_contract(array):
     groups = {}
     for row in puncture(array).rows:
         for c, cell in enumerate(row):
-            if not cell.is_empty:
+            if cell.vertices:
                 groups.setdefault(c, []).append(cell)
     shape = {c: len(groups[c]) for c in sorted(groups)}
     if len(shape) != v1 + 1 or set(shape.values()) != {v1 // 2}:

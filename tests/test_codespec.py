@@ -107,6 +107,33 @@ def test_committed_version_1_files_load_and_are_reproduced(name):
     )
 
 
+@pytest.mark.parametrize(
+    "mutate, dual",
+    [
+        (lambda o: o.update(v1=None), False),
+        (lambda o: o.update(v1=True), False),
+        (lambda o: o["offset_vector"].__setitem__(0, "3"), False),
+        (lambda o: o["offset_vector"].__setitem__(0, "3"), True),
+    ],
+    ids=["v1 null", "v1 true", "offset '3'", "dual"],
+)
+def test_a_version_1_header_of_non_ints_names_placeholders(mutate, dual):
+    # The refusal copies v1 and the offsets into the command it names only
+    # when all of them are ints; else it names N and an ellipsis, and a dual
+    # (first cell a parity over v1 + 1 edges) still adds the dual step.
+    k2 = builtin_array("k2_c5")
+    obj = json.loads(_v1_text(dualize(k2) if dual else k2))
+    mutate(obj)
+    command = "cgrcode generate --v1 N --offsets …"
+    if dual:
+        command += " --output primal.json && cgrcode dual primal.json"
+    with pytest.raises(ValueError) as refused:
+        from_obj(obj)
+    assert str(refused.value) == (
+        f"version 1 code files are no longer read; regenerate this one with: {command}"
+    )
+
+
 @pytest.mark.parametrize("mutate", V2_MUTATIONS)
 def test_version_2_validation_rejects_malformed_headers(k2_array, mutate):
     obj = to_obj(k2_array)
@@ -328,6 +355,10 @@ def test_to_json_writes_the_indent_encoder_bytes():
             to_json(puncture(array))
 
 
+def _kind(cell) -> str:
+    return "parity" if cell.is_parity else "info" if cell.vertices else "empty"
+
+
 def test_mask_records_match_the_cell_view():
     arrays = [builtin_array(name) for name in BUILTIN_VECTORS] + [
         _canonical(v1) for v1 in range(2, 25, 2)
@@ -335,5 +366,5 @@ def test_mask_records_match_the_cell_view():
     for array in arrays:
         # puncture blanks cells to kind "empty" with no vertices.
         for form in (array, dualize(array), puncture(array), contract(array)):
-            view = [[{"kind": c.kind, "vertices": list(c.vertices)} for c in row] for row in form.rows]
+            view = [[{"kind": _kind(c), "vertices": list(c.vertices)} for c in row] for row in form.rows]
             assert mask_records(form.masks, form.params.v2) == view, form.params

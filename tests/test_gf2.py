@@ -19,31 +19,27 @@ from cgrcode import (
     gf2,
     pif_factorize,
 )
+from conftest import _scratch_rank
+
+
+def _extended_rank(masks):
+    """The size of the basis gf2.extend builds from masks, given slack for
+    every mask."""
+    basis = {}
+    gf2.extend(basis, masks, len(masks))
+    return len(basis)
 
 
 def test_rank_of_independent_rows():
-    assert gf2.rank([0b11, 0b10]) == 2
-    assert gf2.rank([0b001, 0b010, 0b100]) == 3
+    assert _extended_rank([0b11, 0b10]) == 2
+    assert _extended_rank([0b001, 0b010, 0b100]) == 3
 
 
 def test_rank_ignores_dependent_and_zero_rows():
-    assert gf2.rank([0b11, 0b11]) == 1
-    assert gf2.rank([0]) == 0
-    assert gf2.rank([]) == 0
-    assert gf2.rank([0b101, 0b011, 0b110]) == 2  # third row = xor of first two
-
-
-def _scratch_rank(masks):
-    # Rank by elimination on a copy, written apart from gf2's basis.
-    rows = [m for m in masks if m]
-    rank = 0
-    while rows:
-        pivot = max(rows)
-        top = pivot.bit_length() - 1
-        rows = [r ^ pivot if r >> top & 1 else r for r in rows if r != pivot]
-        rows = [r for r in rows if r]
-        rank += 1
-    return rank
+    assert _extended_rank([0b11, 0b11]) == 1
+    assert _extended_rank([0]) == 0
+    assert _extended_rank([]) == 0
+    assert _extended_rank([0b101, 0b011, 0b110]) == 2  # third row = xor of first two
 
 
 def test_extend_matches_a_scratch_rank_on_random_masks():

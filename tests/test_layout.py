@@ -26,6 +26,7 @@ from cgrcode import (
     pif_factorize,
     puncture,
 )
+from cgrcode.cli import mask_records
 from cgrcode.codespec import from_json, from_obj, to_json
 from cgrcode.layout import (
     MAX_LAYOUT_BITS,
@@ -40,17 +41,19 @@ from conftest import mislabelled_v1_4_grids, placements_and_pis
 
 def test_cell_constructors():
     info = Cell((7,))
-    assert info.is_info and info.vertices == (7,)
+    assert not info.is_parity and info.vertices == (7,)
     parity = Cell((4, 0))
-    assert parity.is_parity and parity.vertex_set == {0, 4}
+    assert parity.is_parity and set(parity.vertices) == {0, 4}
     empty = Cell(())
-    assert empty.is_empty and empty.vertices == ()
+    assert not empty.is_parity and empty.vertices == ()
 
 
 def test_value_types_hold_only_their_data():
     assert list(vars(Cell((3, 4)))) == ["vertices"]
-    kinds = [Cell(members).kind for members in [(), (3,), (3, 4), (1, 2, 3)]]
-    assert kinds == ["empty", "info", "parity", "parity"]
+    # A cell's kind is no field of it: the CLI's cell records derive it
+    # from the member count.
+    records = mask_records([[0, 1 << 3, 1 << 3 | 1 << 4, 0b1110]], 5)[0]
+    assert [record["kind"] for record in records] == ["empty", "info", "parity", "parity"]
     vector = OffsetVector((0, 1, 2, 2, 4))
     assert isinstance(vector, tuple) and not hasattr(vector, "offsets")
     assert vector == (0, 1, 2, 2, 4) and repr(vector) == "(0, 1, 2, 2, 4)"
@@ -201,6 +204,26 @@ def test_a_copy_with_list_rows_equals_its_built_twin(dual):
     assert CodeArray(params, built.offsets, flipped) != built
 
 
+def test_built_arrays_compare_by_header_with_no_layout(monkeypatch):
+    # Two built arrays are equal exactly when their headers and dual flags
+    # agree, so comparing them, dualize twice included, lays out no grid.
+    params = CgrParams.from_v1(24)
+    offsets = derive_offsets(pif_factorize(24))
+    layout = importlib.import_module("cgrcode.layout")
+
+    def no_layout(*args):
+        raise AssertionError("laid out a grid to compare built arrays")
+
+    monkeypatch.setattr(layout, "map_unshifted", no_layout)
+    monkeypatch.setattr(layout, "bit_rows", no_layout)
+    primal = build_code_array(params, offsets)
+    dual = dualize(primal)
+    twin = build_code_array(params, offsets)
+    assert primal == twin and hash(primal) == hash(twin)
+    assert primal != dual and dual != primal
+    assert dualize(dualize(primal)) == primal and dualize(dualize(dual)) == dual
+
+
 def test_repeated_info_cells_count_once():
     # A hand-built grid may carry one variable in several single-bit cells.
     grid = CodeArray(CgrParams.from_v1(2), None, ((1, 2, 1), (4, 3, 2), (4, 0, 5)))
@@ -245,10 +268,10 @@ def test_variable_ids_are_bit_positions(v1):
             primal_cell, dual_cell = primal.rows[r][c], dual.rows[r][c]
             if r < v1:
                 assert primal_cell.vertices == (r * v2 + u,)
-                assert dual_cell.vertex_set == incident[r * v2 + u]
+                assert set(dual_cell.vertices) == incident[r * v2 + u]
             else:
                 e = (r - v1) * v2 + u
-                assert primal_cell.vertex_set == set(edges[e])
+                assert set(primal_cell.vertices) == set(edges[e])
                 assert dual_cell.vertices == (e,)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import itertools
+import re
 import time
 
 import pytest
@@ -19,7 +20,7 @@ from cgrcode import (
     verify_mds,
 )
 from cgrcode.rng import MASK64, Lcg, jump
-from cgrcode.search import params_for_offset_length
+from cgrcode.search import DEFAULT_BUDGET, params_for_offset_length
 
 
 def test_params_for_offset_length():
@@ -193,6 +194,23 @@ def test_lcg_jump_equals_that_many_steps(steps):
 def test_negative_limits_are_rejected(limits):
     with pytest.raises(ValueError):
         search(SearchSpec(params=CgrParams.from_v1(2), **limits))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_trials", 2.5), ("max_trials", True), ("seed", 1.5), ("stop_after", 1.5), ("budget", 10.0)],
+    ids=["max_trials float", "max_trials bool", "seed", "stop_after", "budget"],
+)
+def test_limits_that_are_not_ints_are_rejected(field, value):
+    # Unchecked, stop_after=1.5 failed inside _exhaustive's slicing,
+    # max_trials=2.5 ran 3 trials, max_trials=True ran 1, and seed=1.5
+    # failed inside Lcg. A bool counts as no int.
+    strategy = "random" if field in ("max_trials", "seed") else "exhaustive"
+    limits = {"budget": DEFAULT_BUDGET, field: value}
+    budget = limits.pop("budget")
+    spec = SearchSpec(CgrParams.from_v1(2), fix_prefix=False, strategy=strategy, **limits)
+    with pytest.raises(ValueError, match=f"^{field} must be an int, got {re.escape(repr(value))}$"):
+        search(spec, budget)
 
 
 def test_unknown_strategy_is_rejected_before_any_layout(monkeypatch):
