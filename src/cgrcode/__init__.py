@@ -14,7 +14,6 @@ built one with cells emptied.
 """
 
 from .code import (
-    Codeword,
     DecodeReport,
     ErasurePattern,
     MdsResult,
@@ -67,7 +66,6 @@ __all__ = [
     "CgrGraph",
     "CgrParams",
     "CodeArray",
-    "Codeword",
     "ContractShapeError",
     "DEFAULT_BUDGET",
     "DecodeReport",

@@ -243,9 +243,7 @@ def cmd_roundtrip(args) -> int:
     array = _load_primal(args.file)
     pattern = ErasurePattern.of(_csv_ints(args.erase, "--erase"))
     info_bits = _info_bits(array, args.data)
-    codeword = encode(array, info_bits)
-    grid = erase(codeword, pattern)
-    report = decode(array, grid, pattern)
+    report = decode(array, erase(encode(array, info_bits), pattern), pattern)
     record = {
         "match": report.recovered == info_bits,
         "erased_columns": sorted(pattern.erased_columns),
@@ -267,9 +265,8 @@ def _measured_decode_complexity(params: CgrParams):
     values, peels as many (peeling stops at the same closure in any order)
     and rebuilds as many cells, so every column gives the same xor_count."""
     array = build_code_array(params, derive_offsets(pif_factorize(params.v1)))
-    codeword = encode(array, {v: 0 for v in array.info_ids()})
     pattern = ErasurePattern.of([0])
-    report = decode(array, erase(codeword, pattern), pattern)
+    report = decode(array, erase(encode(array, {v: 0 for v in array.info_ids()}), pattern), pattern)
     return decode_complexity(report, params, pattern)
 
 

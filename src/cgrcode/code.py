@@ -67,14 +67,6 @@ class ErasurePattern(Value):
         return [c for c in range(num_columns) if c not in self.erased_columns]
 
 
-class Codeword(Value):
-    """A code array together with concrete bit values for every cell."""
-
-    def __init__(self, array: CodeArray, cell_values: tuple[tuple[int, ...], ...]) -> None:
-        object.__setattr__(self, "array", array)
-        object.__setattr__(self, "cell_values", cell_values)
-
-
 class DecodeReport(Value):
     """Decode outcome: recovered values plus operation accounting.
 
@@ -120,13 +112,14 @@ class MdsResult(Value):
         return self.is_mds
 
 
-def encode(array: CodeArray, info_bits: dict[int, int]) -> Codeword:
-    """Fill every cell with the XOR of the info values its mask selects,
-    replaying the array's codec plan: one XOR per two-bit cell, in one pass
-    over its (p, q) ids, and one per further member of a wider cell; one
-    gather then lays the grid out, taking a single-bit cell's value as is
-    (never 0 ^ value, which would copy a wide value). Values are indexed by
-    id, the bit position the plan holds."""
+def encode(array: CodeArray, info_bits: dict[int, int]) -> tuple[tuple[int, ...], ...]:
+    """The grid of cell values, num_rows rows of num_columns: each cell the
+    XOR of the info values its mask selects, replaying the array's codec
+    plan: one XOR per two-bit cell, in one pass over its (p, q) ids, and one
+    per further member of a wider cell; one gather then lays the grid out,
+    taking a single-bit cell's value as is (never 0 ^ value, which would
+    copy a wide value). Values are indexed by id, the bit position the plan
+    holds."""
     try:
         required = array.plan.ids
     except ValueError:  # a plan that does not compile raises below, after these checks
@@ -148,22 +141,17 @@ def encode(array: CodeArray, info_bits: dict[int, int]) -> Codeword:
             acc ^= values[q]
         values.append(acc)
     values.append(0)
-    width = array.num_columns
-    if not width:  # zip of no columns would drop the rows
-        return Codeword(array, ((),) * array.num_rows)
     cells = iter(plan.gather(values))
-    return Codeword(array, tuple(zip(*[cells] * width)))
+    return tuple(zip(*[cells] * array.num_columns))
 
 
-def erase(codeword: Codeword, pattern: ErasurePattern) -> tuple[tuple[int | None, ...], ...]:
-    """Cell values with erased columns blanked to None: transposed, each
-    erased column set to one shared tuple of None, and transposed back. A
-    grid of no columns has nothing to erase and comes back as it is."""
-    pattern.validate_for(codeword.array.num_columns)
-    columns = list(zip(*codeword.cell_values))
-    if not columns:  # zip of no columns would drop the rows
-        return codeword.cell_values
-    blank = (None,) * len(codeword.cell_values)
+def erase(values, pattern: ErasurePattern) -> tuple[tuple[int | None, ...], ...]:
+    """A grid of cell values (encode's) with its erased columns blanked to
+    None: transposed, each erased column set to one shared tuple of None,
+    and transposed back."""
+    pattern.validate_for(len(values[0]))
+    columns = list(zip(*values))
+    blank = (None,) * len(values)
     for c in pattern.erased_columns:
         columns[c] = blank
     return tuple(zip(*columns))
@@ -310,13 +298,11 @@ def _sweep(masks, nvars: int, orbits: bool) -> MdsResult:
     swept. The first failing pair in lexicographic order is then (0, d*), d*
     the least failing distance, so the witness and patterns_checked (d* on a
     failure, C(v2, 2) on success: the pairs covered) are the full sweep's.
-    Any other grid has every pair swept, over the columns zip reads.
+    Any other grid has every pair swept.
     """
-    v2 = len(masks[0]) if masks else 0
+    v2 = len(masks[0])
     read = itertools.islice(zip(*masks), v2 // 2 + 1 if orbits else None)
     columns = [[m for m in column if m] for column in read]
-    if not orbits:
-        v2 = len(columns)
     swept = 0
     for a in range(1 if orbits else v2):
         basis_a: dict[int, int] = {}

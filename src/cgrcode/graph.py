@@ -186,8 +186,8 @@ def pif_factorize(v1: int, placement: tuple[Label, ...] | None = None) -> Factor
     """Perfect one-factorization of K_{v1+2} into v1+1 center-indexed factors.
 
     placement assigns the labels {0..v1-1, POS_INF} to the v1+1 cycle
-    positions (default: identity order with POS_INF last). Factor p contains
-    the center edge (NEG_INF, placement[p]).
+    positions (default: identity order with POS_INF last), each entry an int
+    or POS_INF. Factor p contains the center edge (NEG_INF, placement[p]).
 
     When v1 + 1 is prime the positional factors are the wheel: the translates
     of the patterned starter {x, -x}, so factor p pairs the positions p - k
@@ -202,6 +202,9 @@ def pif_factorize(v1: int, placement: tuple[Label, ...] | None = None) -> Factor
     if placement is None:
         placement = tuple(range(v1)) + (POS_INF,)
     placement = tuple(placement)
+    for a in placement:
+        if type(a) is not int and a != POS_INF:  # rejects bools and floats that equal a label
+            raise ValueError(f"placement entry {a!r} is neither an int nor POS_INF")
     if len(placement) != n or set(placement) != set(range(v1)) | {POS_INF}:
         raise ValueError("placement must be a bijection of {0..v1-1, POS_INF} onto cycle positions")
 

@@ -116,7 +116,8 @@ class CodeArray(Value):
     Bit i of masks[r][c] is set when variable i is in cell (r, c). Ids are
     the vertex ids in a primal array, the edge indices in CgrGraph.edge_list
     order in a dual, and 0, v2, 2*v2, ... in a punctured or contracted one.
-    The column count is the grid's: v2 for a built array, v1 + 1 for a
+    The grid is one or more rows of one nonzero length, checked when it is
+    made. The column count is the grid's: v2 for a built array, v1 + 1 for a
     contracted one, whose source_columns gives each column's parent column
     (None for every other array).
 
@@ -133,6 +134,9 @@ class CodeArray(Value):
     _dual: bool | None = None  # stored by _built; None on any other grid
 
     def __init__(self, params: CgrParams, offsets, masks, source_columns=None) -> None:
+        width = len(masks[0]) if masks else 0
+        if not width or any(len(row) != width for row in masks):
+            raise ValueError("masks must be one or more rows of the same nonzero length")
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "offsets", None if offsets is None else OffsetVector(offsets))
         object.__setattr__(self, "masks", masks)
@@ -394,7 +398,7 @@ def dualize(array: CodeArray) -> CodeArray:
     offsets = OffsetVector(array.offsets or ())
     offsets.validate_for(params)
     own = itertools.chain(*_built(params, offsets, dual).masks)
-    shaped = [len(row) for row in array.masks] == [params.v2] * params.num_rows
+    shaped = (array.num_rows, array.num_columns) == (params.num_rows, params.v2)
     if not shaped or any(m and m != o for m, o in zip(itertools.chain(*array.masks), own)):
         raise ValueError("dualize expects a grid its header describes, up to emptied cells")
     rows = zip(array.masks, _built(params, offsets, not dual).masks)
@@ -449,13 +453,16 @@ def derive_offsets(factorization: Factorization, pi=None) -> OffsetVector:
     must start with its center edge (NEG_INF, c), else ValueError; the
     inter-ring row for ring pair (i, j) takes pi(c), or v1+2 when c is
     POS_INF, from the factor holding edge (i, j); a ring pair no factor
-    holds raises ValueError. pi must be a permutation of 0..v1-1 (default:
-    identity); edges touching a sentinel are ignored.
+    holds raises ValueError. pi must be a permutation of 0..v1-1, each entry
+    an int (default: identity); edges touching a sentinel are ignored.
     """
     v1 = factorization.order - 2
     if pi is None:
         pi = tuple(range(v1))
     pi = tuple(pi)
+    for a in pi:
+        if type(a) is not int:  # rejects bools and floats that equal an index
+            raise ValueError(f"pi entry {a!r} is not an int")
     if sorted(pi) != list(range(v1)):
         raise ValueError(f"pi must be a permutation of 0..{v1 - 1}, got {pi}")
     offset_of = dict(enumerate(pi)) | {POS_INF: v1 + 2}

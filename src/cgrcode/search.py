@@ -11,7 +11,10 @@ from .layout import OffsetVector, canonical_prefix, map_unshifted
 from .rng import MASK64, Lcg, jump
 
 DEFAULT_BUDGET = 10**7
-MAX_GRID_BITS = 2**27  # search's doubled grid: 2*num_rows*v2*v1*v2, 11.3 M at v1 = 24
+# Bounds 2*num_rows*v2*v1*v2 = v2*(v1*v2)**2 bits, 11.3 M at v1 = 24: about twice
+# the v2 // 2 echelon bases, of up to v1*v2 masks of v1*v2 bits each, that search
+# grows. The doubled rows (row + row) share their mask ints, so they add little.
+MAX_GRID_BITS = 2**27
 
 
 class BudgetExceededError(Exception):

@@ -112,6 +112,22 @@ def mislabelled_v1_4_grids() -> dict[str, CodeArray]:
     }
 
 
+def _canonical(v1: int) -> CodeArray:
+    """The canonical array of size v1: derive_offsets(pif_factorize(v1)), built."""
+    return build_code_array(CgrParams.from_v1(v1), derive_offsets(pif_factorize(v1)))
+
+
+def no_layout(monkeypatch, module, names, message: str) -> None:
+    """Patch each of names on module with a stand-in that fails the test
+    with message when it is called: a check that nothing lays out a grid."""
+
+    def refuse(*args):
+        raise AssertionError(message)
+
+    for name in names:
+        monkeypatch.setattr(module, name, refuse)
+
+
 def _scratch_rank(masks):
     """Rank by elimination on a copy, written apart from gf2's basis: the
     reference rank of the gf2 and codec tests."""

@@ -29,7 +29,7 @@ from cgrcode import (
 )
 from cgrcode.cli import render_array_text, render_cell
 from cgrcode.rng import Lcg
-from conftest import builtin_array, mislabelled_v1_4_grids, placements_and_pis
+from conftest import builtin_array, mislabelled_v1_4_grids, no_layout, placements_and_pis
 
 
 def test_puncture_two_ring_array(k2_array):
@@ -176,12 +176,7 @@ def test_contract_of_a_built_array_lays_nothing_out(monkeypatch):
     want = _reference_contract(laid)
     punctured = puncture(laid)
     layout = importlib.import_module("cgrcode.layout")
-
-    def no_layout(*args):
-        raise AssertionError("laid out a grid for a built array")
-
-    monkeypatch.setattr(layout, "map_unshifted", no_layout)
-    monkeypatch.setattr(layout, "bit_rows", no_layout)
+    no_layout(monkeypatch, layout, ("map_unshifted", "bit_rows"), "laid out a grid for a built array")
     array = build_code_array(params, offsets)
     assert _contract_outcome(array) == _contract_outcome(punctured) == want
     backwards = contract(array, want[1][::-1])

@@ -26,7 +26,7 @@ from cgrcode import (
     verify_dual_mds,
 )
 from cgrcode.cli import _measured_decode_complexity, main
-from conftest import DATA, V1_FILES, V2_MUTATIONS, _v1_text
+from conftest import DATA, V1_FILES, V2_MUTATIONS, _v1_text, no_layout
 
 K2_TEXT = (
     "offset vector: 0,1,2,2,4\n"
@@ -516,12 +516,7 @@ def test_code_file_commands_read_headers_without_layout(monkeypatch, tmp_path, c
     # largest dual under the bound, 0.8 GB) verify, roundtrip and contract
     # refuse the dual header, and dual writes the primal's, laying out nothing.
     layout = importlib.import_module("cgrcode.layout")
-
-    def no_layout(*args):
-        raise AssertionError("laid out a grid")
-
-    monkeypatch.setattr(layout, "bit_rows", no_layout)
-    monkeypatch.setattr(layout, "map_unshifted", no_layout)
+    no_layout(monkeypatch, layout, ("bit_rows", "map_unshifted"), "laid out a grid")
     big = tmp_path / "p100.json"
     assert main(["generate", "--v1", "100", "--output", str(big)]) == 0
     assert json.loads(big.read_text())["v1"] == 100

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from cgrcode import (
     CgrParams,
     CodeArray,
-    Codeword,
     ContractShapeError,
     DecodeReport,
     ErasurePattern,
@@ -62,7 +61,7 @@ def test_erase_and_decode_reject_a_column_that_is_not_an_int(k2_array, column):
     with pytest.raises(ValueError, match="is not an int"):
         erase(codeword, pattern)
     with pytest.raises(ValueError, match="is not an int"):
-        decode(k2_array, codeword.cell_values, pattern)
+        decode(k2_array, codeword, pattern)
 
 
 def test_encode_validates_info_keys(k2_array):
@@ -91,13 +90,13 @@ def test_decode_rejects_a_grid_of_the_wrong_shape(k2_array):
 
 def test_encode_zero_data_gives_zero_cells(k2_array):
     codeword = encode(k2_array, {v: 0 for v in k2_array.info_ids()})
-    assert all(bit == 0 for row in codeword.cell_values for bit in row)
+    assert all(bit == 0 for row in codeword for bit in row)
 
 
 def test_single_bit_touches_expected_cells(k2_array):
     bits = {v: 1 if v == 0 else 0 for v in k2_array.info_ids()}
     codeword = encode(k2_array, bits)
-    hot = sum(bit for row in codeword.cell_values for bit in row)
+    hot = sum(bit for row in codeword for bit in row)
     # One info cell plus one parity per incident edge (degree v1 + 1).
     assert hot == k2_array.params.v1 + 2
 
@@ -234,15 +233,12 @@ def _reference_xor_of(values, mask):
 
 
 def _reference_encode(array, info_bits):
-    return Codeword(
-        array, tuple(tuple(_reference_xor_of(info_bits, m) for m in row) for row in array.masks)
-    )
+    return tuple(tuple(_reference_xor_of(info_bits, m) for m in row) for row in array.masks)
 
 
-def _reference_erase(codeword, pattern):
+def _reference_erase(grid, pattern):
     return tuple(
-        tuple(None if c in pattern.erased_columns else v for c, v in enumerate(row))
-        for row in codeword.cell_values
+        tuple(None if c in pattern.erased_columns else v for c, v in enumerate(row)) for row in grid
     )
 
 
@@ -458,11 +454,13 @@ def test_codec_matches_the_reference_on_hand_built_grids(array, seed):
 def test_a_grid_with_no_info_cell_encodes_to_zeros_and_decodes_to_nothing():
     # Each cell is the XOR of no values, so the codeword is all 0, and there
     # is nothing to recover, under any pattern, peeled or forced. A grid of
-    # no columns keeps its row through encode and erase.
-    for array in (_hand_built((0, 0), (0, 0)), _hand_built((0,)), _hand_built(())):
+    # no columns is refused when it is made.
+    with pytest.raises(ValueError, match="^masks must be one or more rows of the same nonzero length$"):
+        _hand_built(())
+    for array in (_hand_built((0, 0), (0, 0)), _hand_built((0,))):
         codeword = encode(array, {})
         assert codeword == _reference_encode(array, {})
-        assert codeword.cell_values == ((0,) * array.num_columns,) * array.num_rows
+        assert codeword == ((0,) * array.num_columns,) * array.num_rows
         width = array.num_columns
         for columns in itertools.chain(*(itertools.combinations(range(width), k) for k in range(width + 1))):
             pattern = ErasurePattern.of(columns)

@@ -30,7 +30,7 @@ from cgrcode.codespec import (
     to_obj,
 )
 from cgrcode.cli import mask_records
-from conftest import DATA, V1_FILES, V2_MUTATIONS, _v1_text, builtin_array
+from conftest import DATA, V1_FILES, V2_MUTATIONS, _canonical, _v1_text, builtin_array, no_layout
 
 
 def test_object_shape(k2_array):
@@ -70,10 +70,6 @@ def test_version_2_texts_are_pinned(k2_array):
     assert to_json(dualize(k2_array)) == K2_DUAL_V2_TEXT
     assert from_json(K2_V2_TEXT) == k2_array
     assert from_json(K2_DUAL_V2_TEXT) == dualize(k2_array)
-
-
-def _canonical(v1: int):
-    return build_code_array(CgrParams.from_v1(v1), derive_offsets(pif_factorize(v1)))
 
 
 @pytest.mark.parametrize("v1", range(2, 25, 2))
@@ -183,12 +179,7 @@ def test_to_json_of_a_built_array_lays_nothing_out(monkeypatch):
     offsets = derive_offsets(pif_factorize(24))
     _, layout_peak = _peak_bytes(lambda: build_code_array(params, offsets).masks)
     layout = importlib.import_module("cgrcode.layout")
-
-    def no_layout(*args):
-        raise AssertionError("laid out a grid for a built array")
-
-    monkeypatch.setattr(layout, "map_unshifted", no_layout)
-    monkeypatch.setattr(layout, "bit_rows", no_layout)
+    no_layout(monkeypatch, layout, ("map_unshifted", "bit_rows"), "laid out a grid for a built array")
     array = build_code_array(params, offsets)
     text, write_peak = _peak_bytes(lambda: to_json(array))
     assert write_peak < layout_peak / 10, (write_peak, layout_peak)

@@ -152,6 +152,17 @@ def test_placement_validation():
         pif_factorize(3)
 
 
+@pytest.mark.parametrize(
+    "placement, entry",
+    [((False, True, POS_INF), "False"), ((0, 1.0, POS_INF), "1.0"), ((0, "1", POS_INF), "'1'")],
+)
+def test_a_placement_entry_that_is_not_an_int_is_named(placement, entry):
+    # Bools and floats equal to a label once came back as factor labels;
+    # only an int or POS_INF labels a cycle position.
+    with pytest.raises(ValueError, match=rf"^placement entry {entry} is neither an int nor POS_INF$"):
+        pif_factorize(2, placement)
+
+
 @pytest.mark.parametrize("v1", [4.0, 6.0])
 def test_a_float_size_is_a_value_error(v1):
     # CgrParams owns the v1 rule: a float is rejected, not passed on to

@@ -36,7 +36,7 @@ from cgrcode.layout import (
     require_buildable,
     rotate_rows,
 )
-from conftest import mislabelled_v1_4_grids, placements_and_pis
+from conftest import mislabelled_v1_4_grids, no_layout, placements_and_pis
 
 
 def test_cell_constructors():
@@ -210,18 +210,24 @@ def test_built_arrays_compare_by_header_with_no_layout(monkeypatch):
     params = CgrParams.from_v1(24)
     offsets = derive_offsets(pif_factorize(24))
     layout = importlib.import_module("cgrcode.layout")
-
-    def no_layout(*args):
-        raise AssertionError("laid out a grid to compare built arrays")
-
-    monkeypatch.setattr(layout, "map_unshifted", no_layout)
-    monkeypatch.setattr(layout, "bit_rows", no_layout)
+    message = "laid out a grid to compare built arrays"
+    no_layout(monkeypatch, layout, ("map_unshifted", "bit_rows"), message)
     primal = build_code_array(params, offsets)
     dual = dualize(primal)
     twin = build_code_array(params, offsets)
     assert primal == twin and hash(primal) == hash(twin)
     assert primal != dual and dual != primal
     assert dualize(dualize(primal)) == primal and dualize(dualize(dual)) == dual
+
+
+@pytest.mark.parametrize(
+    "masks", [(), [], ((),), ((1, 2), (4,)), ((1,), (2, 4)), [[1, 2], [4, 8], []]], ids=repr
+)
+def test_a_grid_must_be_rows_of_one_nonzero_length(masks):
+    # Checked once, when the array is made, so verify_mds, encode and decode
+    # never read an empty or ragged grid.
+    with pytest.raises(ValueError, match="^masks must be one or more rows of the same nonzero length$"):
+        CodeArray(CgrParams.from_v1(2), None, masks)
 
 
 def test_repeated_info_cells_count_once():
@@ -276,11 +282,10 @@ def test_variable_ids_are_bit_positions(v1):
 
 
 def test_build_code_array_checks_the_vector_before_any_layout(monkeypatch):
-    def no_layout(params):
-        raise AssertionError("build_code_array laid out a grid for a vector it rejects")
-
     # A v1 = 196 grid would take about 19 GB.
-    monkeypatch.setattr(importlib.import_module("cgrcode.layout"), "map_unshifted", no_layout)
+    layout = importlib.import_module("cgrcode.layout")
+    message = "build_code_array laid out a grid for a vector it rejects"
+    no_layout(monkeypatch, layout, ("map_unshifted",), message)
     with pytest.raises(ValueError, match="offset vector length 1 != row count 19502"):
         build_code_array(CgrParams.from_v1(196), (0,))
 
@@ -308,11 +313,7 @@ def test_oversize_duals_are_refused_before_any_layout(monkeypatch):
     primal = build_code_array(params, OffsetVector((0,) * params.num_rows))
     header = {"version": "2", "v1": 60, "v2": 63, "dual": True, "offset_vector": list(primal.offsets)}
     layout = importlib.import_module("cgrcode.layout")
-
-    def no_layout(*args):
-        raise AssertionError("laid out a grid for a dual over the bound")
-
-    monkeypatch.setattr(layout, "bit_rows", no_layout)
+    no_layout(monkeypatch, layout, ("bit_rows",), "laid out a grid for a dual over the bound")
     start = time.perf_counter()
     with pytest.raises(ValueError, match=r"a v1 = 60 dual lays out over \d+ mask bits"):
         dualize(primal)
@@ -389,6 +390,16 @@ def test_derive_offsets_validates_pi():
         derive_offsets(factorization, (0, 1, 2, 2))
     with pytest.raises(ValueError):
         derive_offsets(factorization, (1, 2, 3, 4))
+
+
+@pytest.mark.parametrize(
+    "pi, entry", [((1.0, 0.0, 2.0, 3.0), "1.0"), ((0, True, 2, 3), "True"), ((0, 1, "2", 3), "'2'")]
+)
+def test_derive_offsets_names_a_pi_entry_that_is_not_an_int(pi, entry):
+    # A float pi once gave offsets such as 3.0, which build_code_array then
+    # refused as an offset entry, not as an entry of pi.
+    with pytest.raises(ValueError, match=rf"^pi entry {entry} is not an int$"):
+        derive_offsets(pif_factorize(4), pi)
 
 
 def test_derive_offsets_needs_each_center_edge_first():

@@ -15,22 +15,10 @@ import hashlib
 
 import pytest
 
-from cgrcode import (
-    CgrParams,
-    ErasurePattern,
-    build_code_array,
-    decode,
-    derive_offsets,
-    dualize,
-    encode,
-    erase,
-    pif_factorize,
-    puncture,
-    verify_mds,
-)
+from cgrcode import ErasurePattern, decode, dualize, encode, erase, puncture, verify_mds
 from cgrcode.cli import main, render_array_text
 from cgrcode.codespec import to_json
-from conftest import _v1_text
+from conftest import _canonical, _v1_text
 
 ARRAY_DIGESTS = {
     2: "d8e690f1e89973a81728f4f2590034beebb6f466658891962389321561662723",
@@ -77,10 +65,6 @@ COMMAND_DIGESTS = {
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _canonical(v1: int):
-    return build_code_array(CgrParams.from_v1(v1), derive_offsets(pif_factorize(v1)))
 
 
 @pytest.mark.parametrize("v1", sorted(ARRAY_DIGESTS))

@@ -21,6 +21,7 @@ from cgrcode import (
 )
 from cgrcode.rng import MASK64, Lcg, jump
 from cgrcode.search import DEFAULT_BUDGET, params_for_offset_length
+from conftest import no_layout
 
 
 def test_params_for_offset_length():
@@ -214,11 +215,9 @@ def test_limits_that_are_not_ints_are_rejected(field, value):
 
 
 def test_unknown_strategy_is_rejected_before_any_layout(monkeypatch):
-    def no_layout(params):
-        raise AssertionError("search laid out a grid for a spec it rejects")
-
     # The package's search attribute is the function, so reach the module.
-    monkeypatch.setattr(importlib.import_module("cgrcode.search"), "map_unshifted", no_layout)
+    module = importlib.import_module("cgrcode.search")
+    no_layout(monkeypatch, module, ("map_unshifted",), "search laid out a grid for a spec it rejects")
     with pytest.raises(ValueError, match="unknown strategy"):
         search(SearchSpec(params=CgrParams.from_v1(60), strategy="bogus"))
 
@@ -232,11 +231,8 @@ def test_budget_guard():
 
 
 def test_search_refuses_a_grid_over_the_size_limit(monkeypatch):
-    def no_layout(params):
-        raise AssertionError("search laid out a grid over the size limit")
-
     module = importlib.import_module("cgrcode.search")
-    monkeypatch.setattr(module, "map_unshifted", no_layout)
+    no_layout(monkeypatch, module, ("map_unshifted",), "search laid out a grid over the size limit")
     for v1 in (42, 3000):
         spec = SearchSpec(CgrParams.from_v1(v1), strategy="random", max_trials=1)
         with pytest.raises(ValueError, match=rf"search at v1 = {v1} lays out over \d+ mask bits"):

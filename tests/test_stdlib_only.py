@@ -1,5 +1,6 @@
 """The library imports nothing outside the standard library, its CLI starts
-without the heavy stdlib modules, no module of it imports a private name
+without the heavy stdlib modules, the package exports a pinned list of
+names, no module of it imports a private name
 from another, only layout.py makes Cells or reads the Cell view, the
 JSON format and dualize never read it, and only cli writes cell records."""
 
@@ -59,6 +60,26 @@ def test_cli_imports_none_of_the_heavy_stdlib_modules():
     )
     assert child.returncode == 0, child.stderr
     assert child.stdout.split() == []
+
+
+PUBLIC_NAMES = [
+    "BUILTIN_VECTORS", "BudgetExceededError", "Cell", "CgrGraph", "CgrParams", "CodeArray",
+    "ContractShapeError", "DEFAULT_BUDGET", "DecodeReport", "ErasurePattern", "Factorization",
+    "Lcg", "MdsResult", "NEG_INF", "OffsetVector", "POS_INF", "SearchSpec", "SearchStats",
+    "UnrecoverableError", "build_cgr", "build_code_array", "contract", "decode",
+    "decode_complexity", "derive_offsets", "dualize", "encode", "erase", "map_unshifted",
+    "params_for_offset_length", "pif_factorize", "puncture", "search", "update_complexity",
+    "verify_contracted_mds", "verify_dual_mds", "verify_mds",
+]
+
+
+def test_the_public_surface_is_pinned():
+    # The package exports exactly these names, and each one resolves on it.
+    import cgrcode
+
+    assert sorted(cgrcode.__all__) == PUBLIC_NAMES
+    missing = [name for name in cgrcode.__all__ if not hasattr(cgrcode, name)]
+    assert missing == []
 
 
 def test_no_module_imports_a_private_name_from_another():

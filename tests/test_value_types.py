@@ -10,7 +10,6 @@ from cgrcode import (
     Cell,
     CgrParams,
     CodeArray,
-    Codeword,
     DecodeReport,
     ErasurePattern,
     MdsResult,
@@ -20,7 +19,6 @@ from cgrcode import (
     build_cgr,
     build_code_array,
     contract,
-    encode,
     map_unshifted,
     pif_factorize,
 )
@@ -65,10 +63,6 @@ REPRS = {
     "ErasurePattern": (
         lambda: ErasurePattern.of([3, 1]),
         "ErasurePattern(erased_columns=frozenset({1, 3}))",
-    ),
-    "Codeword": (
-        lambda: encode(_contracted(), {0: 1, 5: 0}),
-        f"Codeword(array={K2_CONTRACTED}, cell_values=((1, 1, 0),))",
     ),
     "DecodeReport": (
         lambda: DecodeReport({0: 1}, True, 3),
@@ -164,7 +158,6 @@ def test_keyword_construction_and_defaults():
     array = _unshifted()
     assert CodeArray(K2, array.offsets, array.masks).source_columns is None
     assert CodeArray(params=K2, offsets=array.offsets, masks=array.masks) == array
-    assert Codeword(array=array, cell_values=()).cell_values == ()
     assert CgrParams(v1=2, v2=5) == K2
 
 
