@@ -120,19 +120,15 @@ def encode(array: CodeArray, info_bits: dict[int, int]) -> tuple[tuple[int, ...]
     taking a single-bit cell's value as is (never 0 ^ value, which would
     copy a wide value). Values are indexed by id, the bit position the plan
     holds."""
-    try:
-        required = array.plan.ids
-    except ValueError:  # a plan that does not compile raises below, after these checks
-        required = frozenset(array.info_ids())
+    plan = array.plan
     given = info_bits.keys()
-    if given != required:
-        missing = sorted(required - given)[:5]
-        extra = sorted(given - required)[:5]
+    if given != plan.ids:
+        missing = sorted(plan.ids - given)[:5]
+        extra = sorted(given - plan.ids)[:5]
         raise ValueError(f"info_bits mismatch: missing {missing}, extra {extra}")
     if not all(map(isinstance, info_bits.values(), itertools.repeat(int))):
-        bad = next(v for v in sorted(required) if not isinstance(info_bits[v], int))
+        bad = next(v for v in sorted(plan.ids) if not isinstance(info_bits[v], int))
         raise ValueError(f"info value for id {bad} is {type(info_bits[bad]).__name__}, not int")
-    plan = array.plan
     values = list(map(info_bits.get, plan.span))  # None at a punctured array's gaps
     values += [values[p] ^ values[q] for p, q in plan.pair_ids]
     for p, *rest in plan.wides:
@@ -148,9 +144,12 @@ def encode(array: CodeArray, info_bits: dict[int, int]) -> tuple[tuple[int, ...]
 def erase(values, pattern: ErasurePattern) -> tuple[tuple[int | None, ...], ...]:
     """A grid of cell values (encode's) with its erased columns blanked to
     None: transposed, each erased column set to one shared tuple of None,
-    and transposed back."""
+    and transposed back. Raises ValueError on rows of unequal length."""
     pattern.validate_for(len(values[0]))
-    columns = list(zip(*values))
+    try:
+        columns = list(zip(*values, strict=True))
+    except ValueError:
+        raise ValueError("erase expects a grid of rows of one length") from None
     blank = (None,) * len(values)
     for c in pattern.erased_columns:
         columns[c] = blank

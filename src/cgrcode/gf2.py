@@ -50,8 +50,7 @@ def solve_unique(equations: list[tuple[int, int]]) -> tuple[dict[int, int], int]
     in which rows or pivots are scanned. A column index (holders: each
     non-pivot bit -> the pivots of the rows that hold it) names the rows a
     new pivot is XORed into, so no other row is read; the new row's tail
-    bits update it. While it is empty, every row is its pivot bit alone, so
-    a reduction only XORs the values of the pivots an equation holds.
+    bits update it.
     """
     masks: dict[int, int] = {}  # pivot bit -> its row's mask
     rhs: dict[int, int] = {}  # pivot bit -> its row's value
@@ -61,19 +60,12 @@ def solve_unique(equations: list[tuple[int, int]]) -> tuple[dict[int, int], int]
     for m, r in equations:
         hit = m & pivots  # read once: a basis row toggles no other pivot
         ops += hit.bit_count()
-        if holders:
-            while hit:
-                rest = hit & (hit - 1)
-                q = (hit ^ rest).bit_length() - 1
-                m ^= masks[q]
-                r ^= rhs[q]
-                hit = rest
-        else:
-            m ^= hit
-            while hit:
-                rest = hit & (hit - 1)
-                r ^= rhs[(hit ^ rest).bit_length() - 1]
-                hit = rest
+        while hit:
+            rest = hit & (hit - 1)
+            q = (hit ^ rest).bit_length() - 1
+            m ^= masks[q]
+            r ^= rhs[q]
+            hit = rest
         if not m:
             if r:
                 raise ValueError("inconsistent GF(2) system")

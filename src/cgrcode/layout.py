@@ -116,10 +116,10 @@ class CodeArray(Value):
     Bit i of masks[r][c] is set when variable i is in cell (r, c). Ids are
     the vertex ids in a primal array, the edge indices in CgrGraph.edge_list
     order in a dual, and 0, v2, 2*v2, ... in a punctured or contracted one.
-    The grid is one or more rows of one nonzero length, checked when it is
-    made. The column count is the grid's: v2 for a built array, v1 + 1 for a
-    contracted one, whose source_columns gives each column's parent column
-    (None for every other array).
+    The grid is one or more rows of one nonzero length of non-negative
+    ints, checked when it is made, and num_rows and num_columns store its
+    shape: v2 columns for a built array, v1 + 1 for a contracted one, whose
+    source_columns gives each column's parent (None for any other array).
 
     A built array (_built) holds no grid until masks is first read: its
     shape and is_dual() come from its header, params, offsets and _dual.
@@ -137,10 +137,16 @@ class CodeArray(Value):
         width = len(masks[0]) if masks else 0
         if not width or any(len(row) != width for row in masks):
             raise ValueError("masks must be one or more rows of the same nonzero length")
+        for r, row in enumerate(masks):
+            for c, m in enumerate(row):
+                if type(m) is not int or m < 0:  # rejects bools too
+                    raise ValueError(f"cell ({r}, {c}) holds {m!r}, not a non-negative int")
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "offsets", None if offsets is None else OffsetVector(offsets))
         object.__setattr__(self, "masks", masks)
         object.__setattr__(self, "source_columns", source_columns)
+        object.__setattr__(self, "num_rows", len(masks))
+        object.__setattr__(self, "num_columns", width)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -162,14 +168,6 @@ class CodeArray(Value):
         """A built array's grid: its code's unshifted rows rotated by its offsets."""
         unshifted = dual_unshifted(self.params) if self._dual else map_unshifted(self.params)
         return tuple(map(tuple, rotate_rows(unshifted, self.offsets)))
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.masks) if self._dual is None else self.params.num_rows
-
-    @property
-    def num_columns(self) -> int:
-        return len(self.masks[0]) if self._dual is None else self.params.v2
 
     @computed_once
     def rows(self) -> tuple[tuple[Cell, ...], ...]:
@@ -417,21 +415,22 @@ def build_code_array(params: CgrParams, offsets) -> CodeArray:
 
 def _built(params: CgrParams, offsets: OffsetVector, dual: bool) -> CodeArray:
     """The header-only array of the primal, or of the dual, that offsets
-    rotate, with what it has by construction stored: it is dual or not and
-    is built, and its ids are 0..nvars-1. CodeArray.masks lays its grid out
-    when first read."""
+    rotate, with what it has by construction stored: its shape, that it is
+    dual or not and is built, and that its ids are 0..nvars-1.
+    CodeArray.masks lays its grid out when first read."""
     nvars = (params.num_rows - params.v1) * params.v2 if dual else params.num_vertices
     array = CodeArray.__new__(CodeArray)
     for name, value in (
         ("params", params), ("offsets", offsets), ("source_columns", None), ("_dual", dual),
-        ("built", True), ("_ids", range(nvars)),
+        ("num_rows", params.num_rows), ("num_columns", params.v2), ("built", True),
+        ("_ids", range(nvars)),
     ):
         object.__setattr__(array, name, value)
     return array
 
 
 def rotate_rows(rows, offsets) -> tuple:
-    """Rotate row r left by offsets[r], whatever the rows hold (cells or masks)."""
+    """Rotate mask row r left by offsets[r]."""
     return tuple(row[k:] + row[:k] for row, k in zip(rows, offsets))
 
 

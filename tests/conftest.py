@@ -142,6 +142,17 @@ def _scratch_rank(masks):
     return rank
 
 
+def _reference_sweep(columns, nvars, survivor_sets):
+    """(is_mds, erased witness, patterns checked) from the rank of every cell
+    mask of each survivor set, stopping at the first rank-deficient set."""
+    checked = 0
+    for survivors in survivor_sets:
+        checked += 1
+        if _scratch_rank([m for c in survivors for m in columns[c]]) < nvars:
+            return False, set(range(len(columns))) - set(survivors), checked
+    return True, None, checked
+
+
 def random_bits(array: CodeArray, seed: int) -> dict[int, int]:
     rng = Lcg(seed)
     return {v: rng.bit() for v in array.info_ids()}

@@ -42,7 +42,13 @@ from cgrcode import gf2
 from cgrcode.code import _sweep
 from cgrcode.layout import bits_of, rotate_rows
 from cgrcode.rng import Lcg
-from conftest import _scratch_rank, builtin_array, mislabelled_v1_4_grids, random_bits
+from conftest import (
+    _reference_sweep,
+    _scratch_rank,
+    builtin_array,
+    mislabelled_v1_4_grids,
+    random_bits,
+)
 
 
 def test_erasure_pattern_helpers(k2_params):
@@ -62,6 +68,13 @@ def test_erase_and_decode_reject_a_column_that_is_not_an_int(k2_array, column):
         erase(codeword, pattern)
     with pytest.raises(ValueError, match="is not an int"):
         decode(k2_array, codeword, pattern)
+
+
+@pytest.mark.parametrize("second", [(4, 5), (4, 5, 6, 7)], ids=["short", "long"])
+def test_erase_refuses_a_ragged_grid(second):
+    # Transposing with a plain zip cut every row to the shortest one.
+    with pytest.raises(ValueError, match="^erase expects a grid of rows of one length$"):
+        erase(((1, 2, 3), second), ErasurePattern.of([0]))
 
 
 def test_encode_validates_info_keys(k2_array):
@@ -695,17 +708,6 @@ def test_dualize_and_verify_dual_mds_refuse_a_full_grid_that_does_not_rotate():
     # A hand-built copy of a built array is read by its header.
     copy = CodeArray(params, array.offsets, array.masks)
     assert dualize(copy) == dual and verify_dual_mds(copy) == verify_dual_mds(array)
-
-
-def _reference_sweep(columns, nvars, survivor_sets):
-    """(is_mds, erased witness, patterns checked) from the rank of every cell
-    mask of each survivor set, stopping at the first rank-deficient set."""
-    checked = 0
-    for survivors in survivor_sets:
-        checked += 1
-        if _scratch_rank([m for c in survivors for m in columns[c]]) < nvars:
-            return False, set(range(len(columns))) - set(survivors), checked
-    return True, None, checked
 
 
 @pytest.mark.parametrize("v1", [2, 4, 6])

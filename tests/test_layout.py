@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import re
 import time
 
 import pytest
@@ -228,6 +229,15 @@ def test_a_grid_must_be_rows_of_one_nonzero_length(masks):
     # never read an empty or ragged grid.
     with pytest.raises(ValueError, match="^masks must be one or more rows of the same nonzero length$"):
         CodeArray(CgrParams.from_v1(2), None, masks)
+
+
+@pytest.mark.parametrize("cell", [-1, 1.5, True, "3"], ids=repr)
+def test_a_cell_must_be_a_non_negative_int(cell):
+    # A negative mask was swept as MDS and a float one raised AttributeError
+    # from verify_mds: each is refused when the array is made, naming the cell.
+    message = rf"^cell \(1, 0\) holds {re.escape(repr(cell))}, not a non-negative int$"
+    with pytest.raises(ValueError, match=message):
+        CodeArray(CgrParams.from_v1(2), None, ((1, 2), (cell, 4)))
 
 
 def test_repeated_info_cells_count_once():

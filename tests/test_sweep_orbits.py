@@ -27,8 +27,7 @@ from cgrcode.cli import main
 from cgrcode.layout import canonical_prefix, map_unshifted, rotate_rows
 from cgrcode.rng import Lcg
 from cgrcode.search import _place
-from conftest import _canonical, mislabelled_v1_4_grids
-from test_code import _reference_sweep
+from conftest import _canonical, _reference_sweep, mislabelled_v1_4_grids
 
 
 def _rotates(masks, v2: int, nvars: int) -> bool:
