@@ -144,12 +144,12 @@ def encode(array: CodeArray, info_bits: dict[int, int]) -> tuple[tuple[int, ...]
 def erase(values, pattern: ErasurePattern) -> tuple[tuple[int | None, ...], ...]:
     """A grid of cell values (encode's) with its erased columns blanked to
     None: transposed, each erased column set to one shared tuple of None,
-    and transposed back. Raises ValueError on rows of unequal length."""
-    pattern.validate_for(len(values[0]))
+    and transposed back. A ragged grid raises ValueError, before the pattern is checked."""
     try:
         columns = list(zip(*values, strict=True))
     except ValueError:
         raise ValueError("erase expects a grid of rows of one length") from None
+    pattern.validate_for(len(columns))
     blank = (None,) * len(values)
     for c in pattern.erased_columns:
         columns[c] = blank

@@ -70,11 +70,14 @@ def test_erase_and_decode_reject_a_column_that_is_not_an_int(k2_array, column):
         decode(k2_array, codeword, pattern)
 
 
-@pytest.mark.parametrize("second", [(4, 5), (4, 5, 6, 7)], ids=["short", "long"])
-def test_erase_refuses_a_ragged_grid(second):
-    # Transposing with a plain zip cut every row to the shortest one.
+@pytest.mark.parametrize(
+    "grid", [((1, 2, 3), (4, 5)), ((1, 2, 3), (4, 5, 6, 7)), ((1,), (2, 3, 4))], ids=repr
+)
+def test_erase_refuses_a_ragged_grid(grid):
+    # Transposing with a plain zip cut every row to the shortest one, and a
+    # short first row had column 2 refused as out of range.
     with pytest.raises(ValueError, match="^erase expects a grid of rows of one length$"):
-        erase(((1, 2, 3), second), ErasurePattern.of([0]))
+        erase(grid, ErasurePattern.of([2]))
 
 
 def test_encode_validates_info_keys(k2_array):
