@@ -40,6 +40,7 @@ from .rng import Lcg
 from .search import (
     BUILTIN_VECTORS,
     DEFAULT_BUDGET,
+    DEFAULT_MAX_TRIALS,
     BudgetExceededError,
     SearchSpec,
     params_for_offset_length,
@@ -327,9 +328,6 @@ def cmd_contract(args) -> int:
             args.output,
         )
     return 0 if ok else 1
-
-
-DEFAULT_MAX_TRIALS = 1000
 
 
 def cmd_search(args) -> int:

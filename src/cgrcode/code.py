@@ -8,16 +8,17 @@ XORs of info values, which may be ints of any width: each bit plane is
 coded independently. The codec replays the grid's plan (CodeArray.plan),
 compiled once per array: encoding computes the parity values and lays
 the grid out with one gather; decoding seeds a list of values by id from
-the surviving single-bit cells, peels each surviving two-bit cell with
-one unknown as it reads it, sweeps the rest in row-major order, stops
-reading as soon as every value is known, and falls back to Gaussian
-elimination over every surviving cell, entered in row-major order, when
-peeling stalls. Verification (_sweep) checks that
-every pair of surviving columns spans the full variable space, reducing
-each column once to a GF(2) basis that every pair it leads extends. A
-built array, primal or dual (CodeArray.built), moves each row one cell to
-the side when every ring rotates by one position, so only the pairs
-(0, d), d <= v2 // 2, are swept. The dual's verdict is read off the same
+the surviving single-bit cells and peels the surviving two-bit cells in
+passes over their rows, the first over every row and each later one over
+the rows that held a cell with two unknowns, stops reading as soon as
+every value is known, and falls back to Gaussian elimination over every
+surviving cell, entered in row-major order, when a pass adds no value
+and some are unknown. Verification (_sweep) checks that every pair of
+surviving columns spans the full variable space, reducing each column
+once to a GF(2) basis that every pair it leads extends. A built array,
+primal or dual (CodeArray.built), moves each row one cell to the side
+when every ring rotates by one position, so only the pairs (0, d),
+d <= v2 // 2, are swept. The dual's verdict is read off the same
 primal sweep, since the dual (layout.dualize) is the primal's orthogonal
 complement.
 """
@@ -74,7 +75,7 @@ class DecodeReport(Value):
     cell, plus popcount-1 XORs to rebuild each erased multi-bit cell (the
     plan's per-column rebuild counts). elimination_xor_count separately
     reports row operations spent inside the GF(2) fallback, if it ran.
-    Peeling sweeps the surviving two-bit cells in row-major order and
+    Each peel pass reads its surviving two-bit cells in row-major order and
     elimination enters the surviving cells in row-major order; both counts,
     and which cell a value comes from when cells disagree, follow from that
     order. Unlike the other value types it is mutable, and so unhashable.
@@ -126,8 +127,8 @@ def encode(array: CodeArray, info_bits: dict[int, int]) -> tuple[tuple[int, ...]
         missing = sorted(plan.ids - given)[:5]
         extra = sorted(given - plan.ids)[:5]
         raise ValueError(f"info_bits mismatch: missing {missing}, extra {extra}")
-    if not all(map(isinstance, info_bits.values(), itertools.repeat(int))):
-        bad = next(v for v in sorted(plan.ids) if not isinstance(info_bits[v], int))
+    if not {int}.issuperset(map(type, info_bits.values())):  # rejects bools too
+        bad = next(v for v in sorted(plan.ids) if type(info_bits[v]) is not int)
         raise ValueError(f"info value for id {bad} is {type(info_bits[bad]).__name__}, not int")
     values = list(map(info_bits.get, plan.span))  # None at a punctured array's gaps
     values += [values[p] ^ values[q] for p, q in plan.pair_ids]
@@ -171,10 +172,12 @@ def decode(
     row-major order, that holds none), and UnrecoverableError when the
     surviving system is rank-deficient.
 
-    Peeling keeps the values in a list by id, and a count of the ids known;
-    it stops reading two-bit cells, and skips its later sweeps, as soon as
-    every value is known: no later cell could write one, so the report is
-    that of a peel over every surviving cell.
+    Peeling keeps the values in a list by id, and a count of the ids known.
+    Pass 1 reads every row of two-bit cells; each later pass re-reads, in
+    row order, the rows that held a cell with two unknown ids, and the peel
+    ends with a pass that adds no value. It stops reading as soon as every
+    value is known: no later cell could write one, so the report is that of
+    a peel over every surviving cell.
 
     This is an erasure decoder, not an error detector: surviving cells are
     trusted. Peeling never checks a surviving cell against values already
@@ -199,10 +202,9 @@ def decode(
     survivors = pattern.survivors(width)
     plan = array.plan
 
-    # known[id] holds a value once have[id] is set, count the ids set, seeded from
-    # the surviving single-bit cells. The first peel sweep runs as the surviving two-bit
-    # cells are read and queues only those left with two unknowns. Forced elimination
-    # skips it all.
+    # known[id] holds a value once have[id] is set, count the ids set, seeded from the surviving
+    # single-bit cells. Each pass after the first re-reads only the rows that held a cell with two
+    # unknowns; a cell with both ids known writes nothing, and a pass that adds no value ends it.
     xor_count = 0
     peeling_sufficed = False
     try:
@@ -215,38 +217,29 @@ def decode(
                         known[p] = row[c]
                         have[p] = 1
             count = seeded = have.count(1)
-            pending = []
-            for r, cells in plan.pair_rows:
-                if count == nvars:
-                    break  # nothing left to peel: no later cell can write to known
-                row = values[r]
-                for c in survivors:
-                    if (pq := cells[c]) is not None:
-                        p, q = pq
-                        if have[p]:
-                            if not have[q]:
-                                known[q], have[q] = row[c] ^ known[p], 1
+            rows, start = plan.pair_rows, -1
+            while count > start:
+                start, stalled = count, []
+                for entry in rows:
+                    if count == nvars:
+                        break  # nothing left to peel: no later cell can write to known
+                    r, cells = entry
+                    row, held = values[r], False
+                    for c in survivors:
+                        if (pq := cells[c]) is not None:
+                            p, q = pq
+                            if have[p]:
+                                if not have[q]:
+                                    known[q], have[q] = row[c] ^ known[p], 1
+                                    count += 1
+                            elif have[q]:
+                                known[p], have[p] = row[c] ^ known[q], 1
                                 count += 1
-                        elif have[q]:
-                            known[p], have[p] = row[c] ^ known[q], 1
-                            count += 1
-                        else:
-                            pending.append((p, q, row[c]))
-            while pending and count < nvars:
-                remaining = []
-                for p, q, value in pending:
-                    if have[p]:
-                        if not have[q]:
-                            known[q], have[q] = value ^ known[p], 1
-                            count += 1
-                    elif have[q]:
-                        known[p], have[p] = value ^ known[q], 1
-                        count += 1
-                    else:
-                        remaining.append((p, q, value))
-                if len(remaining) == len(pending):
-                    break
-                pending = remaining
+                            else:
+                                held = True
+                    if held:
+                        stalled.append(entry)
+                rows = stalled
             xor_count = count - seeded  # one XOR per peeled value
             peeling_sufficed = count == nvars
 
@@ -263,12 +256,12 @@ def decode(
                 raise UnrecoverableError(pattern, len(known), nvars)
 
         recovered = {v: known[v] for v in ids}
-        if not all(map(isinstance, recovered.values(), itertools.repeat(int))):
+        if not {int}.issuperset(map(type, recovered.values())):  # rejects bools too
             raise TypeError("a recovered value is not an int")
     except TypeError:
         for r, row in enumerate(array.masks):
             for c in survivors:
-                if row[c] and not isinstance(values[r][c], int):
+                if row[c] and type(values[r][c]) is not int:
                     kind = type(values[r][c]).__name__
                     raise ValueError(f"surviving cell ({r}, {c}) holds {kind}, not int") from None
         raise

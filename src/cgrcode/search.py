@@ -11,6 +11,7 @@ from .layout import OffsetVector, canonical_prefix, map_unshifted
 from .rng import MASK64, Lcg, jump
 
 DEFAULT_BUDGET = 10**7
+DEFAULT_MAX_TRIALS = 1000
 # Bounds 2*num_rows*v2*v1*v2 = v2*(v1*v2)**2 bits, 11.3 M at v1 = 24: about twice
 # the v2 // 2 echelon bases, of up to v1*v2 masks of v1*v2 bits each, that search
 # grows. The doubled rows (row + row) share their mask ints, so they add little.
@@ -28,12 +29,14 @@ class SearchSpec(Value):
     and varies only the v1(v1-1)/2 inter-ring entries; otherwise the whole
     vector is free. strategy is "exhaustive" (every candidate of the free
     space, in lexicographic order, by a rank-pruned depth-first search) or
-    "random" (max_trials seeded draws). stop_after caps how many valid
+    "random" (max_trials seeded draws, DEFAULT_MAX_TRIALS by default; an
+    exhaustive search ignores it). stop_after caps how many valid
     vectors are collected into the result list.
     """
 
     def __init__(
-        self, params, fix_prefix=True, strategy="exhaustive", seed=0, max_trials=0, stop_after=None
+        self, params, fix_prefix=True, strategy="exhaustive", seed=0,
+        max_trials=DEFAULT_MAX_TRIALS, stop_after=None
     ) -> None:
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "fix_prefix", fix_prefix)

@@ -76,7 +76,7 @@ REPRS = {
     "SearchSpec": (
         lambda: SearchSpec(K2),
         "SearchSpec(params=CgrParams(v1=2, v2=5), fix_prefix=True, strategy='exhaustive', seed=0, "
-        "max_trials=0, stop_after=None)",
+        "max_trials=1000, stop_after=None)",
     ),
     "SearchStats": (
         lambda: SearchStats(3, 2, None, nodes=5),
@@ -148,7 +148,7 @@ def test_fields_of_frozen_types_cannot_be_assigned_or_deleted(name):
 def test_keyword_construction_and_defaults():
     spec = SearchSpec(K2)
     assert (spec.fix_prefix, spec.strategy, spec.seed, spec.max_trials, spec.stop_after) == (
-        True, "exhaustive", 0, 0, None,
+        True, "exhaustive", 0, 1000, None,
     )
     keyed = SearchSpec(params=K2, fix_prefix=False, strategy="random", seed=3, max_trials=9, stop_after=2)
     assert keyed == SearchSpec(K2, False, "random", 3, 9, 2)
