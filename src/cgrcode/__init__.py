@@ -5,9 +5,9 @@ produce an offset vector, build_code_array and dualize return the code or
 its dual as its header, whose GF(2) mask grid (the graph laid out, rows
 rotated) is made on the first read of CodeArray.masks (both in layout;
 CodeArray.rows shows the cells), contract, also in layout, compacts a
-primal to the B-code's narrower grid, encode/decode move bits through any grid, and
-verify_mds / verify_dual_mds / verify_contracted_mds check every legal
-erasure pattern (a built array's survivor pairs one per rotation orbit).
+primal to the B-code's narrower grid, encode/decode move bits through any
+grid, and verify_mds / verify_dual_mds / verify_contracted_mds check every
+legal erasure pattern (a built array by its header, with no grid laid out).
 CodeArray.built, whether a header describes the grid, is the one test of a
 CGR layout: verify_dual_mds refuses any other grid, and dualize any but a
 built one with cells emptied.

@@ -1,26 +1,19 @@
 """Encoding, erasure decoding, primal, dual and contracted MDS verification, and complexity.
 
-Encoding, decoding and verification read only the array's GF(2) mask grid
-(CodeArray.masks, whose bit positions are the variable ids); a built array
-lays its grid out on the first of these reads, not when it is built, and
-whether it is the dual or built is read off its header. Cell values are
-XORs of info values, which may be ints of any width: each bit plane is
-coded independently. The codec replays the grid's plan (CodeArray.plan),
-compiled once per array: encoding computes the parity values and lays
-the grid out with one gather; decoding seeds a list of values by id from
-the surviving single-bit cells and peels the surviving two-bit cells in
-passes over their rows, the first over every row and each later one over
-the rows that held a cell with two unknowns, stops reading as soon as
-every value is known, and falls back to Gaussian elimination over every
-surviving cell, entered in row-major order, when a pass adds no value
-and some are unknown. Verification (_sweep) checks that every pair of
-surviving columns spans the full variable space, reducing each column
-once to a GF(2) basis that every pair it leads extends. A built array,
-primal or dual (CodeArray.built), moves each row one cell to the side
-when every ring rotates by one position, so only the pairs (0, d),
-d <= v2 // 2, are swept. The dual's verdict is read off the same
-primal sweep, since the dual (layout.dualize) is the primal's orthogonal
-complement.
+Encoding and decoding read only the array's GF(2) mask grid
+(CodeArray.masks, whose bit positions are the variable ids), which a
+built array lays out on the first of these reads; whether it is the dual
+or built is read off its header. Cell values are XORs of info values,
+which may be ints of any width: each bit plane is coded independently.
+Both replay the grid's plan (CodeArray.plan), compiled once per array:
+encoding lays the grid out with one gather, and decoding peels the
+surviving two-bit cells in passes over their rows, falling back to
+Gaussian elimination when a pass adds no value and some are unknown.
+Verification of a built array, primal or dual (CodeArray.built), reads
+its header and lays out no grid: each survivor pair (0, d), d <= v2 // 2,
+is a graph whose cycles a union-find finds (verify_mds), and the dual's
+verdict is the primal's, the dual (layout.dualize) being its orthogonal
+complement. Any other grid has every column pair reduced (_sweep).
 """
 
 from __future__ import annotations
@@ -97,7 +90,7 @@ class MdsResult(Value):
 
     patterns_checked counts the patterns covered, in lexicographic order up
     to and including the witness; pairs_swept counts the survivor pairs
-    actually reduced, fewer when rotation symmetry covers the rest. It is
+    actually checked, fewer when rotation symmetry covers the rest. It is
     left out of comparisons, so results compare by outcome.
     """
 
@@ -271,52 +264,61 @@ def decode(
     return DecodeReport(recovered, peeling_sufficed, xor_count, elimination_ops)
 
 
-def _sweep(masks, nvars: int, orbits: bool) -> MdsResult:
-    """Full-rank check of the cell masks in every pair of surviving columns
-    of a mask grid (rows of per-column masks over nvars bit positions), in
-    lexicographic pair order, stopping at the first hole; the witness is
-    that pair's erased complement.
-
-    Column a is reduced to an echelon basis once and shared by every pair
-    (a, b): a copy is extended with column b's masks. The pair has rank
-    nvars exactly when at most len(basis_a) + len(column b) - nvars of those
-    masks are dependent, so gf2.extend gets that slack and stops at the
-    first dependent mask past it.
-
-    orbits is CodeArray.built (verify_mds): turning every ring one position
-    moves each row of a built grid one cell to the side, so column c + 1 is
-    column c with its bits permuted, the pair {a, b} has the rank of {0, d},
-    d the circular distance of a and b, and only (0, 1) .. (0, v2 // 2) are
-    swept. The first failing pair in lexicographic order is then (0, d*), d*
-    the least failing distance, so the witness and patterns_checked (d* on a
-    failure, C(v2, 2) on success: the pairs covered) are the full sweep's.
-    Any other grid has every pair swept.
+def _sweep(masks, nvars: int) -> MdsResult:
+    """Full-rank check of every pair of surviving columns of a mask grid
+    (rows of per-column masks over nvars bit positions), in lexicographic
+    order, stopping at the first hole, whose erased complement is the
+    witness. Column a is reduced to an echelon basis once, and a copy
+    extended with column b for each pair (a, b), with the slack full rank
+    allows: len(basis_a) + len(column b) - nvars dependent masks.
     """
-    v2 = len(masks[0])
-    read = itertools.islice(zip(*masks), v2 // 2 + 1 if orbits else None)
-    columns = [[m for m in column if m] for column in read]
-    swept = 0
-    for a in range(1 if orbits else v2):
-        basis_a: dict[int, int] = {}
-        gf2.extend(basis_a, columns[a], len(columns[a]))
-        for b in range(a + 1, len(columns)):
-            swept += 1
-            column_b = columns[b]
-            if gf2.extend(dict(basis_a), column_b, len(basis_a) + len(column_b) - nvars) < 0:
-                erased = set(range(v2)).difference((a, b))
-                return MdsResult(False, ErasurePattern.of(erased), swept, pairs_swept=swept)
-    return MdsResult(True, None, v2 * (v2 - 1) // 2, pairs_swept=swept)
+    columns = [[m for m in column if m] for column in zip(*masks)]
+    v2 = len(columns)
+    for swept, (a, b) in enumerate(itertools.combinations(range(v2), 2), 1):
+        if b == a + 1:  # the first pair that column a leads
+            basis_a: dict[int, int] = {}
+            gf2.extend(basis_a, columns[a], len(columns[a]))
+        if gf2.extend(dict(basis_a), columns[b], len(basis_a) + len(columns[b]) - nvars) < 0:
+            return MdsResult(False, ErasurePattern.of(set(range(v2)) - {a, b}), swept, pairs_swept=swept)
+    return MdsResult(True, None, v2 * (v2 - 1) // 2, pairs_swept=v2 * (v2 - 1) // 2)
 
 
 def verify_mds(array: CodeArray) -> MdsResult:
-    """True iff any 2 surviving columns determine all vertex bits.
+    """Whether every 2 surviving columns determine all vertex bits, with the
+    erased complement of the first failing survivor pair, in lexicographic
+    order, as the witness. Raises ValueError on a dual.
 
-    Survivor pairs are swept in lexicographic order; the witness (on
-    failure) is the erased complement of the first failing pair.
+    A built array (CodeArray.built) is read by its header. Each cell is an
+    edge of a graph on the ids and a ground node (a single-bit cell's ends
+    at ground), and cells have full rank exactly when their edges join every
+    id to ground (see decode); a pair's v1 * v2 cells meet v1 * v2 ids, so
+    it fails exactly when they close a cycle. Turning every ring one
+    position moves each row one cell to the side, so {a, b} has the rank of
+    {0, d}, d <= v2 // 2 their circular distance, and the first failing pair
+    is (0, d*), d* the least failing d: patterns_checked, d* or C(v2, 2), is
+    a full sweep's, and pairs_swept is d* or v2 // 2. Other grids: _sweep.
     """
     if array.is_dual():
         raise ValueError("verify_mds expects a primal array; use verify_dual_mds")
-    return _sweep(array.masks, len(array.info_ids()), array.built)
+    if not array.built:
+        return _sweep(array.masks, len(array.info_ids()))
+    v1, v2, n = array.params.v1, array.num_columns, array.params.num_vertices
+    # Row r's cell in column d is map_unshifted's at (d + offsets[r]) % v2, as layout._kept_cells reads
+    # it: an edge from ring a's ids to ring b's, s positions on. Ring v1 is ground: its nodes start joined.
+    rings = [(j * v2, n, 0) for j in range(v1)] + [(j * v2, j * v2, 1) for j in range(v1)]
+    rings += [(i * v2, j * v2, 0) for i, j in itertools.combinations(range(v1), 2)]
+    forest = list(range(n)) + [n] * v2
+    for d in range(v2 // 2 + 1):  # d = 0 builds column 0's forest: a cycle there recurs in column 1
+        parent = forest.copy() if d else forest
+        for (a, b, s), k in zip(rings, array.offsets):
+            x, y = a + (d + k) % v2, b + (d + k + s) % v2
+            while parent[x] != x or parent[y] != y:  # path halving; a root is its own parent
+                parent[x] = x = parent[parent[x]]
+                parent[y] = y = parent[parent[y]]
+            if x == y and d:
+                return MdsResult(False, ErasurePattern.of(set(range(v2)) - {0, d}), d, pairs_swept=d)
+            parent[x] = y
+    return MdsResult(True, None, v2 * (v2 - 1) // 2, pairs_swept=v2 // 2)
 
 
 def verify_contracted_mds(contracted: CodeArray) -> bool:
@@ -328,19 +330,16 @@ def verify_contracted_mds(contracted: CodeArray) -> bool:
 
 
 def verify_dual_mds(array: CodeArray) -> MdsResult:
-    """True iff the dual code survives every loss of 2 columns, in
-    lexicographic erased-pair order, read off the primal sweep.
+    """Whether the dual code survives every loss of 2 columns, read off
+    verify_mds of the primal, which a dual is dualized back to, by header.
 
-    The dual is the primal's orthogonal complement over the cells (each
-    vertex generator meets each edge generator in 0 or 2 cells, and the
-    vertices plus the edges number the cells), and every column pair holds
-    v1*v2 cells, the primal dimension. So the dual fails on the erased pair
-    E exactly when the primal fails on the survivor pair E: the verdict and
-    patterns_checked are verify_mds's, and the witness is the primal's
-    failing survivor pair. A dual is dualized back first, which lays out
-    only the primal. Raises ValueError on a contracted array and on any
-    other grid that is not built (CodeArray.built): a punctured one, whose
-    column pairs hold fewer cells, or one its header does not describe.
+    The dual is the primal's orthogonal complement over the cells, and every
+    column pair holds v1*v2 cells, the primal dimension, so the dual fails
+    on the erased pair E exactly when the primal fails on the survivor pair
+    E: the verdict and patterns_checked are verify_mds's, and the witness is
+    the primal's failing survivor pair. Raises ValueError on a contracted
+    array and on a grid that is not built (CodeArray.built), such as a
+    punctured one or one its header does not describe.
     """
     require_cgr_layout(array, "verify_dual_mds")
     if not array.built:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -12,6 +13,8 @@ from cgrcode import (
     POS_INF,
     CgrParams,
     CodeArray,
+    ErasurePattern,
+    MdsResult,
     OffsetVector,
     build_code_array,
     derive_offsets,
@@ -19,6 +22,7 @@ from cgrcode import (
     pif_factorize,
     puncture,
 )
+from cgrcode import gf2
 from cgrcode.cli import mask_records
 from cgrcode.rng import Lcg
 from cgrcode.search import params_for_offset_length
@@ -151,6 +155,24 @@ def _reference_sweep(columns, nvars, survivor_sets):
         if _scratch_rank([m for c in survivors for m in columns[c]]) < nvars:
             return False, set(range(len(columns))) - set(survivors), checked
     return True, None, checked
+
+
+def orbit_sweep(masks, nvars: int) -> MdsResult:
+    """The MdsResult of a built primal's laid-out grid, by elimination over
+    one survivor pair per ring-rotation orbit: column 0 reduced once to an
+    echelon basis (gf2.extend), and a copy extended by each column d <=
+    v2 // 2 in turn, with the slack that full rank allows. The first failing
+    pair is (0, d*), so the witness, patterns_checked (d*, or C(v2, 2) on
+    success) and pairs_swept (d*, or v2 // 2) are those verify_mds reports:
+    the reference that its header rule is compared with."""
+    v2 = len(masks[0])
+    columns = [[m for m in column if m] for column in itertools.islice(zip(*masks), v2 // 2 + 1)]
+    basis: dict[int, int] = {}
+    gf2.extend(basis, columns[0], len(columns[0]))
+    for d in range(1, v2 // 2 + 1):
+        if gf2.extend(dict(basis), columns[d], len(basis) + len(columns[d]) - nvars) < 0:
+            return MdsResult(False, ErasurePattern.of(set(range(v2)) - {0, d}), d, pairs_swept=d)
+    return MdsResult(True, None, v2 * (v2 - 1) // 2, pairs_swept=v2 // 2)
 
 
 def random_bits(array: CodeArray, seed: int) -> dict[int, int]:

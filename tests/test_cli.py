@@ -11,6 +11,7 @@ import time
 import pytest
 
 from cgrcode import (
+    BUILTIN_VECTORS,
     CgrParams,
     ErasurePattern,
     SearchSpec,
@@ -534,6 +535,22 @@ def test_code_file_commands_read_headers_without_layout(monkeypatch, tmp_path, c
     assert main(["dual", dual, "--output", back]) == 0
     with open(back, encoding="utf-8") as fh:
         assert fh.read() == primal_text
+
+
+def test_verify_lays_out_no_grid(monkeypatch, tmp_path, capsys):
+    # verify reads a code file's header, and each built-in vector's, with
+    # no grid laid out: v1 = 100 is a 0.5 GB grid.
+    layout = importlib.import_module("cgrcode.layout")
+    path = str(tmp_path / "p100.json")
+    assert main(["generate", "--v1", "100", "--output", path]) == 0
+    names = ("map_unshifted", "dual_unshifted", "rotate_rows")
+    no_layout(monkeypatch, layout, names, "verify laid out a grid")
+    assert main(["verify", path, "--json"]) == 0
+    [entry] = json.loads(capsys.readouterr().out)["results"]
+    assert (entry["mds"], entry["dual_mds"], entry["patterns_checked"], entry["pairs_swept"]) == (True, True, 5253, 51)
+    assert main(["verify", "--builtin", "all"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(BUILTIN_VECTORS) and all("mds=true dual_mds=true" in line for line in lines)
 
 
 @pytest.mark.parametrize("v1", range(2, 13, 2))

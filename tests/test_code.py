@@ -798,8 +798,8 @@ def _residual_rank_sweep(masks, nvars):
 @pytest.mark.parametrize("v1", [2, 4, 6])
 def test_sweep_pairs_matches_the_residual_rank_sweep(v1):
     # Seeded rotated grids: the canonical vector and copies of it with one to
-    # three entries redrawn (some MDS, most not), each swept by rotation orbit
-    # as verify_mds sweeps a built array, and every contraction (mostly MDS) as
+    # three entries redrawn (some MDS, most not), whose built arrays verify_mds
+    # reads by header, and every contraction (mostly MDS), swept by _sweep as
     # it is, with one column cut short and with one column given another
     # column's cell as well; zip_longest fills the short columns with empty
     # cells, and the long column leaves slack to spare.
@@ -813,10 +813,11 @@ def test_sweep_pairs_matches_the_residual_rank_sweep(v1):
         vector = list(canonical)
         for _ in range(trial % 4):
             vector[rng.randint(params.num_rows)] = rng.randint(v2)
+        built = build_code_array(params, vector)
         grid = rotate_rows(unshifted.masks, vector)
-        kinds["primal"].append((grid, len(unshifted.info_ids())))
+        kinds["primal"].append((grid, len(unshifted.info_ids()), built))
         try:
-            contracted = contract(build_code_array(params, vector))
+            contracted = contract(built)
         except ContractShapeError:
             continue
         # The residual-rank sweep needs the ids renumbered 0 .. nvars - 1.
@@ -825,15 +826,15 @@ def test_sweep_pairs_matches_the_residual_rank_sweep(v1):
         columns = [
             [sum(1 << pos[v] for v in bits_of(m)) for m in col] for col in zip(*contracted.masks)
         ]
-        kinds["contracted"].append((list(zip(*columns)), nvars))
+        kinds["contracted"].append((list(zip(*columns)), nvars, None))
         a, b = rng.randint(len(columns)), rng.randint(len(columns))
         for changed in (columns[a][:-1], columns[a] + columns[b][:1]):
             ragged = columns[:a] + [changed] + columns[a + 1:]
-            kinds["padded"].append((list(itertools.zip_longest(*ragged, fillvalue=0)), nvars))
+            kinds["padded"].append((list(itertools.zip_longest(*ragged, fillvalue=0)), nvars, None))
     for kind, corpus in kinds.items():
         verdicts = set()
-        for grid, nvars in corpus:
-            result = _sweep(grid, nvars, kind == "primal")
+        for grid, nvars, built in corpus:
+            result = _sweep(grid, nvars) if built is None else verify_mds(built)
             assert result == _residual_rank_sweep(grid, nvars), kind
             verdicts.add(result.is_mds)
         assert verdicts == {True, False} or kind == "contracted" and True in verdicts, kind

@@ -1,8 +1,10 @@
-"""The ring-rotation symmetry behind the pair sweep: which grids have it, and
-that the sweep's verdict, witness and counts do not depend on it."""
+"""The ring-rotation symmetry behind verify_mds of a built array: which grids
+have it, that the header rule's verdict, witness and counts match an
+elimination over the laid-out grid, and that it lays out no grid."""
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import json
 
@@ -27,7 +29,7 @@ from cgrcode.cli import main
 from cgrcode.layout import canonical_prefix, map_unshifted, rotate_rows
 from cgrcode.rng import Lcg
 from cgrcode.search import _place
-from conftest import _canonical, _reference_sweep, mislabelled_v1_4_grids
+from conftest import _canonical, _reference_sweep, mislabelled_v1_4_grids, no_layout, orbit_sweep
 
 
 def _rotates(masks, v2: int, nvars: int) -> bool:
@@ -51,8 +53,8 @@ def test_built_and_dual_grids_rotate_with_the_rings(v1, data):
     # A built array, its dual and double dual store built and their ids from
     # construction; a fresh CodeArray of the same grid must compute the same,
     # and every one of these grids must rotate with the rings, which is what
-    # the orbit sweep of a built array rests on. At v1 <= 8 the orbit sweep
-    # must also match the full-rank reference over every pair.
+    # the header rule of a built array rests on. At v1 <= 8 verify_mds must
+    # also match the full-rank reference over every pair.
     params = CgrParams.from_v1(v1)
     n = params.num_rows
     vectors = st.lists(st.integers(0, params.v2 - 1), min_size=n, max_size=n)
@@ -96,6 +98,93 @@ def test_other_grids_scan_for_the_symmetry(v1):
         assert grid.built is built, name
     assert _rotates(grids["mislabelled"][0].masks, params.v2, params.num_vertices)
     assert not _rotates(grids["flipped"][0].masks, params.v2, params.num_vertices)
+
+
+def _outcome(result) -> tuple:
+    """Every field of an MdsResult, pairs_swept included, which == leaves out."""
+    witness = result.witness and result.witness.erased_columns
+    return result.is_mds, witness, result.patterns_checked, result.pairs_swept
+
+
+def _matches_the_orbit_sweep(params, vectors) -> set:
+    """Assert that verify_mds of each vector's built array, read by its
+    header, equals orbit_sweep of its laid-out grid in every field; return
+    the failing distances seen, 0 standing for an MDS array."""
+    distances = set()
+    for vector in vectors:
+        array = build_code_array(params, vector)
+        result = verify_mds(array)
+        assert _outcome(result) == _outcome(orbit_sweep(array.masks, params.num_vertices)), vector
+        distances.add(0 if result.is_mds else result.pairs_swept)
+    return distances
+
+
+@pytest.mark.parametrize("v1", [4, 6])
+def test_the_header_rule_matches_the_grid_for_every_pi(v1):
+    # 24 + 720 arrays, mostly not MDS.
+    params = CgrParams.from_v1(v1)
+    factorization = pif_factorize(v1)
+    vectors = [derive_offsets(factorization, pi) for pi in itertools.permutations(range(v1))]
+    distances = _matches_the_orbit_sweep(params, vectors)
+    assert 0 in distances and 1 in distances and len(distances) >= 3
+
+
+def test_the_header_rule_matches_the_grid_on_seeded_vectors():
+    # Fully random vectors, and the canonical vector with one to three
+    # entries redrawn, at v1 = 2 .. 10: the witnesses fall at every distance
+    # from 1 to 4, and at the last one, v2 // 2, at v1 = 2, 4 and 6.
+    seen = {}
+    for v1 in range(2, 11, 2):
+        params = CgrParams.from_v1(v1)
+        rng = Lcg(700 + v1)
+        canonical = tuple(derive_offsets(pif_factorize(v1)))
+        vectors = []
+        for trial in range(200):
+            if trial % 5:
+                vector = list(canonical)
+                for _ in range(1 + trial % 3):
+                    vector[rng.randint(params.num_rows)] = rng.randint(params.v2)
+            else:
+                vector = [rng.randint(params.v2) for _ in range(params.num_rows)]
+            vectors.append(vector)
+        seen[v1] = _matches_the_orbit_sweep(params, vectors)
+    assert set().union(*seen.values()) == {0, 1, 2, 3, 4}
+    assert all(CgrParams.from_v1(v1).v2 // 2 in seen[v1] for v1 in (2, 4, 6))
+
+
+def test_the_header_rule_matches_the_grid_on_every_canonical_size_to_v1_58():
+    # Every size up to v1 = 58 that pif_factorize accepts (the wheel sizes
+    # and the frozen table's 8, 14, 20 and 24); CI compares the larger ones.
+    sizes = []
+    for v1 in range(2, 59, 2):
+        try:
+            factorization = pif_factorize(v1)
+        except ValueError:
+            continue
+        sizes.append(v1)
+        distances = _matches_the_orbit_sweep(CgrParams.from_v1(v1), [derive_offsets(factorization)])
+        assert distances == {0}, v1
+    assert len(sizes) == 20
+
+
+def test_verifying_a_built_array_lays_out_no_grid(monkeypatch):
+    # verify_mds and verify_dual_mds of a built primal, and verify_dual_mds
+    # of a built dual, read the header: at v1 = 100 the grid is 0.5 GB, and
+    # v1 = 58 is the largest size whose dual is under the layout bound.
+    layout = importlib.import_module("cgrcode.layout")
+    zeros = build_code_array(CgrParams.from_v1(4), (0,) * 14)
+    arrays = [zeros, _canonical(24), _canonical(58), _canonical(100)]
+    duals = [dualize(array) for array in arrays[:3]]
+    names = ("map_unshifted", "dual_unshifted", "rotate_rows")
+    no_layout(monkeypatch, layout, names, "laid out a grid to verify a built array")
+    for array in arrays:
+        v2 = array.params.v2
+        primal = verify_mds(array)
+        mds = (True, None, v2 * (v2 - 1) // 2, v2 // 2)
+        assert _outcome(primal) == (mds if array is not zeros else (False, frozenset(range(2, 7)), 1, 1))
+        assert verify_dual_mds(array).is_mds is primal.is_mds
+    for dual, array in zip(duals, arrays):
+        assert _outcome(verify_dual_mds(dual)) == _outcome(verify_dual_mds(array))
 
 
 def test_pairs_swept_counts_the_pairs_reduced():
