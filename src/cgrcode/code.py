@@ -13,7 +13,8 @@ Verification of a built array, primal or dual (CodeArray.built), reads
 its header and lays out no grid: each survivor pair (0, d), d <= v2 // 2,
 is a graph whose cycles a union-find finds (verify_mds), and the dual's
 verdict is the primal's, the dual (layout.dualize) being its orthogonal
-complement. Any other grid has every column pair reduced (_sweep).
+complement. Any other grid has every column pair checked (_graph_sweep):
+by a union-find too, and only a grid with a cell of 3+ bits by elimination.
 """
 
 from __future__ import annotations
@@ -283,6 +284,43 @@ def _sweep(masks, nvars: int) -> MdsResult:
     return MdsResult(True, None, v2 * (v2 - 1) // 2, pairs_swept=v2 * (v2 - 1) // 2)
 
 
+def _join(parent: list[int], edges) -> int:
+    """Join each edge's ends in the forest parent (path halving); count those that join two trees."""
+    joined = 0
+    for x, y in edges:
+        while parent[x] != x or parent[y] != y:
+            parent[x] = x = parent[parent[x]]
+            parent[y] = y = parent[parent[y]]
+        if x != y:
+            parent[x] = y
+            joined += 1
+    return joined
+
+
+def _graph_sweep(masks, nvars: int) -> MdsResult:
+    """_sweep's result by union-find when no cell holds more than two bits,
+    else _sweep's. A cell is an edge between its bits, or from its one bit
+    to ground, so a pair's rank is the count of its edges that join two
+    trees (see decode). Column a's forest is built once, and a copy joined
+    with column b's edges for each pair (a, b), which passes on nvars joins.
+    """
+    node = {0: 0}  # a bit's value -> node id; 0, a single-bit cell's upper bits, is ground
+    columns = [
+        [(node.setdefault(m & -m, len(node)), node.setdefault(m & (m - 1), len(node))) for m in column if m]
+        for column in zip(*masks)
+    ]
+    if any(k & (k - 1) for k in node):  # upper bits of a cell of three or more
+        return _sweep(masks, nvars)
+    v2 = len(columns)
+    for swept, (a, b) in enumerate(itertools.combinations(range(v2), 2), 1):
+        if b == a + 1:  # the first pair that column a leads
+            forest = list(range(len(node)))
+            joined = _join(forest, columns[a])
+        if joined + _join(forest.copy(), columns[b]) < nvars:
+            return MdsResult(False, ErasurePattern.of(set(range(v2)) - {a, b}), swept, pairs_swept=swept)
+    return MdsResult(True, None, v2 * (v2 - 1) // 2, pairs_swept=v2 * (v2 - 1) // 2)
+
+
 def verify_mds(array: CodeArray) -> MdsResult:
     """Whether every 2 surviving columns determine all vertex bits, with the
     erased complement of the first failing survivor pair, in lexicographic
@@ -296,12 +334,16 @@ def verify_mds(array: CodeArray) -> MdsResult:
     position moves each row one cell to the side, so {a, b} has the rank of
     {0, d}, d <= v2 // 2 their circular distance, and the first failing pair
     is (0, d*), d* the least failing d: patterns_checked, d* or C(v2, 2), is
-    a full sweep's, and pairs_swept is d* or v2 // 2. Other grids: _sweep.
+    a full sweep's, and pairs_swept is d* or v2 // 2. Any other grid has
+    every pair checked (_graph_sweep): contracted, punctured and hand-built
+    primal grids by a union-find, a grid with a wider cell by elimination.
+    Full rank is len(info_ids()), so a grid with a bit that no single-bit
+    cell carries can verify as MDS while decode refuses it (CodeArray.plan).
     """
     if array.is_dual():
         raise ValueError("verify_mds expects a primal array; use verify_dual_mds")
     if not array.built:
-        return _sweep(array.masks, len(array.info_ids()))
+        return _graph_sweep(array.masks, len(array.info_ids()))
     v1, v2, n = array.params.v1, array.num_columns, array.params.num_vertices
     # Row r's cell in column d is map_unshifted's at (d + offsets[r]) % v2, as layout._kept_cells reads
     # it: an edge from ring a's ids to ring b's, s positions on. Ring v1 is ground: its nodes start joined.
@@ -323,7 +365,8 @@ def verify_mds(array: CodeArray) -> MdsResult:
 
 def verify_contracted_mds(contracted: CodeArray) -> bool:
     """True iff every 2 surviving columns of a contracted array (layout.contract)
-    recover all retained bits."""
+    recover all retained bits: verify_mds, which checks each pair by a
+    union-find, every contracted cell holding one or two bits."""
     if contracted.num_columns < 2:
         raise ValueError("contracted array needs at least 2 columns to verify")
     return verify_mds(contracted).is_mds

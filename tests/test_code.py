@@ -802,7 +802,9 @@ def test_sweep_pairs_matches_the_residual_rank_sweep(v1):
     # reads by header, and every contraction (mostly MDS), swept by _sweep as
     # it is, with one column cut short and with one column given another
     # column's cell as well; zip_longest fills the short columns with empty
-    # cells, and the long column leaves slack to spare.
+    # cells, and the long column leaves slack to spare. The contracted and
+    # padded grids also go through verify_mds as arrays that are not built,
+    # which check them by union-find, against their own info ids.
     params = CgrParams.from_v1(v1)
     v2 = params.v2
     rng = Lcg(100 + v1)
@@ -837,7 +839,26 @@ def test_sweep_pairs_matches_the_residual_rank_sweep(v1):
             result = _sweep(grid, nvars) if built is None else verify_mds(built)
             assert result == _residual_rank_sweep(grid, nvars), kind
             verdicts.add(result.is_mds)
+            if built is None:
+                array = CodeArray(params, None, tuple(grid))
+                assert not array.built
+                own, swept = len(array.info_ids()), verify_mds(array)
+                assert swept == _residual_rank_sweep(grid, own), kind
+                assert swept.pairs_swept == _sweep(grid, own).pairs_swept, kind
         assert verdicts == {True, False} or kind == "contracted" and True in verdicts, kind
+
+
+def test_verify_counts_rank_against_the_info_ids_that_decode_needs():
+    # Bit 2 is in no single-bit cell, so it is not an info id: every column
+    # pair has rank 3 over the 2 info ids and verifies as MDS, as the rank
+    # reference says, while decode refuses the grid for that bit.
+    masks = ((1, 5, 5), (2, 6, 6))
+    array = CodeArray(CgrParams.from_v1(2), None, masks)
+    assert array.info_ids() == [0, 1]
+    result = verify_mds(array)
+    assert result == _residual_rank_sweep(masks, 2) == MdsResult(True, None, 3)
+    with pytest.raises(ValueError, match=r"^cell \(0, 1\) holds a bit that no info cell carries$"):
+        decode(array, ((0, 1, 1), (1, 0, 0)), ErasurePattern.of([]))
 
 
 @pytest.mark.parametrize("v1", [2, 4, 6])

@@ -187,12 +187,35 @@ def test_verifying_a_built_array_lays_out_no_grid(monkeypatch):
         assert _outcome(verify_dual_mds(dual)) == _outcome(verify_dual_mds(array))
 
 
+def test_grids_of_one_and_two_bit_cells_are_verified_with_no_elimination(monkeypatch):
+    # A contracted, a punctured and a mislabelled primal grid are not built,
+    # but every cell holds one or two bits, an edge of the union-find, so no
+    # GF(2) elimination runs; their results are the elimination's, taken
+    # before it is refused. A cell of three bits sends its grid to _sweep.
+    gf2 = importlib.import_module("cgrcode.gf2")
+    code = importlib.import_module("cgrcode.code")
+    canonical = _canonical(18)
+    grids = [contract(canonical), puncture(canonical), mislabelled_v1_4_grids()["primal"]]
+    expected = [_outcome(code._sweep(grid.masks, len(grid.info_ids()))) for grid in grids]
+    assert [outcome[0] for outcome in expected] == [True, False, False]
+    wide = [list(row) for row in _canonical(4).masks]
+    wide[4][0] |= 1 << 19  # row 4 is ring 0's first ring-edge row: its two bits and one more
+    wide = CodeArray(CgrParams.from_v1(4), None, tuple(map(tuple, wide)))
+    assert max(m.bit_count() for row in wide.masks for m in row) == 3 and not wide.is_dual()
+    no_layout(monkeypatch, gf2, ["extend"], "ran a GF(2) elimination")
+    for grid, outcome in zip(grids, expected):
+        assert not grid.built
+        assert _outcome(verify_mds(grid)) == outcome
+    with pytest.raises(AssertionError, match=r"^ran a GF\(2\) elimination$"):
+        verify_mds(wide)
+
+
 def test_pairs_swept_counts_the_pairs_reduced():
     array = _canonical(18)
     for result in (verify_mds(array), verify_dual_mds(array)):
         assert (result.is_mds, result.patterns_checked, result.pairs_swept) == (True, 210, 10)
     # A contracted grid (v1 + 1 columns over v1 variables) is not built, so
-    # every pair covered is a pair reduced.
+    # every pair covered is a pair checked.
     contracted = contract(array)
     assert not contracted.built
     result = verify_mds(contracted)
@@ -216,7 +239,7 @@ def test_verify_json_prints_pairs_swept(capsys):
 def test_grids_without_the_symmetry_are_swept_in_full(v1):
     # Rotated primal grids, then one bit flipped in one cell or two cells of
     # a column swapped, and at v1 = 4 the primal laid out at zero offsets
-    # under the canonical header: none is built, so verify_mds must reduce
+    # under the canonical header: none is built, so verify_mds must check
     # every pair, and it must agree with the full-rank reference. A swap
     # keeps each column's masks, so MDS grids stay MDS; most flips break it.
     params = CgrParams.from_v1(v1)
