@@ -9,12 +9,10 @@ Both replay the grid's plan (CodeArray.plan), compiled once per array:
 encoding lays the grid out with one gather, and decoding peels the
 surviving two-bit cells in passes over their rows, falling back to
 Gaussian elimination when a pass adds no value and some are unknown.
-Verification of a built array, primal or dual (CodeArray.built), reads
-its header and lays out no grid: each survivor pair (0, d), d <= v2 // 2,
-is a graph whose cycles a union-find finds (verify_mds), and the dual's
-verdict is the primal's, the dual (layout.dualize) being its orthogonal
-complement. Any other grid has every column pair checked (_graph_sweep):
-by a union-find too, and only a grid with a cell of 3+ bits by elimination.
+Verification is one union-find over column pairs (_pair_sweep): a built
+array's pairs (0, d), d <= v2 // 2, read off its header with no grid laid
+out, and every pair of any other grid, unless a cell holds 3+ bits (_sweep
+eliminates). The dual's verdict is the primal's (verify_dual_mds).
 """
 
 from __future__ import annotations
@@ -271,7 +269,10 @@ def _sweep(masks, nvars: int) -> MdsResult:
     order, stopping at the first hole, whose erased complement is the
     witness. Column a is reduced to an echelon basis once, and a copy
     extended with column b for each pair (a, b), with the slack full rank
-    allows: len(basis_a) + len(column b) - nvars dependent masks.
+    allows: len(basis_a) + len(column b) - nvars dependent masks. It stays
+    apart from _pair_sweep: it is the only rank rule for a cell of three or
+    more bits, and the elimination that the union-find is compared with in
+    tests/test_code.py, tests/test_sweep_orbits.py and CI.
     """
     columns = [[m for m in column if m] for column in zip(*masks)]
     v2 = len(columns)
@@ -284,10 +285,12 @@ def _sweep(masks, nvars: int) -> MdsResult:
     return MdsResult(True, None, v2 * (v2 - 1) // 2, pairs_swept=v2 * (v2 - 1) // 2)
 
 
-def _join(parent: list[int], edges) -> int:
-    """Join each edge's ends in the forest parent (path halving); count those that join two trees."""
+def _join(parent: list[int], edges, shift: int) -> int:
+    """Join each edge's ends, both shifted by shift, in the forest parent
+    (path halving); count the edges that join two trees."""
     joined = 0
     for x, y in edges:
+        x, y = x + shift, y + shift
         while parent[x] != x or parent[y] != y:
             parent[x] = x = parent[parent[x]]
             parent[y] = y = parent[parent[y]]
@@ -297,28 +300,35 @@ def _join(parent: list[int], edges) -> int:
     return joined
 
 
-def _graph_sweep(masks, nvars: int) -> MdsResult:
-    """_sweep's result by union-find when no cell holds more than two bits,
-    else _sweep's. A cell is an edge between its bits, or from its one bit
-    to ground, so a pair's rank is the count of its edges that join two
-    trees (see decode). Column a's forest is built once, and a copy joined
-    with column b's edges for each pair (a, b), which passes on nvars joins.
-    """
-    node = {0: 0}  # a bit's value -> node id; 0, a single-bit cell's upper bits, is ground
-    columns = [
-        [(node.setdefault(m & -m, len(node)), node.setdefault(m & (m - 1), len(node))) for m in column if m]
-        for column in zip(*masks)
-    ]
-    if any(k & (k - 1) for k in node):  # upper bits of a cell of three or more
-        return _sweep(masks, nvars)
-    v2 = len(columns)
-    for swept, (a, b) in enumerate(itertools.combinations(range(v2), 2), 1):
+def _pair_sweep(forest: list[int], columns, pairs, nvars: int) -> MdsResult:
+    """The MdsResult of a grid by its pairs (a, b), in order, up to the
+    first with fewer than nvars edges that join two trees. Column c is
+    _join's columns[c] = (edges, shift), joined into a copy of forest at the
+    first pair it leads, a copy of which is joined with column b per pair."""
+    swept, v2 = 0, len(columns)
+    for swept, (a, b) in enumerate(pairs, 1):
         if b == a + 1:  # the first pair that column a leads
-            forest = list(range(len(node)))
-            joined = _join(forest, columns[a])
-        if joined + _join(forest.copy(), columns[b]) < nvars:
+            lead = forest.copy()
+            joined = _join(lead, *columns[a])
+        if joined + _join(lead.copy(), *columns[b]) < nvars:
             return MdsResult(False, ErasurePattern.of(set(range(v2)) - {a, b}), swept, pairs_swept=swept)
-    return MdsResult(True, None, v2 * (v2 - 1) // 2, pairs_swept=v2 * (v2 - 1) // 2)
+    return MdsResult(True, None, v2 * (v2 - 1) // 2, pairs_swept=swept)
+
+
+def _header_graph(array: CodeArray) -> tuple[list[int], list]:
+    """A built array's forest and columns, for _pair_sweep, off its header.
+    Ring j's position p is node p * (v1 + 1) + j, ring v1 ground, and row
+    r's cell in column d is map_unshifted's at (d + offsets[r]) % v2 (see
+    layout._kept_cells): an edge from ring a to ring b, s positions on. So
+    column d is column 0 shifted by d * (v1 + 1). The forest is doubled,
+    node x + N a child of x (N = (v1 + 1) * v2), so no id needs a modulo."""
+    v1, v2 = array.params.v1, array.num_columns
+    rings = [(j, v1, 0) for j in range(v1)] + [(j, j, 1) for j in range(v1)]
+    rings += [(i, j, 0) for i, j in itertools.combinations(range(v1), 2)]
+    edges = [(k * (v1 + 1) + a, (k + s) * (v1 + 1) + b) for (a, b, s), k in zip(rings, array.offsets)]
+    forest = list(range((v1 + 1) * v2)) * 2
+    forest[v1 :: v1 + 1] = [v1] * (2 * v2)  # ground's nodes start joined
+    return forest, [(edges, d * (v1 + 1)) for d in range(v2)]
 
 
 def verify_mds(array: CodeArray) -> MdsResult:
@@ -326,41 +336,31 @@ def verify_mds(array: CodeArray) -> MdsResult:
     erased complement of the first failing survivor pair, in lexicographic
     order, as the witness. Raises ValueError on a dual.
 
-    A built array (CodeArray.built) is read by its header. Each cell is an
-    edge of a graph on the ids and a ground node (a single-bit cell's ends
-    at ground), and cells have full rank exactly when their edges join every
-    id to ground (see decode); a pair's v1 * v2 cells meet v1 * v2 ids, so
-    it fails exactly when they close a cycle. Turning every ring one
-    position moves each row one cell to the side, so {a, b} has the rank of
-    {0, d}, d <= v2 // 2 their circular distance, and the first failing pair
-    is (0, d*), d* the least failing d: patterns_checked, d* or C(v2, 2), is
-    a full sweep's, and pairs_swept is d* or v2 // 2. Any other grid has
-    every pair checked (_graph_sweep): contracted, punctured and hand-built
-    primal grids by a union-find, a grid with a wider cell by elimination.
-    Full rank is len(info_ids()), so a grid with a bit that no single-bit
-    cell carries can verify as MDS while decode refuses it (CodeArray.plan).
+    A cell is an edge between its two ids, or from its one id to ground,
+    and a pair has full rank exactly when len(info_ids()) of its edges join
+    two trees (_pair_sweep; see decode), so a grid with a bit that no
+    single-bit cell carries can verify while decode refuses it. A built
+    array (CodeArray.built) is read by its header (_header_graph): turning
+    every ring one position moves each row one cell to the side, so {a, b}
+    has the rank of {0, d}, d <= v2 // 2 their circular distance, and the
+    first failing pair is (0, d*): patterns_checked, d* or C(v2, 2), is a
+    full sweep's, and pairs_swept is d* or v2 // 2. Any other grid has every
+    pair checked, by elimination (_sweep) if a cell holds 3+ bits.
     """
     if array.is_dual():
         raise ValueError("verify_mds expects a primal array; use verify_dual_mds")
-    if not array.built:
-        return _graph_sweep(array.masks, len(array.info_ids()))
-    v1, v2, n = array.params.v1, array.num_columns, array.params.num_vertices
-    # Row r's cell in column d is map_unshifted's at (d + offsets[r]) % v2, as layout._kept_cells reads
-    # it: an edge from ring a's ids to ring b's, s positions on. Ring v1 is ground: its nodes start joined.
-    rings = [(j * v2, n, 0) for j in range(v1)] + [(j * v2, j * v2, 1) for j in range(v1)]
-    rings += [(i * v2, j * v2, 0) for i, j in itertools.combinations(range(v1), 2)]
-    forest = list(range(n)) + [n] * v2
-    for d in range(v2 // 2 + 1):  # d = 0 builds column 0's forest: a cycle there recurs in column 1
-        parent = forest.copy() if d else forest
-        for (a, b, s), k in zip(rings, array.offsets):
-            x, y = a + (d + k) % v2, b + (d + k + s) % v2
-            while parent[x] != x or parent[y] != y:  # path halving; a root is its own parent
-                parent[x] = x = parent[parent[x]]
-                parent[y] = y = parent[parent[y]]
-            if x == y and d:
-                return MdsResult(False, ErasurePattern.of(set(range(v2)) - {0, d}), d, pairs_swept=d)
-            parent[x] = y
-    return MdsResult(True, None, v2 * (v2 - 1) // 2, pairs_swept=v2 // 2)
+    v2, nvars = array.num_columns, len(array.info_ids())
+    if array.built:
+        forest, columns = _header_graph(array)
+        return _pair_sweep(forest, columns, [(0, d) for d in range(1, v2 // 2 + 1)], nvars)
+    node = {0: 0}  # a bit's value -> node id; 0, a single-bit cell's upper bits, is ground
+    columns = [
+        ([(node.setdefault(m & -m, len(node)), node.setdefault(m & (m - 1), len(node))) for m in col if m], 0)
+        for col in zip(*array.masks)
+    ]
+    if any(k & (k - 1) for k in node):  # upper bits of a cell of three or more
+        return _sweep(array.masks, nvars)
+    return _pair_sweep(list(range(len(node))), columns, itertools.combinations(range(v2), 2), nvars)
 
 
 def verify_contracted_mds(contracted: CodeArray) -> bool:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import importlib
 import itertools
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from cgrcode import (
     verify_mds,
 )
 from cgrcode.cli import main
-from cgrcode.layout import canonical_prefix, map_unshifted, rotate_rows
+from cgrcode.layout import bits_of, canonical_prefix, map_unshifted, rotate_rows
 from cgrcode.rng import Lcg
 from cgrcode.search import _place
 from conftest import _canonical, _reference_sweep, mislabelled_v1_4_grids, no_layout, orbit_sweep
@@ -165,6 +166,36 @@ def test_the_header_rule_matches_the_grid_on_every_canonical_size_to_v1_58():
         distances = _matches_the_orbit_sweep(CgrParams.from_v1(v1), [derive_offsets(factorization)])
         assert distances == {0}, v1
     assert len(sizes) == 20
+
+
+def test_header_columns_are_column_0_turned_by_a_node_id_shift():
+    # The header rule numbers ring j's position p as node p * (v1 + 1) + j,
+    # ring v1 being ground, so turning every ring d positions adds
+    # d * (v1 + 1) to every node. For every d < v2, column 0's edges so
+    # shifted must be the laid-out grid's column d as a multiset: there, bit
+    # j * v2 + p is node p * (v1 + 1) + j and a single-bit cell an edge to
+    # ground; in the doubled forest, an id x >= N is x - N, and every ground
+    # node is one node. The forest must start with x + N under x and every
+    # ground node under ground's first.
+    code = importlib.import_module("cgrcode.code")
+    for v1 in range(2, 11, 2):
+        params = CgrParams.from_v1(v1)
+        v2, width = params.v2, v1 + 1
+        n = width * v2
+        rng = Lcg(800 + v1)
+        vectors = [derive_offsets(pif_factorize(v1))]
+        vectors += [[rng.randint(v2) for _ in range(params.num_rows)] for _ in range(8)]
+        node = [-1 if x % width == v1 else x % n for x in range(2 * n)]  # ground as -1
+        for vector in vectors:
+            array = build_code_array(params, vector)
+            forest, columns = code._header_graph(array)
+            assert forest == [v1 if x % width == v1 else x % n for x in range(2 * n)]
+            assert len(columns) == v2
+            for d, (edges, shift) in enumerate(columns):
+                header = Counter(tuple(sorted((node[x + shift], node[y + shift]))) for x, y in edges)
+                ends = [[b % v2 * width + b // v2 for b in bits_of(row[d])] for row in array.masks]
+                grid = Counter(tuple(sorted(cell + [-1] * (2 - len(cell)))) for cell in ends)
+                assert header == grid, (vector, d)
 
 
 def test_verifying_a_built_array_lays_out_no_grid(monkeypatch):
