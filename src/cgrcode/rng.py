@@ -23,7 +23,8 @@ class Lcg:
 
     def randint(self, n: int) -> int:
         """Uniform-ish draw in [0, n) via multiply-shift."""
-        return (self.next_u64() * n) >> 64
+        self.state = (self.state * MULTIPLIER + INCREMENT) & MASK64  # next_u64, a call less per draw
+        return (self.state * n) >> 64
 
     def bit(self) -> int:
         return self.next_u64() >> 63

@@ -13,8 +13,9 @@ from .rng import MASK64, Lcg, jump
 DEFAULT_BUDGET = 10**7
 DEFAULT_MAX_TRIALS = 1000
 # Bounds 2*num_rows*v2*v1*v2 = v2*(v1*v2)**2 bits, 11.3 M at v1 = 24: about twice
-# the v2 // 2 echelon bases, of up to v1*v2 masks of v1*v2 bits each, that search
-# grows. The doubled rows (row + row) share their mask ints, so they add little.
+# the v2 // 2 echelon bases, of up to v1*v2 masks of v1*v2 bits each, that one
+# search path grows; a random search's kept prefixes add more (see search). The
+# doubled rows (row + row) share their mask ints, so they add little.
 MAX_GRID_BITS = 2**27
 
 
@@ -96,10 +97,17 @@ def search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> tuple[list[OffsetV
     """Run the search; every returned vector passes verify_mds. An
     exhaustive search with a free prefix walks the vectors that start with
     0 and shifts them to the other first values (see _exhaustive); a random
-    one places each trial's first free row from a table of its placements.
-    Raises ValueError on a seed, limit or budget that is no int (stop_after
-    may be None), on a negative limit or budget and, before any layout, on
-    a size over MAX_GRID_BITS."""
+    one keeps the placements of the free-offset prefixes its trials draw
+    down to depth keep, the largest d with 2 * v2**d <= max_trials (a
+    prefix drawn once gains nothing from being kept): at most v2**d at
+    depth d, under 5/8 * max_trials in all, each dead or v2 // 2 bases of
+    2 * (len(prefix) + d) masks, about 50 KB at v1 = 24. Raises ValueError
+    on params that are no CgrParams, a fix_prefix that is no bool, a seed,
+    limit or budget that is no int (stop_after may be None), a negative
+    limit or budget and, before any layout, a size over MAX_GRID_BITS."""
+    for name, kind in (("params", CgrParams), ("fix_prefix", bool)):
+        if not isinstance(getattr(spec, name), kind):
+            raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(spec, name)!r}")
     limits = {"max_trials": spec.max_trials, "stop_after": spec.stop_after, "budget": budget, "seed": spec.seed}
     for name, value in limits.items():
         if type(value) is not int and not (value is None and name == "stop_after"):  # bools too
@@ -149,10 +157,14 @@ def search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> tuple[list[OffsetV
         return _exhaustive(doubled, bases, prefix, v2, space, spec.stop_after)
     # A trial draws each offset as it places the row, up to the first that
     # fails, then jumps to the state nfree draws leave: the same vectors.
-    # Every trial places the first free row onto the same prefix bases, so
-    # its v2 placements are kept in a table, each made when first drawn.
-    first, *rest = doubled[len(prefix):]
-    table = {}
+    # Trials that share a prefix of free offsets place it onto the same
+    # bases, so the first keep rows walk a tree: node[k] holds the bases
+    # placed (None once dead) and the child node, made when first drawn.
+    keep = 0
+    while keep < nfree and 2 * v2 ** (keep + 1) <= spec.max_trials:
+        keep += 1
+    kept_rows, rest = doubled[len(prefix):][:keep], doubled[len(prefix) + keep:]
+    tree = {}
     rng = Lcg(spec.seed)
     multiplier, increment = jump(nfree)
     found: list[OffsetVector] = []
@@ -162,18 +174,26 @@ def search(spec: SearchSpec, budget: int = DEFAULT_BUDGET) -> tuple[list[OffsetV
             break
         trials += 1
         start = rng.state
-        k = rng.randint(v2)
-        if k not in table:
-            table[k] = _place(bases, first, k, distances)
-        free, placed = [k], table[k]
-        for row in rest:
+        free, placed, node = [], bases, tree
+        for row in kept_rows:
+            k = rng.randint(v2)
+            free.append(k)
+            try:
+                placed, node = node[k]
+            except KeyError:
+                node[k] = _place(placed, row, k, distances), {}
+                placed, node = node[k]
             if placed is None:
                 break
-            free.append(rng.randint(v2))
-            placed = _place(placed, row, free[-1], distances)
-        if placed is not None:
-            hits += 1
-            found.append(OffsetVector(prefix + tuple(free)))
+        else:
+            for row in rest:
+                free.append(rng.randint(v2))
+                placed = _place(placed, row, free[-1], distances)
+                if placed is None:
+                    break
+            else:
+                hits += 1
+                found.append(OffsetVector(prefix + tuple(free)))
         rng.state = (start * multiplier + increment) & MASK64
     return found, SearchStats(trials, hits, None, nodes=trials)
 

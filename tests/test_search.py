@@ -145,6 +145,10 @@ def test_random_search_stop_after():
         SearchSpec(params=CgrParams.from_v1(2), fix_prefix=False, stop_after=12),
         SearchSpec(params=CgrParams.from_v1(4), strategy="random", seed=50, max_trials=1),
         SearchSpec(params=CgrParams.from_v1(8), strategy="random", seed=8, max_trials=300),
+        # Kept to depth 3 (2 * 7**3 <= 3000), where most kept prefixes are dead.
+        SearchSpec(params=CgrParams.from_v1(4), strategy="random", seed=50, max_trials=3000),
+        SearchSpec(params=CgrParams.from_v1(4), fix_prefix=False, strategy="random", max_trials=1000),
+        SearchSpec(params=CgrParams.from_v1(4), strategy="random", max_trials=0),
     ],
 )
 def test_search_matches_a_reference_scan(spec):
@@ -181,6 +185,59 @@ def test_search_matches_a_reference_scan(spec):
         assert stats.nodes == trials
 
 
+@pytest.mark.parametrize("fix_prefix", [True, False])
+def test_random_search_places_each_kept_prefix_once(monkeypatch, fix_prefix):
+    # Each _place call is named by the offsets placed so far, read off the
+    # bases it extends; every result is held, so no id is reused. A replay
+    # of the draws, stopping where a placement died, gives the calls due: a
+    # prefix of up to keep free offsets, the largest d with 2 * v2**d <=
+    # max_trials, is placed once, the rows below it once per trial.
+    module = importlib.import_module("cgrcode.search")
+    real = module._place
+    paths, held, calls = {}, [], []
+
+    def counting(bases, row, k, distances):
+        path = paths.get(id(bases), ()) + (k,)
+        placed = real(bases, row, k, distances)
+        held.append(placed)
+        paths[id(placed)] = path
+        calls.append((path, placed is None))
+        return placed
+
+    monkeypatch.setattr(module, "_place", counting)
+    params = CgrParams.from_v1(4)
+    spec = SearchSpec(params, fix_prefix=fix_prefix, strategy="random", seed=50, max_trials=3000)
+    _, stats = search(spec)
+    v2 = params.v2
+    prefix = tuple(range(params.v1)) + (params.v1,) * params.v1 if fix_prefix else ()
+    nfree = params.num_rows - len(prefix)
+    keep = 3  # 2 * 7**3 <= 3000 < 2 * 7**4
+    assert [path for path, _ in calls[: len(prefix)]] == [prefix[:i] for i in range(1, len(prefix) + 1)]
+    dead = dict(calls[len(prefix):])
+    rng = Lcg(spec.seed)
+    due, seen, reused = [], set(), []
+    for _ in range(stats.trials):
+        vec = prefix + tuple(rng.randint(v2) for _ in range(nfree))
+        for depth in range(1, nfree + 1):
+            path = vec[: len(prefix) + depth]
+            if depth > keep or path not in seen:
+                due.append(path)
+                seen.add(path)
+            else:
+                reused.append(dead[path])
+            if dead[path]:
+                break
+    placed = [path for path, _ in calls[len(prefix):]]
+    assert placed == due
+    kept = [path for path in placed if len(path) <= len(prefix) + keep]
+    assert len(kept) == len(set(kept))
+    assert max(map(len, kept)) == len(prefix) + keep
+    # With the prefix fixed, trials stop at kept dead prefixes too. The free
+    # search's first v1 rows are vertex rows of distinct rings onto empty
+    # bases, so none of its kept prefixes dies.
+    assert any(reused) == fix_prefix and not all(reused)
+
+
 @pytest.mark.parametrize("steps", range(9))
 def test_lcg_jump_equals_that_many_steps(steps):
     for seed in (0, 1, 50, MASK64):
@@ -212,6 +269,26 @@ def test_limits_that_are_not_ints_are_rejected(field, value):
     spec = SearchSpec(CgrParams.from_v1(2), fix_prefix=False, strategy=strategy, **limits)
     with pytest.raises(ValueError, match=f"^{field} must be an int, got {re.escape(repr(value))}$"):
         search(spec, budget)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"params": "x"}, "params must be a CgrParams, got 'x'"),
+        ({"params": 4}, "params must be a CgrParams, got 4"),
+        ({"fix_prefix": "no"}, "fix_prefix must be a bool, got 'no'"),
+        ({"fix_prefix": 1}, "fix_prefix must be a bool, got 1"),
+    ],
+    ids=["params str", "params int", "fix_prefix str", "fix_prefix int"],
+)
+def test_params_and_fix_prefix_of_the_wrong_type_are_rejected(monkeypatch, fields, message):
+    # Unchecked, fix_prefix="no" ran a fixed-prefix search and params="x"
+    # failed with an AttributeError.
+    module = importlib.import_module("cgrcode.search")
+    no_layout(monkeypatch, module, ("map_unshifted",), "search laid out a grid for a spec it rejects")
+    spec = SearchSpec(**{"params": CgrParams.from_v1(2), "strategy": "random", **fields})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        search(spec)
 
 
 def test_unknown_strategy_is_rejected_before_any_layout(monkeypatch):
